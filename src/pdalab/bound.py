@@ -21,7 +21,7 @@ is reported, never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +70,6 @@ class BoundReport:
     rhs_intermediate: float
     rhs_full: float
     epoch: int
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "BoundReport":
-        return BoundReport(**{f.name: d[f.name] for f in fields(BoundReport)})
 
 
 def _pred_matrix(preds) -> np.ndarray:

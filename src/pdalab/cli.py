@@ -21,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import BoundViolationError
+from .bound import INTERMEDIATE_TOL, BoundViolationError
 from .config import (
     ConfigError,
-    CsvDataConfig,
     RunConfig,
     SyntheticDataConfig,
     dump_config,
@@ -143,7 +142,7 @@ def cmd_bound_trace(args) -> int:
             raise ValueError(f"{args.metrics}: epoch {rec.epoch} has no bound report "
                              "(run was trained without oracle labels)")
         b = rec.bound
-        if b.w_error_l1 > b.rhs_intermediate + 1e-9:
+        if b.w_error_l1 > b.rhs_intermediate + INTERMEDIATE_TOL:
             raise BoundViolationError(
                 f"stored record violates the intermediate inequality at epoch "
                 f"{rec.epoch}: {b.w_error_l1} > {b.rhs_intermediate}")
@@ -207,11 +206,17 @@ def cmd_ablate(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
+    if not isinstance(snapshot, dict):
+        raise ValueError(f"{args.model}: expected a JSON object")
     major = int(str(snapshot.get("schema", "0")).split(".")[0])
     if major != 1:
         raise ValueError(f"{args.model}: unsupported model schema "
                          f"{snapshot.get('schema')!r}")
-    bundle = bundle_from_state(snapshot["model"])
+    try:
+        bundle = bundle_from_state(snapshot["model"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{args.model}: malformed model snapshot "
+                         f"({type(exc).__name__}: {exc})") from None
     data_dir = Path(args.data)
     _, target, oracle, k = load_experiment_data(data_dir / "source.csv",
                                                 data_dir / "target.csv",

@@ -1,18 +1,24 @@
 """Run configuration: strict YAML schema, resolution, and serialization.
 
-Every key is validated against an explicit whitelist; unknown keys are
-rejected.  Serialization always writes the fully resolved form (no
-hidden defaults), so the effective configuration stored next to a
-run's outputs replays the run exactly.
+One parser reads every section from its dataclass: the fields are the
+allowed keys, their defaults the defaults, and their annotations the
+type each value, and each element of a list, must have.  Unknown keys
+are rejected and errors name the key path (``arch.hidden[1]``).
+Serialization always writes the fully resolved form (no hidden
+defaults), so the effective configuration stored next to a run's
+outputs replays the run exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .data import SyntheticSpec
+from .metrics import to_plain
 from .nets import ArchSpec
 from .rngstreams import substream_seed
 from .trainer import NAMED_VARIANTS, Schedule, VariantFlags, resolve_variant
@@ -33,22 +39,61 @@ def _require_mapping(value, where: str) -> dict:
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; "
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}; "
                           f"allowed: {sorted(allowed)}")
 
 
-def _get(d: dict, key: str, kind, default, where: str):
-    if key not in d or d[key] is None:
-        return default
-    value = d[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if isinstance(value, bool) and kind in (int, float):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got a boolean")
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, "
+def _value(value, hint, where: str):
+    """``value`` checked against the annotation ``hint``.
+
+    Ints widen to float, never booleans to numbers; a list becomes a
+    tuple with each element checked as ``where[i]``; ``X | None`` checks
+    against X; a dataclass annotation parses a nested section.
+    """
+    if is_dataclass(hint):
+        return _parse(hint, value, where)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        (hint,) = [a for a in args if a is not type(None)]
+        return _value(value, hint, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected list, got {type(value).__name__}")
+        return tuple(_value(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool) and hint in (int, float):
+        raise ConfigError(f"{where}: expected {hint.__name__}, got a boolean")
+    if hint is float and isinstance(value, int):
+        return float(value)
+    if not isinstance(value, hint):
+        raise ConfigError(f"{where}: expected {hint.__name__}, "
                           f"got {type(value).__name__}")
     return value
+
+
+def _parse(cls, raw, where: str = "", **dispatch):
+    """A ``cls`` instance from a mapping with one key per dataclass field.
+
+    A missing or null key takes the field's default.  ``where`` is the
+    section's key path ("" at the root); ``dispatch`` maps a field whose
+    annotation is a union of section kinds to its own parser.
+    """
+    name = where or "config"
+    d = _require_mapping(raw, name)
+    _check_keys(d, {f.name for f in fields(cls)}, name)
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        value = d.get(f.name)
+        if value is not None:
+            values[f.name] = (dispatch[f.name](value, path) if f.name in dispatch
+                              else _value(value, hints[f.name], path))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: a value is required")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -69,48 +114,10 @@ class SyntheticDataConfig:
         seed = self.seed if self.seed is not None \
             else substream_seed(experiment_seed, "datagen")
         try:
-            return SyntheticSpec(dim=self.dim,
-                                 num_source_classes=self.num_source_classes,
-                                 shared_classes=self.shared_classes,
-                                 samples_per_class=self.samples_per_class,
-                                 cluster_means=self.cluster_means,
-                                 cluster_std=self.cluster_std,
-                                 target_rotation=self.target_rotation,
-                                 target_shift=self.target_shift,
-                                 seed=seed)
+            return SyntheticSpec(**{f.name: getattr(self, f.name) for f in fields(self)}
+                                 | {"seed": seed})
         except ValueError as exc:
             raise ConfigError(f"data.synthetic: {exc}") from None
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "num_source_classes": self.num_source_classes,
-                "shared_classes": list(self.shared_classes),
-                "samples_per_class": self.samples_per_class,
-                "cluster_means": None if self.cluster_means is None
-                else [list(m) for m in self.cluster_means],
-                "cluster_std": self.cluster_std,
-                "target_rotation": self.target_rotation,
-                "target_shift": list(self.target_shift),
-                "seed": self.seed}
-
-    @staticmethod
-    def from_dict(d: dict) -> "SyntheticDataConfig":
-        where = "data.synthetic"
-        _check_keys(d, {"dim", "num_source_classes", "shared_classes",
-                        "samples_per_class", "cluster_means", "cluster_std",
-                        "target_rotation", "target_shift", "seed"}, where)
-        means = d.get("cluster_means")
-        if means is not None:
-            means = tuple(tuple(float(v) for v in m) for m in means)
-        return SyntheticDataConfig(
-            dim=_get(d, "dim", int, 2, where),
-            num_source_classes=_get(d, "num_source_classes", int, 5, where),
-            shared_classes=tuple(_get(d, "shared_classes", list, [0, 1, 2], where)),
-            samples_per_class=_get(d, "samples_per_class", int, 100, where),
-            cluster_means=means,
-            cluster_std=_get(d, "cluster_std", float, 0.35, where),
-            target_rotation=_get(d, "target_rotation", float, 0.3, where),
-            target_shift=tuple(_get(d, "target_shift", list, [0.5, 0.5], where)),
-            seed=_get(d, "seed", int, None, where))
 
 
 @dataclass(frozen=True)
@@ -118,19 +125,6 @@ class CsvDataConfig:
     source: str
     target: str
     metadata: str
-
-    def to_dict(self) -> dict:
-        return {"source": self.source, "target": self.target,
-                "metadata": self.metadata}
-
-    @staticmethod
-    def from_dict(d: dict) -> "CsvDataConfig":
-        where = "data.csv"
-        _check_keys(d, {"source", "target", "metadata"}, where)
-        for key in ("source", "target", "metadata"):
-            if not isinstance(d.get(key), str):
-                raise ConfigError(f"{where}.{key}: a path string is required")
-        return CsvDataConfig(d["source"], d["target"], d["metadata"])
 
 
 @dataclass(frozen=True)
@@ -145,14 +139,26 @@ class ArchConfig:
         except ValueError as exc:
             raise ConfigError(f"arch: {exc}") from None
 
-    def to_dict(self) -> dict:
-        return {"hidden": list(self.hidden), "disc_hidden": list(self.disc_hidden)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ArchConfig":
-        _check_keys(d, {"hidden", "disc_hidden"}, "arch")
-        return ArchConfig(hidden=tuple(_get(d, "hidden", list, [16, 16], "arch")),
-                          disc_hidden=tuple(_get(d, "disc_hidden", list, [], "arch")))
+def _parse_variant(value, where: str) -> str | VariantFlags:
+    if isinstance(value, dict):
+        return _parse(VariantFlags, value, where)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a preset name or a flag mapping")
+    if value not in NAMED_VARIANTS:
+        raise ConfigError(f"{where}: unknown name {value!r}; "
+                          f"known: {sorted(NAMED_VARIANTS)}")
+    return value
+
+
+def _parse_data(value, where: str) -> SyntheticDataConfig | CsvDataConfig:
+    d = _require_mapping(value, where)
+    _check_keys(d, {"synthetic", "csv"}, where)
+    if "csv" in d and "synthetic" in d:
+        raise ConfigError(f"{where}: specify either synthetic or csv, not both")
+    if "csv" in d:
+        return _parse(CsvDataConfig, d["csv"], f"{where}.csv")
+    return _parse(SyntheticDataConfig, d.get("synthetic"), f"{where}.synthetic")
 
 
 @dataclass(frozen=True)
@@ -171,78 +177,14 @@ class RunConfig:
             raise ConfigError(f"variant: {exc}") from None
 
     def to_dict(self) -> dict:
-        variant = self.variant if isinstance(self.variant, str) \
-            else self.variant.to_dict()
-        data = {"synthetic": self.data.to_dict()} \
-            if isinstance(self.data, SyntheticDataConfig) \
-            else {"csv": self.data.to_dict()}
-        return {"seed": self.seed, "out_dir": self.out_dir, "variant": variant,
-                "data": data, "arch": self.arch.to_dict(),
-                "schedule": self.schedule.to_dict()}
+        d = to_plain(self)
+        kind = "synthetic" if isinstance(self.data, SyntheticDataConfig) else "csv"
+        d["data"] = {kind: d["data"]}
+        return d
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        raw = _require_mapping(raw, "config")
-        _check_keys(raw, {"seed", "out_dir", "variant", "data", "arch", "schedule"},
-                    "config")
-        seed = _get(raw, "seed", int, 0, "config")
-        out_dir = _get(raw, "out_dir", str, None, "config")
-
-        variant: str | VariantFlags = raw.get("variant", "san_pp")
-        if variant is None:
-            variant = "san_pp"
-        if isinstance(variant, dict):
-            _check_keys(variant, {"instance_sel", "class_sel", "self_training",
-                                  "entropy_min", "shared_trunk", "adversary"},
-                        "variant")
-            try:
-                variant = VariantFlags(**variant)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"variant: {exc}") from None
-        elif isinstance(variant, str):
-            if variant not in NAMED_VARIANTS:
-                raise ConfigError(f"variant: unknown name {variant!r}; "
-                                  f"known: {sorted(NAMED_VARIANTS)}")
-        else:
-            raise ConfigError("variant: expected a preset name or a flag mapping")
-
-        data_section = _require_mapping(raw.get("data"), "config.data")
-        _check_keys(data_section, {"synthetic", "csv"}, "config.data")
-        if "csv" in data_section and "synthetic" in data_section:
-            raise ConfigError("config.data: specify either synthetic or csv, not both")
-        if "csv" in data_section:
-            data = CsvDataConfig.from_dict(_require_mapping(data_section["csv"],
-                                                            "data.csv"))
-        else:
-            data = SyntheticDataConfig.from_dict(
-                _require_mapping(data_section.get("synthetic"), "data.synthetic"))
-
-        arch = ArchConfig.from_dict(_require_mapping(raw.get("arch"), "arch"))
-
-        sched_d = _require_mapping(raw.get("schedule"), "schedule")
-        _check_keys(sched_d, {"eta0", "alpha", "beta", "momentum", "total_epochs",
-                              "warmup_epochs", "batch_size", "log_interval"},
-                    "schedule")
-        defaults = Schedule()
-        try:
-            schedule = Schedule(
-                eta0=_get(sched_d, "eta0", float, defaults.eta0, "schedule"),
-                alpha=_get(sched_d, "alpha", float, defaults.alpha, "schedule"),
-                beta=_get(sched_d, "beta", float, defaults.beta, "schedule"),
-                momentum=_get(sched_d, "momentum", float, defaults.momentum, "schedule"),
-                total_epochs=_get(sched_d, "total_epochs", int,
-                                  defaults.total_epochs, "schedule"),
-                warmup_epochs=_get(sched_d, "warmup_epochs", int,
-                                   defaults.warmup_epochs, "schedule"),
-                batch_size=_get(sched_d, "batch_size", int,
-                                defaults.batch_size, "schedule"),
-                log_interval=_get(sched_d, "log_interval", int,
-                                  defaults.log_interval, "schedule"))
-        except ValueError as exc:
-            raise ConfigError(f"schedule: {exc}") from None
-
-        return RunConfig(seed=seed, out_dir=out_dir, variant=variant, data=data,
-                         arch=arch, schedule=schedule)
+        return _parse(RunConfig, raw, variant=_parse_variant, data=_parse_data)
 
 
 def load_config(path) -> RunConfig:
@@ -251,13 +193,8 @@ def load_config(path) -> RunConfig:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from None
-    return RunConfig.from_dict(raw if raw is not None else {})
+    return RunConfig.from_dict(raw)
 
 
 def dump_config(cfg: RunConfig) -> str:
     return yaml.safe_dump(cfg.to_dict(), sort_keys=True, default_flow_style=False)
-
-
-def save_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_config(cfg))

@@ -38,13 +38,6 @@ class DataFormatError(ValueError):
     """A dataset file does not conform to the expected format."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    x: np.ndarray
-    y: int | None
-    domain: int
-
-
 @dataclass
 class Dataset:
     """Columnar sample store; ``y == -1`` marks unlabeled rows."""
@@ -77,11 +70,6 @@ class Dataset:
     @property
     def labeled(self) -> bool:
         return bool((self.y != UNLABELED).all()) and len(self) > 0
-
-    def samples(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            y = None if self.y[i] == UNLABELED else int(self.y[i])
-            yield Sample(self.x[i].copy(), y, int(self.domain[i]))
 
 
 @dataclass(frozen=True)
@@ -257,8 +245,10 @@ def load_experiment_data(source_path, target_path, metadata_path
     if source.dim != meta["dim"] or target_raw.dim != meta["dim"]:
         raise DataFormatError("feature width disagrees with metadata")
     k = meta["num_source_classes"]
-    if (source.y >= k).any():
-        raise DataFormatError(f"{source_path}: label outside [0, {k})")
+    bad = np.flatnonzero((source.y < 0) | (source.y >= k))
+    if bad.size:  # row i of a loaded file is on line i + 2, below the header
+        raise DataFormatError(f"{source_path}:{bad[0] + 2}: label {source.y[bad[0]]} "
+                              f"outside [0, {k})")
     oracle = None
     if target_raw.labeled:
         oracle = OracleContext(tuple(meta["shared_classes"]), target_raw.y.copy())

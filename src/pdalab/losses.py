@@ -33,22 +33,6 @@ class LossBreakdown:
     l_adv: float
     objective: float
 
-    def to_dict(self) -> dict:
-        return {"l_sup": self.l_sup, "l_self": self.l_self,
-                "l_adv": self.l_adv, "objective": self.objective}
-
-    @staticmethod
-    def from_dict(d: dict) -> "LossBreakdown":
-        return LossBreakdown(d["l_sup"], d["l_self"], d["l_adv"], d["objective"])
-
-
-@dataclass(frozen=True)
-class PseudoLabels:
-    """Hard argmax labels plus the soft rows they came from (diagnostics)."""
-
-    hard: np.ndarray
-    soft: np.ndarray
-
 
 def supervised_loss(preds: Tensor, labels, class_weights) -> Tensor:
     """Mean over the batch of w_y * cross_entropy(pred, y)."""
@@ -60,12 +44,12 @@ def supervised_loss(preds: Tensor, labels, class_weights) -> Tensor:
     return T.mean(T.mul_const(ce, w[labels]))
 
 
-def assign_pseudo_labels(preds) -> PseudoLabels:
+def assign_pseudo_labels(preds) -> np.ndarray:
     """Hard pseudo-label per row (argmax, ties to the lowest index)."""
     p = np.asarray(preds, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("prediction matrix must be 2-d")
-    return PseudoLabels(hard=p.argmax(axis=1), soft=p.copy())
+    return p.argmax(axis=1)
 
 
 def self_training_loss(preds: Tensor, pseudo_hard, class_weights, enabled: bool) -> Tensor:

@@ -10,7 +10,7 @@ files must be byte-identical across reruns of the same (config, seed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .bound import BoundReport
 from .losses import LossBreakdown
@@ -21,6 +21,21 @@ SCHEMA_MAJOR = 1
 
 class MetricsSchemaError(ValueError):
     """A metrics file uses an unsupported schema version."""
+
+
+def to_plain(value):
+    """JSON/YAML-ready form: dataclasses become dicts of their fields and
+    tuples become lists, recursively."""
+    if is_dataclass(value):
+        return {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [to_plain(v) for v in value]
+    return value
+
+
+def from_plain(cls, d: dict):
+    """A flat dataclass back from its :func:`to_plain` form; extra keys are ignored."""
+    return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -39,8 +54,8 @@ class MetricsRecord:
             "target_accuracy": None if self.target_accuracy is None
             else float(self.target_accuracy),
             "class_weights": [float(v) for v in self.class_weights],
-            "losses": None if self.losses is None else self.losses.to_dict(),
-            "bound": None if self.bound is None else self.bound.to_dict(),
+            "losses": to_plain(self.losses),
+            "bound": to_plain(self.bound),
         }
 
     @staticmethod
@@ -52,8 +67,8 @@ class MetricsRecord:
             epoch=int(d["epoch"]),
             target_accuracy=d["target_accuracy"],
             class_weights=list(d["class_weights"]),
-            losses=None if d["losses"] is None else LossBreakdown.from_dict(d["losses"]),
-            bound=None if d["bound"] is None else BoundReport.from_dict(d["bound"]),
+            losses=None if d["losses"] is None else from_plain(LossBreakdown, d["losses"]),
+            bound=None if d["bound"] is None else from_plain(BoundReport, d["bound"]),
         )
 
 

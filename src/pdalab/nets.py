@@ -61,12 +61,6 @@ class MLP:
     def parameters(self) -> list[Tensor]:
         return [t for w, b, _ in self.layers for t in (w, b)]
 
-    def copy(self) -> "MLP":
-        layers = [(Tensor(w.data.copy(), requires_grad=True),
-                   Tensor(b.data.copy(), requires_grad=True), act)
-                  for w, b, act in self.layers]
-        return MLP(layers)
-
 
 class MultiTaskDiscriminator:
     """Per-class domain discriminators over a (possibly shared) trunk."""
@@ -201,15 +195,6 @@ def g_forward(classifier: MLP, f: Tensor) -> Tensor:
 
 def d_forward(disc: MultiTaskDiscriminator, f: Tensor, lam: float) -> Tensor:
     return disc.forward(f, lam)
-
-
-def unshare_trunk(disc: MultiTaskDiscriminator) -> MultiTaskDiscriminator:
-    """Private-trunk discriminator whose trunks are copies of the shared one."""
-    if not disc.shared_trunk:
-        raise ValueError("discriminator trunk is already private")
-    trunks = [disc.trunks[0].copy() for _ in disc.heads]
-    heads = [head.copy() for head in disc.heads]
-    return MultiTaskDiscriminator(trunks, heads, shared_trunk=False)
 
 
 # ---------------------------------------------------------------------------

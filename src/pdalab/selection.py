@@ -2,7 +2,8 @@
 
 Class-level: the transferable probability of each source class,
 estimated as the mean target prediction.  Instance-level: a target
-sample's prediction row, used to assign it across the per-class
+sample's prediction row itself, which the trainer passes straight to
+the adversarial loss to assign the sample across the per-class
 alignment tasks.  Plus the entropy-aware example weight that favors
 confident predictions.
 """
@@ -40,17 +41,8 @@ def true_class_weights(target_labels, num_classes: int) -> np.ndarray:
     return np.bincount(labels, minlength=num_classes) / labels.size
 
 
-def entropy_weight(pred) -> float:
-    """1 + exp(-H(pred)) with H the natural-log Shannon entropy; in (1, 2]."""
-    return float(entropy_weights(np.atleast_2d(np.asarray(pred, dtype=np.float64)))[0])
-
-
 def entropy_weights(preds) -> np.ndarray:
+    """Per row, 1 + exp(-H(row)) with H the natural-log Shannon entropy; in (1, 2]."""
     p = _as_pred_matrix(preds)
     h = -(p * np.log(np.maximum(p, np.finfo(float).tiny))).sum(axis=1)
     return 1.0 + np.exp(-h)
-
-
-def instance_weights(pred) -> np.ndarray:
-    """The prediction row itself, read as per-head alignment weights."""
-    return np.asarray(pred, dtype=np.float64).copy()

@@ -14,7 +14,6 @@ backward pass.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,9 +30,6 @@ class TapeError(RuntimeError):
     """backward() was asked to differentiate a tensor not on the active tape."""
 
 
-_node_ids = itertools.count()
-
-
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
@@ -42,7 +38,7 @@ class Tensor:
     backward passes until :func:`zero_grad` clears them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape_pos")
+    __slots__ = ("data", "requires_grad", "grad", "_tape_pos")
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.asarray(values, dtype=np.float64)
@@ -51,7 +47,6 @@ class Tensor:
         self.data = data
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.node_id = next(_node_ids)
         self._tape_pos: tuple[int, int] | None = None
 
     @property
@@ -61,35 +56,10 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item() requires a single-element tensor")
-        return float(self.data.reshape(()))
-
-    def detach(self) -> np.ndarray:
-        """Copy of the raw values, off the tape."""
-        return self.data.copy()
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; non-Tensor operands are treated as constants.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_const(self, other)
-
-    def __radd__(self, other):
-        return add_const(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_const(self, other)
-
-    def __rmul__(self, other):
-        return mul_const(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return add_const(self, -np.asarray(other, dtype=np.float64))
 
 
 class _Node:
@@ -115,16 +85,9 @@ class Tape:
         self.nodes.clear()
         self.generation += 1
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 _tape = Tape()
 _grad_enabled = True
-
-
-def active_tape() -> Tape:
-    return _tape
 
 
 def reset_tape() -> None:
@@ -155,7 +118,6 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out.node_id = next(_node_ids)
     out._tape_pos = None
     out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
     if out.requires_grad:
@@ -243,15 +205,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise DimensionError(f"add shapes incompatible: {a.shape} vs {b.shape}")
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    c_arr = _as_const(c, a.data)
-
-    def bw(g):
-        return [(a, g)]
-
-    return _record("add_const", (a,), a.data + c_arr, bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
@@ -290,27 +243,6 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", (a,), np.where(mask, a.data, 0.0), bw)
 
 
-def log(a: Tensor) -> Tensor:
-    if (a.data <= 0.0).any():
-        raise ValueError("log requires strictly positive input")
-    a_data = a.data
-
-    def bw(g):
-        return [(a, g / a_data)]
-
-    return _record("log", (a,), np.log(a_data), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow becomes inf; the finite guard raises
-        out_data = np.exp(a.data)
-
-    def bw(g):
-        return [(a, g * out_data)]
-
-    return _record("exp", (a,), out_data, bw)
-
-
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
 
@@ -330,15 +262,6 @@ def mean(a: Tensor) -> Tensor:
         return [(a, np.broadcast_to(g / n, shape).copy())]
 
     return _record("mean", (a,), np.asarray(a.data.mean()), bw)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    old = a.shape
-
-    def bw(g):
-        return [(a, g.reshape(old))]
-
-    return _record("reshape", (a,), a.data.reshape(shape), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -407,17 +330,6 @@ def cross_entropy_rows(pred: Tensor, labels) -> Tensor:
         return [(pred, gp)]
 
     return _record("cross_entropy_soft", (pred,), out_data, bw)
-
-
-def cross_entropy_row(pred: Tensor, label) -> Tensor:
-    """Cross-entropy of a single simplex row; returns a scalar tensor."""
-    row = pred if pred.data.ndim == 2 else reshape(pred, (1, pred.data.size))
-    lbl = np.asarray(label)
-    if lbl.ndim == 0:
-        lbl = lbl.reshape(1)
-    else:
-        lbl = lbl.reshape(1, -1)
-    return sum_all(cross_entropy_rows(row, lbl))
 
 
 def binary_cross_entropy(probs: Tensor, targets) -> Tensor:

@@ -59,11 +59,6 @@ class VariantFlags:
                                          or self.entropy_min):
             raise ValueError("selection/entropy gates require an adversary")
 
-    def to_dict(self) -> dict:
-        return {"instance_sel": self.instance_sel, "class_sel": self.class_sel,
-                "self_training": self.self_training, "entropy_min": self.entropy_min,
-                "shared_trunk": self.shared_trunk, "adversary": self.adversary}
-
 
 PRESETS: dict[str, VariantFlags] = {
     # Plain supervised training on the source domain; no adversarial term.
@@ -104,9 +99,7 @@ def resolve_variant(variant) -> VariantFlags:
         except KeyError:
             raise ValueError(f"unknown variant {variant!r}; "
                              f"known: {sorted(NAMED_VARIANTS)}") from None
-    if isinstance(variant, dict):
-        return VariantFlags(**variant)
-    raise TypeError("variant must be a name, a flag mapping, or VariantFlags")
+    raise TypeError("variant must be a name or VariantFlags")
 
 
 @dataclass(frozen=True)
@@ -138,12 +131,6 @@ class Schedule:
             raise ValueError("epoch counts must be nonnegative")
         if self.batch_size < 1 or self.log_interval < 1:
             raise ValueError("batch_size and log_interval must be positive")
-
-    def to_dict(self) -> dict:
-        return {"eta0": self.eta0, "alpha": self.alpha, "beta": self.beta,
-                "momentum": self.momentum, "total_epochs": self.total_epochs,
-                "warmup_epochs": self.warmup_epochs, "batch_size": self.batch_size,
-                "log_interval": self.log_interval}
 
 
 def lr_at(p: float, sched: Schedule) -> float:
@@ -320,7 +307,7 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
     total_steps = steps_per_epoch(len(source), len(target), sched.batch_size) \
         * sched.total_epochs
 
-    def snapshot(epoch: int, losses=None, wall=None) -> MetricsRecord:
+    def snapshot(epoch: int, losses=None) -> MetricsRecord:
         preds_t = predict(bundle, target.x)
         w = class_transferable_probability(preds_t)
         accuracy = None
@@ -332,7 +319,7 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
                                 extract_features(bundle, target.x), div_rng, epoch)
         return MetricsRecord(epoch=epoch, target_accuracy=accuracy,
                              class_weights=[float(v) for v in w], losses=losses,
-                             bound=bound, wall_clock_s=wall)
+                             bound=bound)
 
     records = [snapshot(0)]
     steps_done = 0
@@ -344,12 +331,12 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
         eff_flags = flags if not warm else replace(flags, class_sel=False,
                                                    entropy_min=False)
         self_active = flags.self_training and not warm
-        pseudo = assign_pseudo_labels(preds_t).hard if self_active else None
+        pseudo = assign_pseudo_labels(preds_t) if self_active else None
         breakdowns, steps_done = train_epoch(
             bundle, opt, source, target, w, pseudo, eff_flags, sched,
             self_active, steps_done, total_steps, data_rng)
-        records.append(snapshot(e + 1, losses=_mean_breakdown(breakdowns),
-                                wall=time.perf_counter() - t0))
+        records.append(snapshot(e + 1, losses=_mean_breakdown(breakdowns)))
+        records[-1].wall_clock_s = time.perf_counter() - t0  # audit included
         logger.info("epoch %d/%d acc=%s obj=%.5g", e + 1, sched.total_epochs,
                     records[-1].target_accuracy, records[-1].losses.objective)
 

@@ -229,7 +229,8 @@ class TestCheckBound:
         oracle, tp, sp, sl, sf, tf = self._inputs(1)
         rep = check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(2))
         from pdalab.bound import BoundReport
-        assert BoundReport.from_dict(rep.to_dict()) == rep
+        from pdalab.metrics import from_plain, to_plain
+        assert from_plain(BoundReport, to_plain(rep)) == rep
 
     def test_perfect_predictions_zero_terms(self):
         rng = np.random.default_rng(3)

@@ -209,3 +209,13 @@ class TestEval:
         conf = (tmp_path / "conf.csv").read_text()
         total = sum(int(v) for line in conf.splitlines()[1:] for v in line.split(","))
         assert total == 36  # 3 shared classes x 12
+
+    @pytest.mark.parametrize("snapshot", [[], {"schema": "1.0"},
+                                          {"schema": "1.0", "model": {}}],
+                             ids=["not_an_object", "no_model_key", "empty_model"])
+    def test_malformed_snapshot_is_one_error_line(self, tmp_path, capsys, snapshot):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(snapshot))
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1

@@ -1,5 +1,10 @@
-import pytest
+import re
+from dataclasses import fields
 
+import pytest
+import yaml
+
+from pdalab.cli import main as cli_main
 from pdalab.config import (
     ArchConfig,
     ConfigError,
@@ -8,8 +13,9 @@ from pdalab.config import (
     SyntheticDataConfig,
     dump_config,
     load_config,
-    save_config,
 )
+from pdalab.data import SyntheticSpec
+from pdalab.nets import ArchSpec
 from pdalab.trainer import Schedule, VariantFlags
 
 
@@ -66,6 +72,43 @@ class TestParsing:
         with pytest.raises(ConfigError, match="schedule"):
             RunConfig.from_dict({"schedule": {"momentum": 1.5}})
 
+    def test_int_elements_widen_to_float(self):
+        data = RunConfig.from_dict({"data": {"synthetic": {"target_shift": [1, 1]}}}).data
+        assert data.target_shift == (1.0, 1.0)
+        assert all(type(v) is float for v in data.target_shift)
+
+    def test_defaults_match_the_specs(self):
+        cfg = RunConfig.from_dict({})
+        spec = SyntheticSpec()
+        names = [f.name for f in fields(SyntheticSpec) if f.name != "seed"]
+        assert [f.name for f in fields(SyntheticDataConfig)] == names + ["seed"]
+        assert [getattr(cfg.data, n) for n in names] == [getattr(spec, n) for n in names]
+        arch = ArchSpec(in_dim=1, num_classes=1)
+        assert [(f.name, getattr(cfg.arch, f.name)) for f in fields(ArchConfig)] == \
+            [("hidden", arch.hidden), ("disc_hidden", arch.disc_hidden)]
+
+
+# Values that used to train silently wrong or end in a traceback.
+MISTYPED = [
+    ({"variant": {"instance_sel": "no", "adversary": "multi"}}, "variant.instance_sel"),
+    ({"data": {"synthetic": {"shared_classes": [0.7, 1, 2]}}},
+     "data.synthetic.shared_classes[0]"),
+    ({"arch": {"hidden": [16, "x"]}}, "arch.hidden[1]"),
+    ({"arch": {"hidden": [16.5]}}, "arch.hidden[0]"),
+    ({"data": {"synthetic": {"cluster_means": 5}}}, "data.synthetic.cluster_means"),
+]
+
+
+@pytest.mark.parametrize("raw, path", MISTYPED, ids=[p for _, p in MISTYPED])
+def test_mistyped_value_is_rejected_at_its_key_path(raw, path, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected "):
+        RunConfig.from_dict(raw)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: expected ") and err.count("\n") == 1
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self):
@@ -86,7 +129,7 @@ class TestRoundTrip:
         cfg = RunConfig.from_dict({"seed": 3, "variant": {"adversary": "single"},
                                    "schedule": {"total_epochs": 2}})
         path = tmp_path / "config.yaml"
-        save_config(path, cfg)
+        path.write_text(dump_config(cfg), encoding="utf-8")
         again = load_config(path)
         assert again == cfg
         assert dump_config(again) == dump_config(cfg)

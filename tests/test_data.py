@@ -130,6 +130,15 @@ class TestExperimentIo:
         assert np.array_equal(oracle2.target_labels, oracle.target_labels)
         assert oracle2.shared_classes == oracle.shared_classes
 
+    @pytest.mark.parametrize("label", [-2, 5])
+    def test_source_label_outside_classes_rejected_with_line(self, tmp_path, label):
+        spec = SyntheticSpec(seed=6, samples_per_class=5)
+        source, target, oracle = generate_toy(spec)
+        source.y[3] = label
+        paths = save_experiment_data(tmp_path, source, target, oracle, 5)
+        with pytest.raises(DataFormatError, match=f"source.csv:5: label {label} "):
+            load_experiment_data(paths["source"], paths["target"], paths["metadata"])
+
     def test_unlabeled_target_yields_no_oracle(self, tmp_path):
         spec = SyntheticSpec(seed=6, samples_per_class=5)
         source, target, oracle = generate_toy(spec)

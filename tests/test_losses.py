@@ -54,15 +54,13 @@ class TestSupervisedLoss:
 
 class TestPseudoLabels:
     def test_one_hot(self):
-        assert assign_pseudo_labels([[0.0, 0.0, 1.0]]).hard.tolist() == [2]
+        assert assign_pseudo_labels([[0.0, 0.0, 1.0]]).tolist() == [2]
 
     def test_tie_breaks_to_lowest_index(self):
-        assert assign_pseudo_labels([[0.25, 0.25, 0.25, 0.25]]).hard.tolist() == [0]
+        assert assign_pseudo_labels([[0.25, 0.25, 0.25, 0.25]]).tolist() == [0]
 
     def test_argmax(self):
-        out = assign_pseudo_labels([[0.2, 0.5, 0.3]])
-        assert out.hard.tolist() == [1]
-        assert np.allclose(out.soft, [[0.2, 0.5, 0.3]])
+        assert assign_pseudo_labels([[0.2, 0.5, 0.3]]).tolist() == [1]
 
 
 class TestSelfTrainingLoss:
@@ -74,7 +72,7 @@ class TestSelfTrainingLoss:
 
     def test_one_hot_predictions_give_zero(self):
         preds = np.eye(3)[[0, 2, 1]]
-        pseudo = assign_pseudo_labels(preds).hard
+        pseudo = assign_pseudo_labels(preds)
         loss = self_training_loss(Tensor(preds), pseudo, np.ones(3), enabled=True)
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 

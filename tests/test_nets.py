@@ -9,7 +9,6 @@ from pdalab.nets import (
     f_forward,
     g_forward,
     init_bundle,
-    unshare_trunk,
 )
 from pdalab.tensor import DimensionError, Tensor, backward, mean, reset_tape, sum_all
 
@@ -122,16 +121,6 @@ class TestInit:
 
 
 class TestSharedTrunkEquivalence:
-    def test_copy_initialized_private_trunks_match_shared(self):
-        arch = ArchSpec(in_dim=2, num_classes=4, hidden=(8,), disc_hidden=(6, 5))
-        bundle = init_bundle(arch, np.random.default_rng(7), shared_trunk=True)
-        private = unshare_trunk(bundle.discriminator)
-        x = np.random.default_rng(8).normal(size=(10, 2))
-        f = f_forward(bundle.features, x)
-        shared_out = d_forward(bundle.discriminator, f, 1.0)
-        private_out = d_forward(private, f, 1.0)
-        assert np.array_equal(shared_out.data, private_out.data)
-
     def test_head_count_must_match_trunk_count_when_private(self):
         arch = ArchSpec(in_dim=2, num_classes=3)
         bundle = init_bundle(arch, np.random.default_rng(0), shared_trunk=True)

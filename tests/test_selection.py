@@ -5,9 +5,7 @@ import pytest
 
 from pdalab.selection import (
     class_transferable_probability,
-    entropy_weight,
     entropy_weights,
-    instance_weights,
     true_class_weights,
 )
 
@@ -66,6 +64,10 @@ class TestTrueClassWeights:
             true_class_weights([0, 3], 3)
 
 
+def entropy_weight(row) -> float:
+    return float(entropy_weights([row])[0])
+
+
 class TestEntropyWeight:
     def test_one_hot_maximizes(self):
         assert entropy_weight([0.0, 1.0, 0.0]) == pytest.approx(2.0)
@@ -97,19 +99,3 @@ class TestEntropyWeight:
         preds = rng.dirichlet(np.ones(3), size=20)
         batch = entropy_weights(preds)
         assert np.allclose(batch, [entropy_weight(r) for r in preds])
-
-
-class TestInstanceWeights:
-    def test_identity_mapping(self):
-        row = np.array([0.7, 0.2, 0.1])
-        assert np.array_equal(instance_weights(row), row)
-
-    def test_returns_copy(self):
-        row = np.array([0.5, 0.5])
-        w = instance_weights(row)
-        w[0] = 0.0
-        assert row[0] == 0.5
-
-    def test_one_hot_selects_single_head(self):
-        w = instance_weights([0.0, 1.0, 0.0])
-        assert np.count_nonzero(w) == 1

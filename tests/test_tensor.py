@@ -11,7 +11,6 @@ from pdalab.tensor import (
     backward,
     binary_cross_entropy,
     concat_cols,
-    cross_entropy_row,
     cross_entropy_rows,
     entropy_rows,
     grad_reverse,
@@ -111,8 +110,8 @@ class TestCrossEntropy:
         assert out.data == pytest.approx([0.0])
 
     def test_half_half(self):
-        out = cross_entropy_row(Tensor([0.5, 0.5]), 0)
-        assert out.item() == pytest.approx(math.log(2.0), abs=1e-12)
+        out = cross_entropy_rows(Tensor([[0.5, 0.5]]), np.array([0]))
+        assert out.data == pytest.approx([math.log(2.0)], abs=1e-12)
 
     def test_soft_label_equals_entropy(self):
         p = np.array([[0.2, 0.3, 0.5]])
@@ -281,18 +280,14 @@ class TestStructuralOps:
 
 
 class TestFiniteGuard:
-    def test_overflowing_exp_raises(self):
-        x = Tensor([[1000.0]])
-        with pytest.raises(FloatingPointError):
-            T.exp(x)
+    def test_overflowing_matmul_raises(self):
+        x = Tensor([[1e200, 1e200]])
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="matmul"):
+            matmul(x, Tensor([[1e200], [1e200]]))
 
     def test_nan_creation_rejected(self):
         with pytest.raises(FloatingPointError):
             Tensor([float("nan")])
-
-    def test_log_of_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            T.log(Tensor([[0.0]]))
 
 
 def _gradcheck_primitive(name, build, sampler, trials=120, tol=1e-4, seed=1234):
@@ -318,7 +313,7 @@ def _gradcheck_primitive(name, build, sampler, trials=120, tol=1e-4, seed=1234):
 
 
 @pytest.mark.parametrize("name", [
-    "matmul", "add_bias", "mul", "relu", "log", "exp", "mean", "sigmoid",
+    "matmul", "add_bias", "mul", "relu", "mean", "sigmoid",
     "softmax", "cross_entropy_hard", "cross_entropy_soft",
     "binary_cross_entropy", "entropy_rows", "slice", "concat",
 ])
@@ -337,8 +332,6 @@ def test_primitive_gradients_match_finite_differences(name):
         "mul": (lambda x: mean(T.mul(x, x)), lambda r: r.normal(size=(4, 3))),
         "relu": (lambda x: mean(relu(x)),
                  lambda r: np.sign(r.normal(size=(4, 3))) * r.uniform(0.01, 2.0, size=(4, 3))),
-        "log": (lambda x: mean(T.log(x)), lambda r: r.uniform(0.1, 3.0, size=(4, 3))),
-        "exp": (lambda x: mean(T.exp(x)), lambda r: r.normal(size=(4, 3))),
         "mean": (lambda x: T.scale(mean(x), 2.0), lambda r: r.normal(size=(4, 3))),
         "sigmoid": (lambda x: mean(sigmoid(x)), lambda r: r.normal(size=(4, 3))),
         "softmax": (lambda x: mean(T.mul(softmax_rows(x), softmax_rows(x))),

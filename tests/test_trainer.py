@@ -125,7 +125,6 @@ class TestVariants:
 
     def test_resolve_variant_forms(self):
         assert resolve_variant("dann") == PRESETS["dann"]
-        assert resolve_variant({"adversary": "single"}) == PRESETS["dann"]
         assert resolve_variant(PRESETS["san"]) == PRESETS["san"]
         with pytest.raises(ValueError):
             resolve_variant("unknown_variant")
@@ -207,7 +206,7 @@ class TestTrainEpoch:
             opt = MomentumSGD(bundle.parameters(), sched.momentum)
             rng = substream(4, "data")
             steps = steps_per_epoch(len(source), len(target), sched.batch_size)
-            pseudo = assign_pseudo_labels(predict(bundle, target.x)).hard
+            pseudo = assign_pseudo_labels(predict(bundle, target.x))
             train_epoch(bundle, opt, source, target, w, pseudo, flags, sched,
                         True, 0, steps, rng)
             return np.concatenate([p.data.ravel() for p in bundle.parameters()])
@@ -330,3 +329,21 @@ class TestRunExperiment:
         res = run_experiment(source, target, oracle, arch, PRESETS["source_only"],
                              small_sched(), 0)
         assert all(r.losses.l_adv == 0.0 for r in res.records if r.losses)
+
+    def test_epoch_wall_clock_includes_the_audit(self, monkeypatch):
+        import time
+
+        import pdalab.trainer
+        from pdalab.bound import check_bound
+
+        def slow_check_bound(*args, **kwargs):
+            time.sleep(0.05)
+            return check_bound(*args, **kwargs)
+
+        monkeypatch.setattr(pdalab.trainer, "check_bound", slow_check_bound)
+        source, target, oracle = tiny_problem(seed=12)
+        arch = ArchSpec(in_dim=2, num_classes=5)
+        res = run_experiment(source, target, oracle, arch, PRESETS["source_only"],
+                             small_sched(total_epochs=2), 0)
+        walls = [r.wall_clock_s for r in res.records[1:]]
+        assert len(walls) == 2 and min(walls) >= 0.05
