@@ -120,15 +120,33 @@ def w_estimation_error(target_preds, oracle: OracleContext) -> float:
 
 
 def _train_logistic(x, y, steps, lr):
-    w = np.zeros(x.shape[1])
+    """Full-batch gradient descent on the logistic loss.
+
+    Works in preallocated buffers.  Every step computes, in this order,
+    p = 1/(1 + exp(-(x@w + b))), err = p - y, w -= (lr * x.T@err) / n and
+    b -= lr * (sum(err) / n), so the result is bit-equal to that loop
+    written with temporaries.
+    """
+    n, d = x.shape
+    w = np.zeros(d)
     b = 0.0
-    n = x.shape[0]
+    x_t = x.T
+    z = np.empty(n)
+    err = np.empty(n)
+    g = np.empty(d)
     for _ in range(steps):
-        z = x @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        err = p - y
-        w -= lr * (x.T @ err) / n
-        b -= lr * err.mean()
+        np.matmul(x, w, out=z)
+        z += b
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        np.subtract(z, y, out=err)
+        np.matmul(x_t, err, out=g)
+        g *= lr
+        g /= n
+        w -= g
+        b -= lr * (np.add.reduce(err) / n)
     return w, b
 
 

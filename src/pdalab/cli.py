@@ -205,7 +205,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
-        snapshot = json.load(fh)
+        try:
+            snapshot = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{args.model}: not a JSON model snapshot ({exc})") from None
     if not isinstance(snapshot, dict):
         raise ValueError(f"{args.model}: expected a JSON object")
     major = int(str(snapshot.get("schema", "0")).split(".")[0])
@@ -214,7 +217,7 @@ def cmd_eval(args) -> int:
                          f"{snapshot.get('schema')!r}")
     try:
         bundle = bundle_from_state(snapshot["model"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.model}: malformed model snapshot "
                          f"({type(exc).__name__}: {exc})") from None
     data_dir = Path(args.data)

@@ -209,12 +209,30 @@ def save_metadata(path, num_source_classes: int, shared_classes, dim: int) -> No
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_metadata(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataFormatError(f"{path}: not a JSON metadata file ({exc})") from None
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
     for key in ("num_source_classes", "shared_classes", "dim"):
         if key not in meta:
             raise DataFormatError(f"{path}: missing metadata key {key!r}")
+    for key in ("num_source_classes", "dim"):
+        if not _is_int(meta[key]) or meta[key] < 1:
+            raise DataFormatError(f"{path}: {key} must be a positive integer, "
+                                  f"got {meta[key]!r}")
+    k, shared = meta["num_source_classes"], meta["shared_classes"]
+    if (not isinstance(shared, list) or not shared
+            or not all(_is_int(c) and 0 <= c < k for c in shared)):
+        raise DataFormatError(f"{path}: shared_classes must be a nonempty list of "
+                              f"class indices in [0, {k}), got {shared!r}")
     return meta
 
 
@@ -242,8 +260,10 @@ def load_experiment_data(source_path, target_path, metadata_path
         raise DataFormatError(f"{source_path}: expected source rows (domain=1)")
     if (target_raw.domain != 0).any():
         raise DataFormatError(f"{target_path}: expected target rows (domain=0)")
-    if source.dim != meta["dim"] or target_raw.dim != meta["dim"]:
-        raise DataFormatError("feature width disagrees with metadata")
+    for path, data in ((source_path, source), (target_path, target_raw)):
+        if data.dim != meta["dim"]:
+            raise DataFormatError(f"{metadata_path}: dim {meta['dim']} disagrees with "
+                                  f"the {data.dim} feature columns of {path}")
     k = meta["num_source_classes"]
     bad = np.flatnonzero((source.y < 0) | (source.y >= k))
     if bad.size:  # row i of a loaded file is on line i + 2, below the header
@@ -251,7 +271,13 @@ def load_experiment_data(source_path, target_path, metadata_path
                               f"outside [0, {k})")
     oracle = None
     if target_raw.labeled:
-        oracle = OracleContext(tuple(meta["shared_classes"]), target_raw.y.copy())
+        shared = tuple(meta["shared_classes"])
+        bad = np.flatnonzero(~np.isin(target_raw.y, shared))
+        if bad.size:
+            raise DataFormatError(f"{target_path}:{bad[0] + 2}: label {target_raw.y[bad[0]]} "
+                                  f"outside the shared classes {sorted(set(shared))} "
+                                  f"of {metadata_path}")
+        oracle = OracleContext(shared, target_raw.y.copy())
     target = Dataset(target_raw.x, np.full(len(target_raw), UNLABELED), target_raw.domain)
     return source, target, oracle, k
 

@@ -35,6 +35,8 @@ def to_plain(value):
 
 def from_plain(cls, d: dict):
     """A flat dataclass back from its :func:`to_plain` form; extra keys are ignored."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
     return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
@@ -60,6 +62,8 @@ class MetricsRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "MetricsRecord":
+        if not isinstance(d, dict):
+            raise TypeError(f"a record must be a JSON object, got {type(d).__name__}")
         major = int(str(d.get("schema", "0")).split(".")[0])
         if major != SCHEMA_MAJOR:
             raise MetricsSchemaError(f"unsupported metrics schema {d.get('schema')!r}")
@@ -94,6 +98,6 @@ def read_metrics(path) -> list[MetricsRecord]:
                 records.append(MetricsRecord.from_dict(json.loads(line)))
             except MetricsSchemaError:
                 raise
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad metrics record: {exc}") from None
     return records

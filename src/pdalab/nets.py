@@ -17,12 +17,13 @@ from .tensor import (
     DimensionError,
     Tensor,
     add,
-    concat_cols,
+    batched_matmul,
     grad_reverse,
     matmul,
     relu,
     sigmoid,
     softmax_rows,
+    stack_to_cols,
 )
 
 ACTIVATIONS = ("relu", "none")
@@ -63,9 +64,19 @@ class MLP:
 
 
 class MultiTaskDiscriminator:
-    """Per-class domain discriminators over a (possibly shared) trunk."""
+    """Per-class domain discriminators over a (possibly shared) trunk.
+
+    The K heads, with their private trunks when ``shared_trunk`` is off,
+    are stored as ``layers``: per depth one [K, d, h] weight stack and one
+    [K, h] bias stack.  ``trunks`` and ``heads`` are the per-head MLPs
+    the constructor received, rebuilt over views of those stacks, so
+    they always show the trained values; a shared trunk stays an ordinary
+    MLP.
+    """
 
     def __init__(self, trunks: list[MLP], heads: list[MLP], shared_trunk: bool):
+        if not heads:
+            raise ValueError("discriminator needs at least one head")
         if shared_trunk and len(trunks) != 1:
             raise ValueError("shared discriminator requires exactly one trunk")
         if not shared_trunk and len(trunks) != len(heads):
@@ -73,9 +84,26 @@ class MultiTaskDiscriminator:
         for head in heads:
             if head.out_dim != 1:
                 raise DimensionError("each discriminator head must emit one logit")
-        self.trunks = trunks
-        self.heads = heads
+        chains = [h.layers for h in heads]
+        if not shared_trunk:
+            chains = [t.layers + chain for t, chain in zip(trunks, chains)]
+        shapes = {tuple((w.shape, act) for w, _, act in chain) for chain in chains}
+        if len(shapes) != 1:
+            raise DimensionError("discriminator heads must share one architecture")
+        self.layers = [(Tensor(np.stack([w.data for w, _, _ in depth]), requires_grad=True),
+                        Tensor(np.stack([b.data for _, b, _ in depth]), requires_grad=True),
+                        depth[0][2])
+                       for depth in zip(*chains)]
+        n_private = 0 if shared_trunk else len(trunks[0].layers)
+        self.trunks = trunks if shared_trunk else [self._view(k, self.layers[:n_private])
+                                                   for k in range(len(heads))]
+        self.heads = [self._view(k, self.layers[n_private:]) for k in range(len(heads))]
         self.shared_trunk = shared_trunk
+
+    @staticmethod
+    def _view(k: int, layers) -> MLP:
+        return MLP([(Tensor(w.data[k], requires_grad=True),
+                     Tensor(b.data[k], requires_grad=True), act) for w, b, act in layers])
 
     @property
     def num_heads(self) -> int:
@@ -88,19 +116,18 @@ class MultiTaskDiscriminator:
         the trunk, so one descent step trains the discriminator while
         pushing the feature extractor the opposite way.
         """
-        reversed_f = grad_reverse(features, lam)
+        h = grad_reverse(features, lam)
         if self.shared_trunk:
-            h = self.trunks[0].forward(reversed_f)
-            logits = [head.forward(h) for head in self.heads]
-        else:
-            logits = [head.forward(trunk.forward(reversed_f))
-                      for trunk, head in zip(self.trunks, self.heads)]
-        return sigmoid(concat_cols(logits))
+            h = self.trunks[0].forward(h)
+        for w, b, act in self.layers:
+            h = add(batched_matmul(h, w), b)
+            if act == "relu":
+                h = relu(h)
+        return sigmoid(stack_to_cols(h))
 
     def parameters(self) -> list[Tensor]:
-        params = [t for trunk in self.trunks for t in trunk.parameters()]
-        params += [t for head in self.heads for t in head.parameters()]
-        return params
+        params = self.trunks[0].parameters() if self.shared_trunk else []
+        return params + [t for w, b, _ in self.layers for t in (w, b)]
 
 
 @dataclass

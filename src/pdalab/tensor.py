@@ -14,7 +14,7 @@ backward pass.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -192,16 +192,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a_data @ b_data, bw)
 
 
+def batched_matmul(a: Tensor, w: Tensor) -> Tensor:
+    """Stacked products ``a[k] @ w[k]``, shape [K, m, h].
+
+    ``w`` is a [K, d, h] stack; ``a`` is either one [m, d] input shared by
+    every slice or a [K, m, d] stack.  Each slice is its own product, so
+    slice k is bit-equal to ``matmul`` of the slice alone.
+    """
+    if w.data.ndim != 3 or a.data.ndim not in (2, 3):
+        raise DimensionError("batched_matmul requires a 2-d or 3-d input and 3-d weights")
+    if a.shape[-1] != w.shape[1] or (a.data.ndim == 3 and a.shape[0] != w.shape[0]):
+        raise DimensionError(f"batched_matmul shapes disagree: {a.shape} x {w.shape}")
+    a_data, w_data = a.data, w.data
+
+    def bw(g):
+        w_t = w_data.transpose(0, 2, 1)
+        if a_data.ndim == 3:
+            return [(a, np.matmul(g, w_t)), (w, np.matmul(a_data.transpose(0, 2, 1), g))]
+        # Summed from the last slice down: the order in which the tape
+        # accumulates K separate matmul nodes that read one input.
+        ga = g[-1] @ w_t[-1]
+        for k in range(len(g) - 2, -1, -1):
+            ga = ga + g[k] @ w_t[k]
+        return [(a, ga), (w, np.matmul(a_data.T, g))]
+
+    return _record("batched_matmul", (a, w), np.matmul(a_data, w_data), bw)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-d bias row against a matrix."""
+    """Elementwise sum; also accepts a bias row against a matrix, and a
+    [K, h] stack of bias rows against a [K, m, h] stack of matrices."""
     if a.shape == b.shape:
         def bw(g):
             return [(a, g), (b, g)]
         return _record("add", (a, b), a.data + b.data, bw)
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
+    if a.data.ndim in (2, 3) and a.shape[:-2] + a.shape[-1:] == b.shape:
         def bw(g):
-            return [(a, g), (b, g.sum(axis=0))]
-        return _record("add_bias", (a, b), a.data + b.data, bw)
+            return [(a, g), (b, g.sum(axis=-2))]
+        return _record("add_bias", (a, b), a.data + b.data[..., None, :], bw)
     raise DimensionError(f"add shapes incompatible: {a.shape} vs {b.shape}")
 
 
@@ -395,18 +423,12 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_rows", (a,), a.data[start:stop].copy(), bw)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("concat_cols requires at least one tensor")
-    rows = parts[0].shape[0]
-    for t in parts:
-        if t.data.ndim != 2 or t.shape[0] != rows:
-            raise DimensionError("concat_cols requires 2-d tensors with equal row counts")
-    widths = [t.shape[1] for t in parts]
-    offsets = np.cumsum([0] + widths)
-    parts = tuple(parts)
+def stack_to_cols(a: Tensor) -> Tensor:
+    """A [K, m, 1] stack of single-column outputs as one [m, K] matrix."""
+    if a.data.ndim != 3 or a.shape[2] != 1:
+        raise DimensionError(f"stack_to_cols requires a [K, m, 1] stack, got {a.shape}")
 
     def bw(g):
-        return [(t, g[:, offsets[i]:offsets[i + 1]].copy()) for i, t in enumerate(parts)]
+        return [(a, g.T.copy()[:, :, None])]
 
-    return _record("concat_cols", parts, np.concatenate([t.data for t in parts], axis=1), bw)
+    return _record("stack_to_cols", (a,), a.data[:, :, 0].T.copy(), bw)

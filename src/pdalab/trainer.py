@@ -307,26 +307,32 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
     total_steps = steps_per_epoch(len(source), len(target), sched.batch_size) \
         * sched.total_epochs
 
-    def snapshot(epoch: int, losses=None) -> MetricsRecord:
-        preds_t = predict(bundle, target.x)
+    def features_and_preds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = extract_features(bundle, x)
+        with no_grad():
+            return f, g_forward(bundle.classifier, Tensor(f)).data
+
+    def snapshot(epoch: int, losses=None) -> tuple[MetricsRecord, np.ndarray, np.ndarray]:
+        """The epoch's record, plus the target predictions and class
+        weights it was computed from, which the next epoch starts with."""
+        f_t, preds_t = features_and_preds(target.x)
         w = class_transferable_probability(preds_t)
         accuracy = None
         bound = None
         if oracle is not None:
             accuracy = float(np.mean(preds_t.argmax(axis=1) == oracle.target_labels))
-            bound = check_bound(preds_t, oracle, predict(bundle, source.x), source.y,
-                                extract_features(bundle, source.x),
-                                extract_features(bundle, target.x), div_rng, epoch)
-        return MetricsRecord(epoch=epoch, target_accuracy=accuracy,
-                             class_weights=[float(v) for v in w], losses=losses,
-                             bound=bound)
+            f_s, preds_s = features_and_preds(source.x)
+            bound = check_bound(preds_t, oracle, preds_s, source.y, f_s, f_t, div_rng, epoch)
+        record = MetricsRecord(epoch=epoch, target_accuracy=accuracy,
+                               class_weights=[float(v) for v in w], losses=losses,
+                               bound=bound)
+        return record, preds_t, w
 
-    records = [snapshot(0)]
+    record, preds_t, w = snapshot(0)
+    records = [record]
     steps_done = 0
     for e in range(sched.total_epochs):
         t0 = time.perf_counter()
-        preds_t = predict(bundle, target.x)
-        w = class_transferable_probability(preds_t)
         warm = e < sched.warmup_epochs
         eff_flags = flags if not warm else replace(flags, class_sel=False,
                                                    entropy_min=False)
@@ -335,10 +341,11 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
         breakdowns, steps_done = train_epoch(
             bundle, opt, source, target, w, pseudo, eff_flags, sched,
             self_active, steps_done, total_steps, data_rng)
-        records.append(snapshot(e + 1, losses=_mean_breakdown(breakdowns)))
-        records[-1].wall_clock_s = time.perf_counter() - t0  # audit included
+        record, preds_t, w = snapshot(e + 1, losses=_mean_breakdown(breakdowns))
+        record.wall_clock_s = time.perf_counter() - t0  # audit included
+        records.append(record)
         logger.info("epoch %d/%d acc=%s obj=%.5g", e + 1, sched.total_epochs,
-                    records[-1].target_accuracy, records[-1].losses.objective)
+                    record.target_accuracy, record.losses.objective)
 
     confusion = None
     if oracle is not None:

@@ -6,6 +6,7 @@ import pytest
 from pdalab.bound import (
     BoundViolationError,
     OracleContext,
+    _train_logistic,
     check_bound,
     delta_bar,
     estimate_hdh_divergence,
@@ -102,7 +103,31 @@ class TestSharedError:
             shared_error(np.eye(3)[[0]], [2], (0, 1))
 
 
+def _train_logistic_with_temporaries(x, y, steps, lr):
+    """The proxy's training loop written plainly; the reference for _train_logistic."""
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    n = x.shape[0]
+    for _ in range(steps):
+        z = x @ w + b
+        p = 1.0 / (1.0 + np.exp(-z))
+        err = p - y
+        w -= lr * (x.T @ err) / n
+        b -= lr * err.mean()
+    return w, b
+
+
 class TestDivergenceProxy:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_buffered_loop_is_bit_equal_to_plain_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(20, 400)), int(rng.integers(1, 17))
+        x = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
+        y = (rng.random(n) < 0.4).astype(float)
+        w, b = _train_logistic(x, y, 200, 0.1)
+        w_ref, b_ref = _train_logistic_with_temporaries(x, y, 200, 0.1)
+        assert np.array_equal(w, w_ref) and b == b_ref
+
     def test_identical_sets_indistinguishable(self):
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(120, 8))

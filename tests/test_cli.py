@@ -149,6 +149,22 @@ class TestBoundTrace:
         assert main(["bound-trace", str(tmp_path / "nope.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_mapping_losses_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg), "--out", str(out)])
+        metrics = out / "metrics.jsonl"
+        lines = metrics.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["losses"] = 5
+        lines[1] = json.dumps(record)
+        metrics.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["bound-trace", str(metrics)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {metrics}:2: bad metrics record: ")
+        assert err.count("\n") == 1
+
 
 class TestAblate:
     def test_deterministic_single_seed_table(self, tmp_path, capsys):
@@ -219,3 +235,45 @@ class TestEval:
         assert main(["eval", "--model", str(model), "--data", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+
+    def test_non_json_snapshot_names_the_file(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("not json\n")
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+
+
+class TestMetadataErrors:
+    @staticmethod
+    def _train_with_metadata(tmp_path, capsys, key, value):
+        """Exit code and stderr of training on generated CSVs with one metadata key changed."""
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(write_config(tmp_path / "gen.yaml")),
+              "--out", str(data_dir)])
+        metadata = data_dir / "metadata.json"
+        meta = json.loads(metadata.read_text())
+        meta[key] = value
+        metadata.write_text(json.dumps(meta))
+        train_cfg = write_config(
+            tmp_path / "train.yaml",
+            data={"csv": {"source": str(data_dir / "source.csv"),
+                          "target": str(data_dir / "target.csv"),
+                          "metadata": str(metadata)}})
+        capsys.readouterr()
+        code = main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("dim", "2"), ("dim", 3), ("shared_classes", [7]),
+                                            ("num_source_classes", 0)])
+    def test_bad_metadata_names_the_file(self, tmp_path, capsys, key, value):
+        code, err = self._train_with_metadata(tmp_path, capsys, key, value)
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / 'data' / 'metadata.json'}: ")
+        assert err.count("\n") == 1
+
+    def test_target_label_outside_shared_classes_names_the_line(self, tmp_path, capsys):
+        code, err = self._train_with_metadata(tmp_path, capsys, "shared_classes", [0])
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / 'data' / 'target.csv'}:")
+        assert "outside the shared classes [0]" in err and err.count("\n") == 1

@@ -87,3 +87,18 @@ class TestSchema:
         path.write_text(to_json_line(sample_record()) + "\nnot json\n")
         with pytest.raises(ValueError, match=":2:"):
             read_metrics(path)
+
+    @pytest.mark.parametrize("field, value", [("losses", 5), ("bound", "x"), ("losses", [1.0])])
+    def test_non_mapping_section_reports_position(self, tmp_path, field, value):
+        d = sample_record().to_dict()
+        d[field] = value
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(to_json_line(sample_record()) + "\n" + json.dumps(d) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:2: bad metrics record: .*mapping"):
+            read_metrics(path)
+
+    def test_non_object_line_reports_position(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match=":1: bad metrics record"):
+            read_metrics(path)

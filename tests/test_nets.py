@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,26 @@ from pdalab.nets import (
     ArchSpec,
     MLP,
     MultiTaskDiscriminator,
+    bundle_from_state,
+    bundle_state,
     d_forward,
     f_forward,
     g_forward,
     init_bundle,
 )
-from pdalab.tensor import DimensionError, Tensor, backward, mean, reset_tape, sum_all
+from pdalab.tensor import (
+    DimensionError,
+    Tensor,
+    add,
+    backward,
+    grad_reverse,
+    mean,
+    mul_const,
+    reset_tape,
+    sigmoid,
+    sum_all,
+    zero_grad,
+)
 
 
 def toy_arch(num_classes=5):
@@ -104,9 +120,9 @@ class TestInit:
     def test_parameter_enumeration_exact(self):
         arch = ArchSpec(in_dim=2, num_classes=3, hidden=(4, 5), disc_hidden=(6,))
         bundle = init_bundle(arch, np.random.default_rng(1), shared_trunk=True)
-        # F: 2 layers, G: 1 layer, D: trunk 1 layer + 3 heads -> (2+1+1+3)*2 tensors
+        # F: 2 layers, G: 1 layer, D: trunk 1 layer + one stack of 3 heads
         params = bundle.parameters()
-        assert len(params) == (2 + 1 + 1 + 3) * 2
+        assert len(params) == (2 + 1 + 1 + 1) * 2
         assert len({id(p) for p in params}) == len(params)
         expected = (2 * 4 + 4) + (4 * 5 + 5) + (5 * 3 + 3) + (5 * 6 + 6) + 3 * (6 + 1)
         assert sum(p.data.size for p in params) == expected
@@ -127,3 +143,93 @@ class TestSharedTrunkEquivalence:
         with pytest.raises(ValueError):
             MultiTaskDiscriminator(bundle.discriminator.trunks * 2,
                                    bundle.discriminator.heads, shared_trunk=False)
+
+    def test_heads_of_different_shapes_rejected(self):
+        arch = ArchSpec(in_dim=2, num_classes=2)
+        a = init_bundle(arch, np.random.default_rng(0)).discriminator
+        b = init_bundle(ArchSpec(in_dim=2, num_classes=2, hidden=(16, 8)),
+                        np.random.default_rng(0)).discriminator
+        with pytest.raises(DimensionError):
+            MultiTaskDiscriminator(a.trunks, [a.heads[0], b.heads[0]], shared_trunk=True)
+
+
+def _head_chain(disc, k):
+    """Head k's layers (its private trunk's first) as views of the stacks."""
+    trunk = [] if disc.shared_trunk else disc.trunks[k].layers
+    return trunk + disc.heads[k].layers
+
+
+def _per_head_probs(disc, features, lam):
+    """One probability column per head, each through its own matmul/add nodes,
+    heads recorded in order as K separate one-column networks would be."""
+    h = grad_reverse(features, lam)
+    if disc.shared_trunk:
+        h = disc.trunks[0].forward(h)
+    return [sigmoid(MLP(_head_chain(disc, k)).forward(h)) for k in range(disc.num_heads)]
+
+
+class TestStackedHeads:
+    """The stacked discriminator is bit-equal to K separate per-head networks."""
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("disc_hidden", [(), (6,)])
+    def test_matches_per_head_reference_bit_for_bit(self, shared, disc_hidden):
+        arch = ArchSpec(in_dim=2, num_classes=5, disc_hidden=disc_hidden)
+        disc = init_bundle(arch, np.random.default_rng(21), shared_trunk=shared).discriminator
+        rng = np.random.default_rng(22)
+        for p in disc.parameters():
+            p.data[...] = rng.normal(size=p.shape)  # in place: the views follow
+        x = rng.normal(size=(128, arch.feature_dim))
+        c = rng.normal(size=(128, disc.num_heads))
+        lam = 0.7
+
+        reset_tape()
+        zero_grad(disc.parameters())
+        f = Tensor(x, requires_grad=True)
+        probs = d_forward(disc, f, lam)
+        backward(sum_all(mul_const(probs, c)))
+        stacked = {id(p): p.grad.copy() for p in disc.parameters()}
+
+        reset_tape()
+        zero_grad(disc.parameters())
+        f_ref = Tensor(x, requires_grad=True)
+        cols = _per_head_probs(disc, f_ref, lam)
+        losses = [sum_all(mul_const(col, c[:, k:k + 1])) for k, col in enumerate(cols)]
+        total = losses[0]
+        for loss in losses[1:]:
+            total = add(total, loss)
+        backward(total)
+
+        for k, col in enumerate(cols):
+            assert np.array_equal(probs.data[:, k], col.data[:, 0])
+        assert np.array_equal(f.grad, f_ref.grad)
+        if shared:
+            for p in disc.trunks[0].parameters():
+                assert np.array_equal(stacked[id(p)], p.grad)
+        for depth, (w, b, _) in enumerate(disc.layers):
+            for k in range(disc.num_heads):
+                w_k, b_k, _ = _head_chain(disc, k)[depth]
+                assert np.array_equal(stacked[id(w)][k], w_k.grad)
+                assert np.array_equal(stacked[id(b)][k], b_k.grad)
+
+
+def _per_head_state(rng, shared, k=3, feat=4, hidden=5):
+    """A snapshot in the per-head JSON layout, drawn independently of the nets code."""
+    def layer(fan_in, fan_out, act):
+        return {"w": rng.normal(size=(fan_in, fan_out)).tolist(),
+                "b": rng.normal(size=fan_out).tolist(), "act": act}
+    trunks = [[layer(feat, hidden, "relu")] for _ in range(1 if shared else k)]
+    return {"num_classes": k,
+            "features": [layer(2, feat, "relu")],
+            "classifier": [layer(feat, k, "none")],
+            "discriminator": {"shared_trunk": shared, "trunks": trunks,
+                              "heads": [[layer(hidden, 1, "none")] for _ in range(k)]}}
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_per_head_snapshot_round_trips_byte_for_byte(shared):
+    text = json.dumps({"schema": "1.0", "model": _per_head_state(np.random.default_rng(5), shared)},
+                      sort_keys=True, separators=(",", ":"))
+    bundle = bundle_from_state(json.loads(text)["model"])
+    assert json.dumps({"schema": "1.0", "model": bundle_state(bundle)},
+                      sort_keys=True, separators=(",", ":")) == text

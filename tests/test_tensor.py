@@ -9,8 +9,8 @@ from pdalab.tensor import (
     TapeError,
     Tensor,
     backward,
+    batched_matmul,
     binary_cross_entropy,
-    concat_cols,
     cross_entropy_rows,
     entropy_rows,
     grad_reverse,
@@ -22,6 +22,7 @@ from pdalab.tensor import (
     sigmoid,
     slice_rows,
     softmax_rows,
+    stack_to_cols,
     sum_all,
     zero_grad,
 )
@@ -269,14 +270,33 @@ class TestStructuralOps:
         expected[1:3] = 1.0
         assert np.array_equal(x.grad, expected)
 
-    def test_concat_cols_roundtrip(self):
-        a = Tensor(np.ones((2, 1)), requires_grad=True)
-        b = Tensor(np.full((2, 2), 2.0), requires_grad=True)
-        out = concat_cols([a, b])
-        assert out.shape == (2, 3)
-        backward(sum_all(T.mul_const(out, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))))
-        assert np.array_equal(a.grad, [[1.0], [4.0]])
-        assert np.array_equal(b.grad, [[2.0, 3.0], [5.0, 6.0]])
+    def test_stack_to_cols_roundtrip(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3, 1), requires_grad=True)
+        out = stack_to_cols(a)
+        assert np.array_equal(out.data, [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]])
+        backward(sum_all(T.mul_const(out, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))))
+        assert np.array_equal(a.grad[:, :, 0], [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+    def test_batched_matmul_slices_equal_matmul(self):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.normal(size=(3, 4, 2)))
+        for a in (Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(3, 5, 4)))):
+            out = batched_matmul(a, w)
+            assert out.shape == (3, 5, 2)
+            for k in range(3):
+                a_k = a.data if a.data.ndim == 2 else a.data[k]
+                assert np.array_equal(out.data[k], matmul(Tensor(a_k), Tensor(w.data[k])).data)
+
+    @pytest.mark.parametrize("a_shape, w_shape", [
+        ((5, 3), (2, 4, 2)), ((2, 5, 4), (3, 4, 2)), ((5, 4), (4, 2)), ((5,), (2, 5, 1)),
+    ])
+    def test_batched_matmul_shape_errors(self, a_shape, w_shape):
+        with pytest.raises(DimensionError):
+            batched_matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(w_shape)))
+
+    def test_stack_to_cols_rejects_wide_slices(self):
+        with pytest.raises(DimensionError):
+            stack_to_cols(Tensor(np.ones((2, 3, 2))))
 
 
 class TestFiniteGuard:
@@ -315,7 +335,9 @@ def _gradcheck_primitive(name, build, sampler, trials=120, tol=1e-4, seed=1234):
 @pytest.mark.parametrize("name", [
     "matmul", "add_bias", "mul", "relu", "mean", "sigmoid",
     "softmax", "cross_entropy_hard", "cross_entropy_soft",
-    "binary_cross_entropy", "entropy_rows", "slice", "concat",
+    "binary_cross_entropy", "entropy_rows", "slice", "stack_to_cols", "add_bias_stack",
+    "batched_matmul_shared_input", "batched_matmul_stacked_input",
+    "batched_matmul_weights_shared_input", "batched_matmul_weights_stacked_input",
 ])
 def test_primitive_gradients_match_finite_differences(name):
     rng0 = np.random.default_rng(99)
@@ -323,6 +345,14 @@ def test_primitive_gradients_match_finite_differences(name):
     bias = rng0.normal(size=3)
     soft = softmax_rows(Tensor(rng0.normal(size=(4, 3)))).data
     domains = rng0.integers(0, 2, size=4)
+    w_stack = rng0.normal(size=(2, 3, 2))
+    bias_stack = rng0.normal(size=(2, 3))
+    a_shared = rng0.normal(size=(4, 3))
+    a_stacked = rng0.normal(size=(2, 4, 3))
+    cols = rng0.normal(size=(4, 3))
+
+    def square_mean(t):
+        return mean(T.mul(t, t))
 
     cases = {
         "matmul": (lambda x: mean(matmul(x, Tensor(other))),
@@ -346,8 +376,21 @@ def test_primitive_gradients_match_finite_differences(name):
                          lambda r: r.normal(size=(4, 3))),
         "slice": (lambda x: mean(T.mul(slice_rows(x, 1, 3), slice_rows(x, 1, 3))),
                   lambda r: r.normal(size=(4, 3))),
-        "concat": (lambda x: mean(T.mul(concat_cols([x, x]), concat_cols([x, x]))),
-                   lambda r: r.normal(size=(4, 3))),
+        "stack_to_cols": (lambda x: mean(T.mul_const(T.mul(stack_to_cols(x), stack_to_cols(x)),
+                                                      cols)),
+                          lambda r: r.normal(size=(3, 4, 1))),
+        "add_bias_stack": (lambda x: square_mean(T.add(x, Tensor(bias_stack))),
+                           lambda r: r.normal(size=(2, 4, 3))),
+        "batched_matmul_shared_input": (lambda x: square_mean(batched_matmul(x, Tensor(w_stack))),
+                                        lambda r: r.normal(size=(4, 3))),
+        "batched_matmul_stacked_input": (lambda x: square_mean(batched_matmul(x, Tensor(w_stack))),
+                                         lambda r: r.normal(size=(2, 4, 3))),
+        "batched_matmul_weights_shared_input": (
+            lambda x: square_mean(batched_matmul(Tensor(a_shared), x)),
+            lambda r: r.normal(size=(2, 3, 2))),
+        "batched_matmul_weights_stacked_input": (
+            lambda x: square_mean(batched_matmul(Tensor(a_stacked), x)),
+            lambda r: r.normal(size=(2, 3, 2))),
     }
     build, sampler = cases[name]
     _gradcheck_primitive(name, build, sampler)
