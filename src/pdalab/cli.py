@@ -33,6 +33,7 @@ from .data import (
     DataFormatError,
     generate_toy,
     load_experiment_data,
+    load_target_data,
     save_experiment_data,
 )
 from .metrics import MetricsSchemaError, read_metrics, write_metrics
@@ -221,9 +222,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.model}: malformed model snapshot "
                          f"({type(exc).__name__}: {exc})") from None
     data_dir = Path(args.data)
-    _, target, oracle, k = load_experiment_data(data_dir / "source.csv",
-                                                data_dir / "target.csv",
-                                                data_dir / "metadata.json")
+    target, oracle, k = load_target_data(data_dir / "target.csv",
+                                         data_dir / "metadata.json")
     if oracle is None:
         raise ValueError("eval requires oracle labels in the target file")
     accuracy, confusion = evaluate(bundle, target.x, oracle.target_labels, k)
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model snapshot on a dataset")
     p.add_argument("--model", required=True, help="path to model.json")
     p.add_argument("--data", required=True,
-                   help="directory with source.csv/target.csv/metadata.json")
+                   help="directory with target.csv and metadata.json")
     p.add_argument("--out", help="write the confusion matrix CSV here")
     p.set_defaults(func=cmd_eval)
     return parser

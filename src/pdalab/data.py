@@ -194,8 +194,12 @@ def load_csv(path) -> Dataset:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     if not xs:
         raise DataFormatError(f"{path}: no data rows")
+    x = np.asarray(xs)
+    if not np.isfinite(x).all():  # row i is on line i + 2, below the header
+        row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+        raise DataFormatError(f"{path}:{row + 2}: non-finite feature value")
     try:
-        return Dataset(np.asarray(xs), np.asarray(ys), np.asarray(domains))
+        return Dataset(x, np.asarray(ys), np.asarray(domains))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -250,25 +254,21 @@ def save_experiment_data(out_dir, source: Dataset, target: Dataset,
     return paths
 
 
-def load_experiment_data(source_path, target_path, metadata_path
-                         ) -> tuple[Dataset, Dataset, OracleContext | None, int]:
-    """Load a source/target pair; target labels move into the oracle context."""
-    meta = load_metadata(metadata_path)
-    source = load_csv(source_path)
-    target_raw = load_csv(target_path)
-    if (source.domain != 1).any():
-        raise DataFormatError(f"{source_path}: expected source rows (domain=1)")
-    if (target_raw.domain != 0).any():
-        raise DataFormatError(f"{target_path}: expected target rows (domain=0)")
-    for path, data in ((source_path, source), (target_path, target_raw)):
-        if data.dim != meta["dim"]:
-            raise DataFormatError(f"{metadata_path}: dim {meta['dim']} disagrees with "
-                                  f"the {data.dim} feature columns of {path}")
-    k = meta["num_source_classes"]
-    bad = np.flatnonzero((source.y < 0) | (source.y >= k))
-    if bad.size:  # row i of a loaded file is on line i + 2, below the header
-        raise DataFormatError(f"{source_path}:{bad[0] + 2}: label {source.y[bad[0]]} "
-                              f"outside [0, {k})")
+def _load_domain_csv(path, domain: int, meta: dict, metadata_path) -> Dataset:
+    """One domain's file, checked for its domain tag and the metadata's dim."""
+    data = load_csv(path)
+    if (data.domain != domain).any():
+        kind = "source" if domain == 1 else "target"
+        raise DataFormatError(f"{path}: expected {kind} rows (domain={domain})")
+    if data.dim != meta["dim"]:
+        raise DataFormatError(f"{metadata_path}: dim {meta['dim']} disagrees with "
+                              f"the {data.dim} feature columns of {path}")
+    return data
+
+
+def _load_target(target_path, meta: dict, metadata_path
+                 ) -> tuple[Dataset, OracleContext | None]:
+    target_raw = _load_domain_csv(target_path, 0, meta, metadata_path)
     oracle = None
     if target_raw.labeled:
         shared = tuple(meta["shared_classes"])
@@ -279,6 +279,28 @@ def load_experiment_data(source_path, target_path, metadata_path
                                   f"of {metadata_path}")
         oracle = OracleContext(shared, target_raw.y.copy())
     target = Dataset(target_raw.x, np.full(len(target_raw), UNLABELED), target_raw.domain)
+    return target, oracle
+
+
+def load_target_data(target_path, metadata_path
+                     ) -> tuple[Dataset, OracleContext | None, int]:
+    """Load a target file alone; its labels move into the oracle context."""
+    meta = load_metadata(metadata_path)
+    target, oracle = _load_target(target_path, meta, metadata_path)
+    return target, oracle, meta["num_source_classes"]
+
+
+def load_experiment_data(source_path, target_path, metadata_path
+                         ) -> tuple[Dataset, Dataset, OracleContext | None, int]:
+    """Load a source/target pair; target labels move into the oracle context."""
+    meta = load_metadata(metadata_path)
+    source = _load_domain_csv(source_path, 1, meta, metadata_path)
+    k = meta["num_source_classes"]
+    bad = np.flatnonzero((source.y < 0) | (source.y >= k))
+    if bad.size:  # row i of a loaded file is on line i + 2, below the header
+        raise DataFormatError(f"{source_path}:{bad[0] + 2}: label {source.y[bad[0]]} "
+                              f"outside [0, {k})")
+    target, oracle = _load_target(target_path, meta, metadata_path)
     return source, target, oracle, k
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 from .bound import BoundReport
 from .losses import LossBreakdown
@@ -33,11 +34,25 @@ def to_plain(value):
     return value
 
 
-def from_plain(cls, d: dict):
-    """A flat dataclass back from its :func:`to_plain` form; extra keys are ignored."""
+def from_plain(cls, d: dict, where: str):
+    """A flat dataclass of numbers back from its :func:`to_plain` form.
+
+    Extra keys are ignored.  Each value must be a number of its field's
+    type (an int also passes for a float, a boolean never does); errors
+    name the field as ``where.field``.
+    """
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
-    return cls(**{f.name: d[f.name] for f in fields(cls)})
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        value, hint = d[f.name], hints[f.name]
+        allowed = (int, float) if hint is float else hint
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise TypeError(f"{where}.{f.name}: expected {hint.__name__}, "
+                            f"got {type(value).__name__}")
+        values[f.name] = value
+    return cls(**values)
 
 
 @dataclass
@@ -71,8 +86,9 @@ class MetricsRecord:
             epoch=int(d["epoch"]),
             target_accuracy=d["target_accuracy"],
             class_weights=list(d["class_weights"]),
-            losses=None if d["losses"] is None else from_plain(LossBreakdown, d["losses"]),
-            bound=None if d["bound"] is None else from_plain(BoundReport, d["bound"]),
+            losses=None if d["losses"] is None
+            else from_plain(LossBreakdown, d["losses"], "losses"),
+            bound=None if d["bound"] is None else from_plain(BoundReport, d["bound"], "bound"),
         )
 
 
@@ -96,8 +112,8 @@ def read_metrics(path) -> list[MetricsRecord]:
                 continue
             try:
                 records.append(MetricsRecord.from_dict(json.loads(line)))
-            except MetricsSchemaError:
-                raise
+            except MetricsSchemaError as exc:
+                raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad metrics record: {exc}") from None
     return records

@@ -6,7 +6,8 @@ import pytest
 from pdalab.bound import (
     BoundViolationError,
     OracleContext,
-    _train_logistic,
+    PROXY_RIDGE,
+    _fit_logistic,
     check_bound,
     delta_bar,
     estimate_hdh_divergence,
@@ -103,30 +104,74 @@ class TestSharedError:
             shared_error(np.eye(3)[[0]], [2], (0, 1))
 
 
-def _train_logistic_with_temporaries(x, y, steps, lr):
-    """The proxy's training loop written plainly; the reference for _train_logistic."""
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    n = x.shape[0]
-    for _ in range(steps):
-        z = x @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        err = p - y
-        w -= lr * (x.T @ err) / n
-        b -= lr * err.mean()
-    return w, b
+def _ridge_gradient(x, y, w, b):
+    """Gradient of the proxy's objective, written out plainly."""
+    x1 = np.hstack([x, np.ones((len(x), 1))])
+    theta = np.append(w, b)
+    p = 1.0 / (1.0 + np.exp(-(x1 @ theta)))
+    return x1.T @ (p - y) + PROXY_RIDGE * len(x) * theta
+
+
+def _count_newton_steps(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return calls
 
 
 class TestDivergenceProxy:
     @pytest.mark.parametrize("seed", range(5))
-    def test_buffered_loop_is_bit_equal_to_plain_loop(self, seed):
+    def test_fit_is_stationary_point_of_ridge_objective(self, seed):
         rng = np.random.default_rng(seed)
-        n, d = int(rng.integers(20, 400)), int(rng.integers(1, 17))
+        n, d = int(rng.integers(20, 600)), int(rng.integers(1, 17))
         x = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
-        y = (rng.random(n) < 0.4).astype(float)
-        w, b = _train_logistic(x, y, 200, 0.1)
-        w_ref, b_ref = _train_logistic_with_temporaries(x, y, 200, 0.1)
-        assert np.array_equal(w, w_ref) and b == b_ref
+        y = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
+        w, b = _fit_logistic(x, y)
+        assert np.abs(_ridge_gradient(x, y, w, b)).max() <= 1e-8 * n
+
+    @pytest.mark.parametrize("case", ["separable", "constant_and_duplicate_columns",
+                                      "imbalance_10_to_1"])
+    def test_hard_problems_converge_well_inside_the_cap(self, case, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(440, 6))
+        y = (x[:, 0] > 0).astype(float)
+        if case == "constant_and_duplicate_columns":
+            x[:, 1] = 0.0
+            x[:, 2] = 3.0
+            x[:, 3] = x[:, 4]
+            y = (rng.random(440) < 0.5).astype(float)
+        elif case == "imbalance_10_to_1":
+            y = np.r_[np.ones(40), np.zeros(400)]
+            x[:40] += 0.5
+        steps = _count_newton_steps(monkeypatch)
+        w, b = _fit_logistic(x, y)
+        assert len(steps) <= 15
+        assert np.isfinite(w).all() and np.isfinite(b)
+        assert np.abs(_ridge_gradient(x, y, w, b)).max() <= 1e-8 * len(x)
+
+    @pytest.mark.parametrize("case", ["separable", "constant_columns"])
+    def test_degenerate_features_give_finite_proxy(self, case):
+        rng = np.random.default_rng(12)
+        src, tgt = rng.normal(size=(200, 5)), rng.normal(size=(150, 5))
+        if case == "separable":
+            src[:, 0] += 50.0
+        else:
+            src[:, 1:4] = 1.0
+            tgt[:, 1:4] = 1.0
+        proxy = estimate_hdh_divergence(src, tgt, np.random.default_rng(0))
+        assert np.isfinite(proxy) and 0.0 <= proxy <= 2.0
+
+    def test_same_rng_state_same_float(self):
+        rng = np.random.default_rng(13)
+        src, tgt = rng.normal(size=(300, 16)) + 0.3, rng.normal(size=(300, 16))
+        a = estimate_hdh_divergence(src, tgt, np.random.default_rng(5))
+        b = estimate_hdh_divergence(src, tgt, np.random.default_rng(5))
+        assert a == b
 
     def test_identical_sets_indistinguishable(self):
         rng = np.random.default_rng(3)
@@ -255,7 +300,7 @@ class TestCheckBound:
         rep = check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(2))
         from pdalab.bound import BoundReport
         from pdalab.metrics import from_plain, to_plain
-        assert from_plain(BoundReport, to_plain(rep)) == rep
+        assert from_plain(BoundReport, to_plain(rep), "bound") == rep
 
     def test_perfect_predictions_zero_terms(self):
         rng = np.random.default_rng(3)

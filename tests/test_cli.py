@@ -166,6 +166,30 @@ class TestBoundTrace:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("bound", "w_error_l1", "x", "bound.w_error_l1: expected float, got str"),
+        ("bound", "epoch", 1.5, "bound.epoch: expected int, got float"),
+        ("losses", "l_sup", True, "losses.l_sup: expected float, got bool"),
+        (None, "schema", "9.0", "unsupported metrics schema '9.0'"),
+    ], ids=["str_for_float", "float_for_int", "bool_for_float", "schema"])
+    def test_bad_record_value_names_file_and_line(self, tmp_path, capsys,
+                                                  section, key, value, message):
+        cfg = write_config(tmp_path / "c.yaml")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg), "--out", str(out)])
+        metrics = out / "metrics.jsonl"
+        lines = metrics.read_text().splitlines()
+        record = json.loads(lines[1])
+        (record if section is None else record[section])[key] = value
+        lines[1] = json.dumps(record)
+        metrics.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["bound-trace", str(metrics)]) == 1
+        err = capsys.readouterr().err
+        prefix = "" if section is None else "bad metrics record: "
+        assert err == f"error: {metrics}:2: {prefix}{message}\n"
+
+
 class TestAblate:
     def test_deterministic_single_seed_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml",
@@ -226,6 +250,25 @@ class TestEval:
         total = sum(int(v) for line in conf.splitlines()[1:] for v in line.split(","))
         assert total == 36  # 3 shared classes x 12
 
+    def test_eval_needs_no_source_file(self, tmp_path, capsys):
+        gen_cfg = write_config(tmp_path / "gen.yaml")
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(gen_cfg), "--out", str(data_dir)])
+        out = tmp_path / "run"
+        main(["train", "--config", str(gen_cfg), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["eval", "--model", str(out / "model.json"),
+                     "--data", str(data_dir)]) == 0
+        with_source = capsys.readouterr().out
+        target_only = tmp_path / "target_only"
+        target_only.mkdir()
+        for name in ("target.csv", "metadata.json"):
+            (target_only / name).write_bytes((data_dir / name).read_bytes())
+        assert main(["eval", "--model", str(out / "model.json"),
+                     "--data", str(target_only)]) == 0
+        assert capsys.readouterr().out == with_source
+        assert "confusion matrix" in with_source
+
     @pytest.mark.parametrize("snapshot", [[], {"schema": "1.0"},
                                           {"schema": "1.0", "model": {}}],
                              ids=["not_an_object", "no_model_key", "empty_model"])
@@ -277,3 +320,25 @@ class TestMetadataErrors:
         assert code == 1
         assert err.startswith(f"error: {tmp_path / 'data' / 'target.csv'}:")
         assert "outside the shared classes [0]" in err and err.count("\n") == 1
+
+
+class TestCsvErrors:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_the_line(self, tmp_path, capsys, value):
+        data_dir = tmp_path / "data"
+        main(["generate-data", "--config", str(write_config(tmp_path / "gen.yaml")),
+              "--out", str(data_dir)])
+        source = data_dir / "source.csv"
+        lines = source.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[1] = value
+        lines[4] = ",".join(fields)
+        source.write_text("\n".join(lines) + "\n")
+        train_cfg = write_config(
+            tmp_path / "train.yaml",
+            data={"csv": {"source": str(source),
+                          "target": str(data_dir / "target.csv"),
+                          "metadata": str(data_dir / "metadata.json")}})
+        capsys.readouterr()
+        assert main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {source}:5: non-finite feature value\n"

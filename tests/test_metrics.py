@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestSchema:
         d = sample_record().to_dict()
         d["schema"] = "9.0"
         path.write_text(json.dumps(d) + "\n")
-        with pytest.raises(MetricsSchemaError):
+        with pytest.raises(MetricsSchemaError, match=f"^{re.escape(str(path))}:1: unsupported"):
             read_metrics(path)
 
     def test_malformed_line_reports_position(self, tmp_path):
