@@ -27,7 +27,7 @@ import numpy as np
 
 from .selection import class_transferable_probability, true_class_weights
 
-PROXY_TEST_FRACTION = 0.2
+PROXY_TEST_FRACTION = 0.2  # held-out share of each domain's features
 # Per-sample L2 penalty of the proxy domain classifier, bias included.
 # Gradient descent stopped after t steps of rate eta acts roughly like a
 # ridge of 1/(eta*t); the proxy was once 200 steps at rate 0.1, hence 0.05.
@@ -150,8 +150,7 @@ def _fit_logistic(x, y):
 
 
 def estimate_hdh_divergence(source_features, target_features,
-                            rng: np.random.Generator, *,
-                            test_fraction: float = PROXY_TEST_FRACTION) -> float:
+                            rng: np.random.Generator) -> float:
     """Proxy divergence 2*(1 - 2*eps), floored at 0.
 
     eps is the held-out error of a linear domain classifier fitted on an
@@ -168,8 +167,8 @@ def estimate_hdh_divergence(source_features, target_features,
     xt = np.asarray(target_features, dtype=np.float64)
     if xs.ndim != 2 or xt.ndim != 2 or xs.shape[0] == 0 or xt.shape[0] == 0:
         raise ValueError("both feature sets must be nonempty 2-d arrays")
-    n_test_s = int(round(xs.shape[0] * test_fraction))
-    n_test_t = int(round(xt.shape[0] * test_fraction))
+    n_test_s = int(round(xs.shape[0] * PROXY_TEST_FRACTION))
+    n_test_t = int(round(xt.shape[0] * PROXY_TEST_FRACTION))
     if n_test_s < 1 or n_test_t < 1 or n_test_s >= xs.shape[0] or n_test_t >= xt.shape[0]:
         raise ValueError("degenerate train/test split sizes")
     ps = rng.permutation(xs.shape[0])

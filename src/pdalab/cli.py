@@ -36,10 +36,11 @@ from .data import (
     load_target_data,
     save_experiment_data,
 )
-from .metrics import MetricsSchemaError, read_metrics, write_metrics
+from .metrics import MetricsSchemaError, atomic_write, read_metrics, same_major, write_metrics
 from .nets import bundle_from_state, bundle_state
 from .trainer import ABLATION_VARIANTS, evaluate, run_experiment
 
+MODEL_SCHEMA_VERSION = "1.0"
 # Column order of the bound-trace table; fixed format contract.
 BOUND_TRACE_COLUMNS = ("epoch", "w_error_l1", "delta_bar", "e_type1",
                        "e_src_shared", "d_hdh_proxy", "rhs_full")
@@ -83,7 +84,7 @@ def _load_data(cfg: RunConfig):
 
 
 def _write_confusion(path, confusion: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"pred_{j}" for j in range(confusion.shape[1])])
         for row in confusion:
@@ -111,22 +112,21 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg)
 
     effective = replace(cfg, data=resolved_data, out_dir=str(out))
-    with open(out / "effective_config.yaml", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(out / "effective_config.yaml") as fh:
         fh.write(dump_config(effective))
 
     result = run_experiment(source, target, oracle, arch, cfg.flags(),
                             cfg.schedule, cfg.seed)
     write_metrics(out / "metrics.jsonl", result.records)
-    with open(out / "model.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"schema": "1.0", "model": bundle_state(result.bundle)},
+    with atomic_write(out / "model.json") as fh:
+        json.dump({"schema": MODEL_SCHEMA_VERSION, "model": bundle_state(result.bundle)},
                   fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
     if result.confusion is not None:
         _write_confusion(out / "confusion.csv", result.confusion)
-    timings = [r.wall_clock_s for r in result.records if r.wall_clock_s is not None]
-    with open(out / "run_log.txt", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(out / "run_log.txt") as fh:
         fh.write(f"epochs: {len(result.records) - 1}\n")
-        fh.write(f"total_train_seconds: {sum(timings):.3f}\n")
+        fh.write(f"total_train_seconds: {sum(result.epoch_seconds):.3f}\n")
 
     final = result.records[-1]
     acc = "n/a" if final.target_accuracy is None else f"{final.target_accuracy:.4f}"
@@ -155,7 +155,7 @@ def cmd_bound_trace(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text)
         print(f"wrote {args.out} ({len(rows)} epochs)")
     else:
@@ -198,7 +198,7 @@ def cmd_ablate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "ablation.csv", "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(out / "ablation.csv") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {out / 'ablation.csv'}")
     return 0
@@ -212,8 +212,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{args.model}: not a JSON model snapshot ({exc})") from None
     if not isinstance(snapshot, dict):
         raise ValueError(f"{args.model}: expected a JSON object")
-    major = int(str(snapshot.get("schema", "0")).split(".")[0])
-    if major != 1:
+    if not same_major(snapshot.get("schema"), MODEL_SCHEMA_VERSION):
         raise ValueError(f"{args.model}: unsupported model schema "
                          f"{snapshot.get('schema')!r}")
     try:

@@ -1,9 +1,10 @@
 """Run configuration: strict YAML schema, resolution, and serialization.
 
-One parser reads every section from its dataclass: the fields are the
-allowed keys, their defaults the defaults, and their annotations the
-type each value, and each element of a list, must have.  Unknown keys
-are rejected and errors name the key path (``arch.hidden[1]``).
+Every section is read from its dataclass by ``metrics.from_plain``: the
+fields are the allowed keys, their defaults the defaults, and their
+annotations the type each value, and each element of a list, must have.
+Unknown keys are rejected and errors name the key path
+(``arch.hidden[1]``).
 Serialization always writes the fully resolved form (no hidden
 defaults), so the effective configuration stored next to a run's
 outputs replays the run exactly.
@@ -11,14 +12,12 @@ outputs replays the run exactly.
 
 from __future__ import annotations
 
-import types
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import Union, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field, fields
 
 import yaml
 
 from .data import SyntheticSpec
-from .metrics import to_plain
+from .metrics import from_plain, to_plain
 from .nets import ArchSpec
 from .rngstreams import substream_seed
 from .trainer import NAMED_VARIANTS, Schedule, VariantFlags, resolve_variant
@@ -26,74 +25,6 @@ from .trainer import NAMED_VARIANTS, Schedule, VariantFlags, resolve_variant
 
 class ConfigError(ValueError):
     """The configuration is malformed or fails validation."""
-
-
-def _require_mapping(value, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}; "
-                          f"allowed: {sorted(allowed)}")
-
-
-def _value(value, hint, where: str):
-    """``value`` checked against the annotation ``hint``.
-
-    Ints widen to float, never booleans to numbers; a list becomes a
-    tuple with each element checked as ``where[i]``; ``X | None`` checks
-    against X; a dataclass annotation parses a nested section.
-    """
-    if is_dataclass(hint):
-        return _parse(hint, value, where)
-    origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, types.UnionType):
-        (hint,) = [a for a in args if a is not type(None)]
-        return _value(value, hint, where)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected list, got {type(value).__name__}")
-        return tuple(_value(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
-    if isinstance(value, bool) and hint in (int, float):
-        raise ConfigError(f"{where}: expected {hint.__name__}, got a boolean")
-    if hint is float and isinstance(value, int):
-        return float(value)
-    if not isinstance(value, hint):
-        raise ConfigError(f"{where}: expected {hint.__name__}, "
-                          f"got {type(value).__name__}")
-    return value
-
-
-def _parse(cls, raw, where: str = "", **dispatch):
-    """A ``cls`` instance from a mapping with one key per dataclass field.
-
-    A missing or null key takes the field's default.  ``where`` is the
-    section's key path ("" at the root); ``dispatch`` maps a field whose
-    annotation is a union of section kinds to its own parser.
-    """
-    name = where or "config"
-    d = _require_mapping(raw, name)
-    _check_keys(d, {f.name for f in fields(cls)}, name)
-    hints = get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        path = f"{where}.{f.name}" if where else f.name
-        value = d.get(f.name)
-        if value is not None:
-            values[f.name] = (dispatch[f.name](value, path) if f.name in dispatch
-                              else _value(value, hints[f.name], path))
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{path}: a value is required")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -142,7 +73,7 @@ class ArchConfig:
 
 def _parse_variant(value, where: str) -> str | VariantFlags:
     if isinstance(value, dict):
-        return _parse(VariantFlags, value, where)
+        return from_plain(VariantFlags, value, where)
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a preset name or a flag mapping")
     if value not in NAMED_VARIANTS:
@@ -151,14 +82,19 @@ def _parse_variant(value, where: str) -> str | VariantFlags:
     return value
 
 
+@dataclass(frozen=True)
+class _DataSection:
+    """The ``data`` mapping: one of its two kinds, synthetic if neither."""
+
+    synthetic: SyntheticDataConfig | None = None
+    csv: CsvDataConfig | None = None
+
+
 def _parse_data(value, where: str) -> SyntheticDataConfig | CsvDataConfig:
-    d = _require_mapping(value, where)
-    _check_keys(d, {"synthetic", "csv"}, where)
-    if "csv" in d and "synthetic" in d:
+    section = from_plain(_DataSection, value, where)
+    if section.synthetic is not None and section.csv is not None:
         raise ConfigError(f"{where}: specify either synthetic or csv, not both")
-    if "csv" in d:
-        return _parse(CsvDataConfig, d["csv"], f"{where}.csv")
-    return _parse(SyntheticDataConfig, d.get("synthetic"), f"{where}.synthetic")
+    return section.csv or section.synthetic or SyntheticDataConfig()
 
 
 @dataclass(frozen=True)
@@ -184,7 +120,12 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        return _parse(RunConfig, raw, variant=_parse_variant, data=_parse_data)
+        """Read a config; a null document is the all-defaults config."""
+        try:
+            return from_plain(RunConfig, {} if raw is None else raw,
+                              variant=_parse_variant, data=_parse_data)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def load_config(path) -> RunConfig:

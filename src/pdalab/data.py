@@ -24,6 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .bound import OracleContext
+from .metrics import atomic_write, from_plain, to_plain
 
 UNLABELED = -1
 # Default cluster layout: a circle whose radius and phase are calibrated so
@@ -160,7 +161,7 @@ def save_dataset_csv(path, ds: Dataset, labels: np.ndarray | None = None) -> Non
     if y.shape != (len(ds),):
         raise ValueError("one label per row required")
     header = [f"x{i}" for i in range(ds.dim)] + ["y", "domain"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for i in range(len(ds)):
@@ -204,40 +205,43 @@ def load_csv(path) -> Dataset:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+@dataclass(frozen=True)
+class Metadata:
+    """The ``metadata.json`` sidecar of a dataset directory."""
+
+    num_source_classes: int
+    shared_classes: tuple[int, ...]
+    dim: int
+
+    def __post_init__(self):
+        for key in ("num_source_classes", "dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        k = self.num_source_classes
+        if not self.shared_classes or not all(0 <= c < k for c in self.shared_classes):
+            raise ValueError(f"shared_classes must be a nonempty list of class indices "
+                             f"in [0, {k}), got {list(self.shared_classes)}")
+
+
 def save_metadata(path, num_source_classes: int, shared_classes, dim: int) -> None:
-    meta = {"num_source_classes": int(num_source_classes),
-            "shared_classes": [int(c) for c in sorted(set(shared_classes))],
-            "dim": int(dim)}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    shared = tuple(int(c) for c in sorted(set(shared_classes)))
+    meta = Metadata(int(num_source_classes), shared, int(dim))
+    with atomic_write(path) as fh:
+        json.dump(to_plain(meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def load_metadata(path) -> dict:
+def load_metadata(path) -> Metadata:
+    """Read a metadata file; keys other than Metadata's fields are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            meta = json.load(fh)
+            raw = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise DataFormatError(f"{path}: not a JSON metadata file ({exc})") from None
-    if not isinstance(meta, dict):
-        raise DataFormatError(f"{path}: expected a JSON object")
-    for key in ("num_source_classes", "shared_classes", "dim"):
-        if key not in meta:
-            raise DataFormatError(f"{path}: missing metadata key {key!r}")
-    for key in ("num_source_classes", "dim"):
-        if not _is_int(meta[key]) or meta[key] < 1:
-            raise DataFormatError(f"{path}: {key} must be a positive integer, "
-                                  f"got {meta[key]!r}")
-    k, shared = meta["num_source_classes"], meta["shared_classes"]
-    if (not isinstance(shared, list) or not shared
-            or not all(_is_int(c) and 0 <= c < k for c in shared)):
-        raise DataFormatError(f"{path}: shared_classes must be a nonempty list of "
-                              f"class indices in [0, {k}), got {shared!r}")
-    return meta
+    try:
+        return from_plain(Metadata, raw, strict=False)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def save_experiment_data(out_dir, source: Dataset, target: Dataset,
@@ -254,24 +258,24 @@ def save_experiment_data(out_dir, source: Dataset, target: Dataset,
     return paths
 
 
-def _load_domain_csv(path, domain: int, meta: dict, metadata_path) -> Dataset:
+def _load_domain_csv(path, domain: int, meta: Metadata, metadata_path) -> Dataset:
     """One domain's file, checked for its domain tag and the metadata's dim."""
     data = load_csv(path)
     if (data.domain != domain).any():
         kind = "source" if domain == 1 else "target"
         raise DataFormatError(f"{path}: expected {kind} rows (domain={domain})")
-    if data.dim != meta["dim"]:
-        raise DataFormatError(f"{metadata_path}: dim {meta['dim']} disagrees with "
+    if data.dim != meta.dim:
+        raise DataFormatError(f"{metadata_path}: dim {meta.dim} disagrees with "
                               f"the {data.dim} feature columns of {path}")
     return data
 
 
-def _load_target(target_path, meta: dict, metadata_path
+def _load_target(target_path, meta: Metadata, metadata_path
                  ) -> tuple[Dataset, OracleContext | None]:
     target_raw = _load_domain_csv(target_path, 0, meta, metadata_path)
     oracle = None
     if target_raw.labeled:
-        shared = tuple(meta["shared_classes"])
+        shared = meta.shared_classes
         bad = np.flatnonzero(~np.isin(target_raw.y, shared))
         if bad.size:
             raise DataFormatError(f"{target_path}:{bad[0] + 2}: label {target_raw.y[bad[0]]} "
@@ -287,7 +291,7 @@ def load_target_data(target_path, metadata_path
     """Load a target file alone; its labels move into the oracle context."""
     meta = load_metadata(metadata_path)
     target, oracle = _load_target(target_path, meta, metadata_path)
-    return target, oracle, meta["num_source_classes"]
+    return target, oracle, meta.num_source_classes
 
 
 def load_experiment_data(source_path, target_path, metadata_path
@@ -295,7 +299,7 @@ def load_experiment_data(source_path, target_path, metadata_path
     """Load a source/target pair; target labels move into the oracle context."""
     meta = load_metadata(metadata_path)
     source = _load_domain_csv(source_path, 1, meta, metadata_path)
-    k = meta["num_source_classes"]
+    k = meta.num_source_classes
     bad = np.flatnonzero((source.y < 0) | (source.y >= k))
     if bad.size:  # row i of a loaded file is on line i + 2, below the header
         raise DataFormatError(f"{source_path}:{bad[0] + 2}: label {source.y[bad[0]]} "

@@ -1,23 +1,32 @@
-"""Line-delimited metrics records, one per epoch.
+"""Line-delimited metrics records, one per epoch, and the document codec.
 
 Each line is a self-contained JSON object carrying the schema version;
 readers reject unknown major versions.  Floats are written with
 round-trip precision (Python repr), so a parse -> serialize cycle is
 lossless.  Wall-clock timing is deliberately not serialized: metrics
 files must be byte-identical across reruns of the same (config, seed).
+
+:func:`to_plain` and :func:`from_plain` are the one serializer and the
+one reader of every document pdalab reads or writes (run config,
+metrics records, dataset metadata); :func:`atomic_write` is the one way
+an output file is written.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
-from typing import get_type_hints
+import math
+import os
+import types
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .bound import BoundReport
 from .losses import LossBreakdown
 
 SCHEMA_VERSION = "1.0"
-SCHEMA_MAJOR = 1
 
 
 class MetricsSchemaError(ValueError):
@@ -34,25 +43,99 @@ def to_plain(value):
     return value
 
 
-def from_plain(cls, d: dict, where: str):
-    """A flat dataclass of numbers back from its :func:`to_plain` form.
+def _error(where: str, message: str) -> ValueError:
+    return ValueError(f"{where}: {message}" if where else message)
 
-    Extra keys are ignored.  Each value must be a number of its field's
-    type (an int also passes for a float, a boolean never does); errors
-    name the field as ``where.field``.
+
+def _value(value, hint, where: str, strict: bool):
+    """``value`` checked against the annotation ``hint``.
+
+    An int widens to a float, a bool is never a number, and a float must
+    be finite.  ``list[X]`` and ``tuple[X, ...]`` check each element as
+    ``where[i]``; ``X | None`` checks against X; a dataclass annotation
+    reads a nested section.
     """
-    if not isinstance(d, dict):
-        raise TypeError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
+    if is_dataclass(hint):
+        return from_plain(hint, value, where, strict=strict)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        (hint,) = [a for a in args if a is not type(None)]
+        return _value(value, hint, where, strict)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise _error(where, f"expected list, got {type(value).__name__}")
+        return origin(_value(v, args[0], f"{where}[{i}]", strict)
+                      for i, v in enumerate(value))
+    if hint is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:  # beyond the float range: reported as non-finite
+            value = math.inf if value > 0 else -math.inf
+    if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
+        raise _error(where, f"expected {hint.__name__}, got {type(value).__name__}")
+    if hint is float and not math.isfinite(value):
+        raise _error(where, f"expected a finite float, got {value!r}")
+    return value
+
+
+def from_plain(cls, raw, where: str = "", *, strict: bool = True, **dispatch):
+    """A ``cls`` instance back from its :func:`to_plain` form.
+
+    The fields are the keys and their annotations the types (see
+    :func:`_value`).  A missing or null key takes the field's default,
+    else None if the annotation allows it.  Unknown keys, in nested
+    sections too, are rejected if ``strict`` and ignored if not.  Errors
+    are ValueErrors naming the key path; ``where`` is the section's path
+    ("" at the root).  ``dispatch`` maps a field to its own reader,
+    called as ``reader(value, path)``.
+    """
+    if not isinstance(raw, dict):
+        raise _error(where, f"expected a mapping, got {type(raw).__name__}")
+    allowed = {f.name for f in fields(cls)}
+    unknown = set(raw) - allowed
+    if strict and unknown:
+        raise _error(where, f"unknown keys {sorted(unknown, key=str)}; "
+                            f"allowed: {sorted(allowed)}")
     hints = get_type_hints(cls)
     values = {}
     for f in fields(cls):
-        value, hint = d[f.name], hints[f.name]
-        allowed = (int, float) if hint is float else hint
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise TypeError(f"{where}.{f.name}: expected {hint.__name__}, "
-                            f"got {type(value).__name__}")
-        values[f.name] = value
-    return cls(**values)
+        path = f"{where}.{f.name}" if where else f.name
+        value = raw.get(f.name)
+        if value is not None:
+            values[f.name] = (dispatch[f.name](value, path) if f.name in dispatch
+                              else _value(value, hints[f.name], path, strict))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            if type(None) not in get_args(hints[f.name]):
+                raise _error(path, "a value is required")
+            values[f.name] = None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise _error(where, str(exc)) from None
+
+
+def same_major(version, supported: str) -> bool:
+    """Whether the ``schema`` string ``version`` has the major of ``supported``."""
+    return str(version).split(".")[0] == supported.split(".")[0]
+
+
+@contextmanager
+def atomic_write(path):
+    """A text handle (UTF-8, LF) whose contents replace ``path`` on success.
+
+    The data goes to a temporary file in the same directory, renamed over
+    ``path`` once the block completes; if the block fails, the temporary
+    file is removed and ``path`` keeps its earlier contents, if any.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -62,34 +145,16 @@ class MetricsRecord:
     class_weights: list[float]
     losses: LossBreakdown | None
     bound: BoundReport | None
-    wall_clock_s: float | None = None  # in-memory only, never serialized
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "epoch": int(self.epoch),
-            "target_accuracy": None if self.target_accuracy is None
-            else float(self.target_accuracy),
-            "class_weights": [float(v) for v in self.class_weights],
-            "losses": to_plain(self.losses),
-            "bound": to_plain(self.bound),
-        }
+        return {"schema": SCHEMA_VERSION, **to_plain(self)}
 
     @staticmethod
-    def from_dict(d: dict) -> "MetricsRecord":
-        if not isinstance(d, dict):
-            raise TypeError(f"a record must be a JSON object, got {type(d).__name__}")
-        major = int(str(d.get("schema", "0")).split(".")[0])
-        if major != SCHEMA_MAJOR:
+    def from_dict(d) -> "MetricsRecord":
+        """Read one record; keys this reader does not know are ignored."""
+        if isinstance(d, dict) and not same_major(d.get("schema"), SCHEMA_VERSION):
             raise MetricsSchemaError(f"unsupported metrics schema {d.get('schema')!r}")
-        return MetricsRecord(
-            epoch=int(d["epoch"]),
-            target_accuracy=d["target_accuracy"],
-            class_weights=list(d["class_weights"]),
-            losses=None if d["losses"] is None
-            else from_plain(LossBreakdown, d["losses"], "losses"),
-            bound=None if d["bound"] is None else from_plain(BoundReport, d["bound"], "bound"),
-        )
+        return from_plain(MetricsRecord, d, strict=False)
 
 
 def to_json_line(record: MetricsRecord) -> str:
@@ -97,7 +162,7 @@ def to_json_line(record: MetricsRecord) -> str:
 
 
 def write_metrics(path, records: list[MetricsRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(to_json_line(rec))
             fh.write("\n")
@@ -114,6 +179,6 @@ def read_metrics(path) -> list[MetricsRecord]:
                 records.append(MetricsRecord.from_dict(json.loads(line)))
             except MetricsSchemaError as exc:
                 raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
-            except (ValueError, KeyError, TypeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad metrics record: {exc}") from None
     return records

@@ -318,11 +318,10 @@ def softmax_rows(logits: Tensor) -> Tensor:
 
 
 def cross_entropy_rows(pred: Tensor, labels) -> Tensor:
-    """Per-row cross-entropy of simplex rows against hard or soft labels.
+    """Per-row cross-entropy of simplex rows against integer class labels.
 
-    Hard labels are an integer vector of class indices; soft labels a
-    matrix of simplex rows.  Entries of ``pred`` are floored at
-    ``LOG_FLOOR`` before the log.
+    ``labels`` is a vector of one class index per row.  Entries of
+    ``pred`` are floored at ``LOG_FLOOR`` before the log.
     """
     if pred.data.ndim != 2:
         raise DimensionError("cross_entropy_rows requires a 2-d prediction tensor")
@@ -330,34 +329,22 @@ def cross_entropy_rows(pred: Tensor, labels) -> Tensor:
     p = pred.data
     clamped = np.maximum(p, LOG_FLOOR)
     labels = np.asarray(labels)
-    if labels.ndim == 1:
-        if labels.shape[0] != m:
-            raise DimensionError("one label per prediction row required")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("hard labels must be integers")
-        if (labels < 0).any() or (labels >= k).any():
-            raise ValueError(f"label index out of range [0, {k})")
-        rows = np.arange(m)
-        out_data = -np.log(clamped[rows, labels])
-
-        def bw(g):
-            gp = np.zeros_like(p)
-            live = p[rows, labels] > LOG_FLOOR
-            gp[rows, labels] = -g * live / clamped[rows, labels]
-            return [(pred, gp)]
-
-        return _record("cross_entropy_hard", (pred,), out_data, bw)
-
-    if labels.shape != (m, k):
-        raise DimensionError(f"soft labels must have shape {(m, k)}")
-    soft = labels.astype(np.float64)
-    out_data = -(soft * np.log(clamped)).sum(axis=1)
+    if labels.shape != (m,):
+        raise DimensionError("one label per prediction row required")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("labels must be integers")
+    if (labels < 0).any() or (labels >= k).any():
+        raise ValueError(f"label index out of range [0, {k})")
+    rows = np.arange(m)
+    out_data = -np.log(clamped[rows, labels])
 
     def bw(g):
-        gp = -g[:, None] * soft * (p > LOG_FLOOR) / clamped
+        gp = np.zeros_like(p)
+        live = p[rows, labels] > LOG_FLOOR
+        gp[rows, labels] = -g * live / clamped[rows, labels]
         return [(pred, gp)]
 
-    return _record("cross_entropy_soft", (pred,), out_data, bw)
+    return _record("cross_entropy", (pred,), out_data, bw)
 
 
 def binary_cross_entropy(probs: Tensor, targets) -> Tensor:

@@ -190,6 +190,30 @@ class TestBoundTrace:
         assert err == f"error: {metrics}:2: {prefix}{message}\n"
 
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("bound", "w_error_l1", float("nan"), "bound.w_error_l1: expected a finite float, got nan"),
+        ("bound", "w_error_l1", float("inf"), "bound.w_error_l1: expected a finite float, got inf"),
+        ("bound", "w_error_l1", float("-inf"),
+         "bound.w_error_l1: expected a finite float, got -inf"),
+        (None, "target_accuracy", "x", "target_accuracy: expected float, got str"),
+        (None, "class_weights", ["a"], "class_weights[0]: expected float, got str"),
+    ], ids=["nan", "infinity", "minus_infinity", "str_accuracy", "str_class_weight"])
+    def test_invalid_record_value_fails_at_its_key_path(self, tmp_path, capsys,
+                                                        section, key, value, message):
+        cfg = write_config(tmp_path / "c.yaml")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg), "--out", str(out)])
+        metrics = out / "metrics.jsonl"
+        lines = metrics.read_text().splitlines()
+        record = json.loads(lines[2])
+        (record if section is None else record[section])[key] = value
+        lines[2] = json.dumps(record)  # NaN, Infinity and -Infinity as Python's json writes them
+        metrics.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["bound-trace", str(metrics)]) == 1
+        assert capsys.readouterr().err == f"error: {metrics}:3: bad metrics record: {message}\n"
+
+
 class TestAblate:
     def test_deterministic_single_seed_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml",
@@ -278,6 +302,12 @@ class TestEval:
         assert main(["eval", "--model", str(model), "--data", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+
+    def test_unsupported_schema_names_the_file(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"schema": "abc", "model": {}}))
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {model}: unsupported model schema 'abc'\n"
 
     def test_non_json_snapshot_names_the_file(self, tmp_path, capsys):
         model = tmp_path / "model.json"

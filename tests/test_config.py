@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -108,6 +109,28 @@ def test_mistyped_value_is_rejected_at_its_key_path(raw, path, tmp_path, capsys)
     assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: expected ") and err.count("\n") == 1
+
+
+NON_FINITE = [("schedule:\n  eta0: .inf\n", "schedule.eta0", "inf"),
+              ("data:\n  synthetic:\n    cluster_std: .nan\n",
+               "data.synthetic.cluster_std", "nan"),
+              ("schedule:\n  alpha: -1" + "0" * 400 + "\n", "schedule.alpha", "-inf")]
+
+
+@pytest.mark.parametrize("text, path, shown", NON_FINITE,
+                         ids=["inf", "nan", "int_beyond_float_range"])
+def test_non_finite_value_is_rejected_at_its_key_path(text, path, shown, tmp_path, capsys):
+    message = f"{path}: expected a finite float, got {shown}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig.from_dict(yaml.safe_load(text))
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestRoundTrip:

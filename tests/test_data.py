@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
 from pdalab.data import (
     DataFormatError,
     Dataset,
+    Metadata,
     SyntheticSpec,
     UNLABELED,
     batch_iterator,
     generate_toy,
     load_csv,
     load_experiment_data,
+    load_metadata,
     save_dataset_csv,
     save_experiment_data,
     steps_per_epoch,
@@ -147,6 +151,29 @@ class TestExperimentIo:
         _, _, oracle2, _ = load_experiment_data(paths["source"], paths["target"],
                                                 paths["metadata"])
         assert oracle2 is None
+
+
+class TestMetadata:
+    def test_extra_keys_ignored(self, tmp_path):
+        path = tmp_path / "metadata.json"
+        path.write_text(json.dumps({"num_source_classes": 5, "shared_classes": [0, 2],
+                                    "dim": 2, "note": "kept by an older writer"}))
+        assert load_metadata(path) == Metadata(5, (0, 2), 2)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dim", 2.0, "dim: expected int, got float"),
+        ("dim", True, "dim: expected int, got bool"),
+        ("dim", None, "dim: a value is required"),
+        ("shared_classes", [0, "1"], "shared_classes[1]: expected int, got str"),
+        ("num_source_classes", -1, "num_source_classes must be positive, got -1"),
+    ])
+    def test_bad_value_names_the_file_and_key(self, tmp_path, key, value, message):
+        path = tmp_path / "metadata.json"
+        meta = {"num_source_classes": 5, "shared_classes": [0, 1], "dim": 2, key: value}
+        path.write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError) as info:
+            load_metadata(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 class TestBatchIterator:

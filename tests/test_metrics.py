@@ -22,7 +22,7 @@ def sample_record(epoch=3):
     losses = LossBreakdown(0.5, 0.1, 0.2, 0.4)
     return MetricsRecord(epoch=epoch, target_accuracy=0.875,
                          class_weights=[0.3, 0.3, 0.4], losses=losses,
-                         bound=bound, wall_clock_s=1.23)
+                         bound=bound)
 
 
 class TestSerialization:
@@ -34,7 +34,6 @@ class TestSerialization:
         assert back.class_weights == rec.class_weights
         assert back.losses == rec.losses
         assert back.bound == rec.bound
-        assert back.wall_clock_s is None  # timing never serialized
 
     def test_floats_survive_17_digit_round_trip(self):
         rng = np.random.default_rng(0)
@@ -103,3 +102,50 @@ class TestSchema:
         path.write_text("[1, 2]\n")
         with pytest.raises(ValueError, match=":1: bad metrics record"):
             read_metrics(path)
+
+    def test_non_numeric_major_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        d = sample_record().to_dict()
+        d["schema"] = "x.0"
+        path.write_text(to_json_line(sample_record()) + "\n" + json.dumps(d) + "\n")
+        with pytest.raises(MetricsSchemaError) as info:
+            read_metrics(path)
+        assert str(info.value) == f"{path}:2: unsupported metrics schema 'x.0'"
+
+    def test_unknown_keys_ignored_and_ints_widen(self):
+        d = sample_record().to_dict()
+        d["new_field"] = [1, 2]
+        d["bound"]["new_term"] = "anything"
+        d["bound"]["w_error_l1"] = 0
+        back = MetricsRecord.from_dict(d)
+        assert back.bound.w_error_l1 == 0.0 and type(back.bound.w_error_l1) is float
+        assert back.losses == sample_record().losses
+
+    @pytest.mark.parametrize("key", ["epoch", "class_weights"])
+    def test_required_key(self, key):
+        d = sample_record().to_dict()
+        del d[key]
+        with pytest.raises(ValueError, match=f"^{key}: a value is required$"):
+            MetricsRecord.from_dict(d)
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def unserializable():
+        return MetricsRecord(epoch=4, target_accuracy=0.5, class_weights=[object()],
+                             losses=None, bound=None)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        with pytest.raises(TypeError):
+            write_metrics(path, [sample_record(), self.unserializable()])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        write_metrics(path, [sample_record(0)])
+        good = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_metrics(path, [sample_record(), self.unserializable()])
+        assert path.read_bytes() == good
+        assert list(tmp_path.iterdir()) == [path]
