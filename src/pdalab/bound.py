@@ -44,6 +44,17 @@ class BoundViolationError(RuntimeError):
     """The intermediate inequality failed: an implementation bug, not data."""
 
 
+def in_classes(labels, classes) -> np.ndarray:
+    """Elementwise ``label in classes``, as ``np.isin`` gives it for integer
+    labels, by one lookup in a boolean table indexed by class."""
+    classes = sorted(set(int(c) for c in classes))
+    if not classes or classes[0] < 0:
+        raise ValueError("a nonempty set of nonnegative class indices is required")
+    table = np.zeros(classes[-1] + 2, dtype=bool)  # the last entry stands for "outside"
+    table[classes] = True
+    return table[np.minimum(np.maximum(labels, -1), table.size - 1)]
+
+
 @dataclass(frozen=True)
 class OracleContext:
     """Ground truth withheld from training: shared classes and target labels."""
@@ -57,7 +68,7 @@ class OracleContext:
             raise ValueError("shared class set must be nonempty")
         object.__setattr__(self, "shared_classes", shared)
         labels = np.asarray(self.target_labels)
-        if labels.size and not np.isin(labels, shared).all():
+        if labels.size and not in_classes(labels, shared).all():
             raise ValueError("target labels must lie inside the shared class set")
         object.__setattr__(self, "target_labels", labels)
 
@@ -93,8 +104,7 @@ def delta_bar(target_preds) -> float:
 def type1_error(target_preds, shared_classes) -> float:
     """Fraction of rows whose argmax falls outside the shared class set."""
     p = _pred_matrix(target_preds)
-    shared = np.asarray(sorted(set(shared_classes)))
-    return float(np.mean(~np.isin(p.argmax(axis=1), shared)))
+    return float(np.mean(~in_classes(p.argmax(axis=1), shared_classes)))
 
 
 def restricted_argmax(preds, shared_classes) -> np.ndarray:
@@ -111,7 +121,7 @@ def shared_error(preds, labels, shared_classes) -> float:
     p = _pred_matrix(preds)
     labels = np.asarray(labels)
     shared = sorted(set(shared_classes))
-    if not np.isin(labels, shared).all():
+    if not in_classes(labels, shared).all():
         raise ValueError("labels must lie inside the shared class set")
     return float(np.mean(restricted_argmax(p, shared) != labels))
 
@@ -206,7 +216,7 @@ def check_bound(target_preds, oracle: OracleContext, source_preds, source_labels
     w_err = w_estimation_error(p_t, oracle)
 
     src_labels = np.asarray(source_labels)
-    shared_mask = np.isin(src_labels, oracle.shared_classes)
+    shared_mask = in_classes(src_labels, oracle.shared_classes)
     if not shared_mask.any():
         raise ValueError("no source samples fall inside the shared class set")
     p_s = _pred_matrix(source_preds)

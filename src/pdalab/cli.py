@@ -124,6 +124,8 @@ def cmd_train(args) -> int:
         fh.write("\n")
     if result.confusion is not None:
         _write_confusion(out / "confusion.csv", result.confusion)
+    else:  # a reused --out keeps no earlier run's matrix
+        (out / "confusion.csv").unlink(missing_ok=True)
     with atomic_write(out / "run_log.txt") as fh:
         fh.write(f"epochs: {len(result.records) - 1}\n")
         fh.write(f"total_train_seconds: {sum(result.epoch_seconds):.3f}\n")

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bound import OracleContext
+from .bound import OracleContext, in_classes
 from .metrics import atomic_write, from_plain, to_plain
 
 UNLABELED = -1
@@ -273,10 +273,14 @@ def _load_domain_csv(path, domain: int, meta: Metadata, metadata_path) -> Datase
 def _load_target(target_path, meta: Metadata, metadata_path
                  ) -> tuple[Dataset, OracleContext | None]:
     target_raw = _load_domain_csv(target_path, 0, meta, metadata_path)
+    blank = np.flatnonzero(target_raw.y == UNLABELED)
+    if 0 < blank.size < len(target_raw):  # row i is on line i + 2, below the header
+        raise DataFormatError(f"{target_path}:{blank[0] + 2}: blank label in a partly "
+                              f"labeled target file (label every row or none)")
     oracle = None
     if target_raw.labeled:
         shared = meta.shared_classes
-        bad = np.flatnonzero(~np.isin(target_raw.y, shared))
+        bad = np.flatnonzero(~in_classes(target_raw.y, shared))
         if bad.size:
             raise DataFormatError(f"{target_path}:{bad[0] + 2}: label {target_raw.y[bad[0]]} "
                                   f"outside the shared classes {sorted(set(shared))} "

@@ -39,9 +39,7 @@ def supervised_loss(preds: Tensor, labels, class_weights) -> Tensor:
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("supervised loss over an empty batch")
-    w = np.asarray(class_weights, dtype=np.float64)
-    ce = T.cross_entropy_rows(preds, labels)
-    return T.mean(T.mul_const(ce, w[labels]))
+    return T.cross_entropy_mean(preds, labels, class_weights)
 
 
 def assign_pseudo_labels(preds) -> np.ndarray:
@@ -82,8 +80,7 @@ def adversarial_loss(domain_preds: Tensor, class_preds, domains, class_weights,
         weight *= w
     if use_entropy_w:
         weight *= entropy_weights(y_hat)[:, None]
-    bce = T.binary_cross_entropy(domain_preds, d)
-    return T.scale(T.sum_all(T.mul_const(bce, weight)), 1.0 / m)
+    return T.weighted_bce(domain_preds, d, weight)
 
 
 def compose_objective(l_sup: Tensor, l_self: Tensor, l_adv: Tensor | None,
@@ -98,9 +95,5 @@ def compose_objective(l_sup: Tensor, l_self: Tensor, l_adv: Tensor | None,
     self_v = l_self.item()
     adv_v = 0.0 if l_adv is None else l_adv.item()
     breakdown = LossBreakdown(sup_v, self_v, adv_v, sup_v + self_v - adv_v)
-    total = T.add(l_sup, l_self)
-    if l_adv is not None:
-        total = T.add(total, l_adv)
-    for reg in regularizers:
-        total = T.add(total, reg)
-    return breakdown, total
+    terms = (l_sup, l_self) + (() if l_adv is None else (l_adv,)) + tuple(regularizers)
+    return breakdown, T.add(*terms)

@@ -14,19 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    ACTIVATIONS,
     DimensionError,
     Tensor,
-    add,
-    batched_matmul,
     grad_reverse,
-    matmul,
-    relu,
+    linear,
     sigmoid,
     softmax_rows,
     stack_to_cols,
 )
-
-ACTIVATIONS = ("relu", "none")
+from .tensor import matmul  # noqa: F401  test_tracer_reports_a_missing_function_as_absent pins it
 
 
 class MLP:
@@ -54,9 +51,7 @@ class MLP:
     def forward(self, x: Tensor) -> Tensor:
         h = x
         for w, b, act in self.layers:
-            h = add(matmul(h, w), b)
-            if act == "relu":
-                h = relu(h)
+            h = linear(h, w, b, act)
         return h
 
     def parameters(self) -> list[Tensor]:
@@ -69,9 +64,10 @@ class MultiTaskDiscriminator:
     The K heads, with their private trunks when ``shared_trunk`` is off,
     are stored as ``layers``: per depth one [K, d, h] weight stack and one
     [K, h] bias stack.  ``trunks`` and ``heads`` are the per-head MLPs
-    the constructor received, rebuilt over views of those stacks, so
-    they always show the trained values; a shared trunk stays an ordinary
-    MLP.
+    the constructor received, rebuilt over views of those stacks.  Each
+    read re-points the views at the stacks' current arrays, so they show
+    the trained values even after an optimizer moved the stacks into its
+    own buffer; a shared trunk stays an ordinary MLP.
     """
 
     def __init__(self, trunks: list[MLP], heads: list[MLP], shared_trunk: bool):
@@ -94,10 +90,10 @@ class MultiTaskDiscriminator:
                         Tensor(np.stack([b.data for _, b, _ in depth]), requires_grad=True),
                         depth[0][2])
                        for depth in zip(*chains)]
-        n_private = 0 if shared_trunk else len(trunks[0].layers)
-        self.trunks = trunks if shared_trunk else [self._view(k, self.layers[:n_private])
-                                                   for k in range(len(heads))]
-        self.heads = [self._view(k, self.layers[n_private:]) for k in range(len(heads))]
+        self._n_private = 0 if shared_trunk else len(trunks[0].layers)
+        self._trunks = trunks if shared_trunk else [self._view(k, self.layers[:self._n_private])
+                                                    for k in range(len(heads))]
+        self._heads = [self._view(k, self.layers[self._n_private:]) for k in range(len(heads))]
         self.shared_trunk = shared_trunk
 
     @staticmethod
@@ -105,9 +101,24 @@ class MultiTaskDiscriminator:
         return MLP([(Tensor(w.data[k], requires_grad=True),
                      Tensor(b.data[k], requires_grad=True), act) for w, b, act in layers])
 
+    def _repointed(self, mlps: list[MLP], depth: int) -> list[MLP]:
+        """Per-head ``mlps``, whose first layer is at ``depth``, over the current stacks."""
+        for k, mlp in enumerate(mlps):
+            for (w, b, _), (w_k, b_k, _) in zip(self.layers[depth:], mlp.layers):
+                w_k.data, b_k.data = w.data[k], b.data[k]
+        return mlps
+
+    @property
+    def trunks(self) -> list[MLP]:
+        return self._trunks if self.shared_trunk else self._repointed(self._trunks, 0)
+
+    @property
+    def heads(self) -> list[MLP]:
+        return self._repointed(self._heads, self._n_private)
+
     @property
     def num_heads(self) -> int:
-        return len(self.heads)
+        return len(self._heads)
 
     def forward(self, features: Tensor, lam: float) -> Tensor:
         """Per-head source-domain probabilities, shape [m, num_heads].
@@ -118,15 +129,13 @@ class MultiTaskDiscriminator:
         """
         h = grad_reverse(features, lam)
         if self.shared_trunk:
-            h = self.trunks[0].forward(h)
+            h = self._trunks[0].forward(h)
         for w, b, act in self.layers:
-            h = add(batched_matmul(h, w), b)
-            if act == "relu":
-                h = relu(h)
+            h = linear(h, w, b, act)
         return sigmoid(stack_to_cols(h))
 
     def parameters(self) -> list[Tensor]:
-        params = self.trunks[0].parameters() if self.shared_trunk else []
+        params = self._trunks[0].parameters() if self.shared_trunk else []
         return params + [t for w, b, _ in self.layers for t in (w, b)]
 
 

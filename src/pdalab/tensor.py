@@ -1,14 +1,17 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
 Every primitive applied to a gradient-tracking tensor is recorded on a
-module-level tape.  Recording order is a topological order by
-construction (an operation can only consume tensors that already
-exist), so ``backward`` is a single reverse sweep over the tape.  The
-tape is dynamic: the trainer resets it at the start of every step.
+module-level tape, in a topological order by construction, so
+``backward`` is a single reverse sweep.  The trainer resets the tape at
+the start of every step, which is a few fat nodes (a whole layer, a
+whole loss term), each bit-equal to the chain of small operations it
+stands for.  On the tape, finiteness is checked per backward pass, not
+per node: the loss and the leaf gradients, with a walk of the tape to
+name the node that first went non-finite.  Off the tape each primitive
+checks its own output.
 
-``grad_reverse`` is the primitive that turns one descent pass into a
-min-max step: identity on the forward pass, ``-lam`` scaling on the
-backward pass.
+``grad_reverse`` turns one descent pass into a min-max step: identity
+forward, ``-lam`` scaling backward.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 # Probabilities are clamped to this floor before any log.
 LOG_FLOOR = 1e-12
+ACTIVATIONS = ("relu", "none")
 
 
 class DimensionError(ValueError):
@@ -81,10 +85,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self.generation = 0
 
-    def reset(self) -> None:
-        self.nodes.clear()
-        self.generation += 1
-
 
 _tape = Tape()
 _grad_enabled = True
@@ -92,7 +92,8 @@ _grad_enabled = True
 
 def reset_tape() -> None:
     """Discard all recorded operations; old op-outputs become constants."""
-    _tape.reset()
+    _tape.nodes.clear()
+    _tape.generation += 1
 
 
 @contextlib.contextmanager
@@ -108,13 +109,15 @@ def no_grad():
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise FloatingPointError(f"non-finite values produced by {op!r}")
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
-            backward_fn: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]) -> Tensor:
-    _ensure_finite(out_data, op)
+            backward_fn: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]],
+            checked: bool = False) -> Tensor:
+    """The output, on the tape if any input needs a gradient; off the tape
+    it is checked here, unless the primitive did (``checked``)."""
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -123,7 +126,29 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     if out.requires_grad:
         _tape.nodes.append(_Node(op, inputs, out, backward_fn))
         out._tape_pos = (_tape.generation, len(_tape.nodes) - 1)
+    elif not checked:
+        _ensure_finite(out_data, op)
     return out
+
+
+def _check_sweep(value, nodes: list[_Node], grads: bool) -> None:
+    """If ``value`` is not finite, name the first node gone non-finite: with
+    ``grads`` by what its backward returns, in backward order; else by its
+    output, in tape order among the nodes the loss (the last node) reads."""
+    if np.isfinite(value):
+        return
+    needed = {id(nodes[-1].output)}
+    for node in reversed(nodes):
+        g = node.output.grad
+        if grads and g is not None and not all(
+                np.isfinite(pg).all() for t, pg in node.backward_fn(g) if t.requires_grad):
+            raise FloatingPointError(f"non-finite values produced by the backward of {node.op!r}")
+        if id(node.output) in needed:
+            needed.update(id(t) for t in node.inputs)
+    for node in nodes:
+        if id(node.output) in needed and not np.isfinite(node.output.data).all():
+            raise FloatingPointError(f"non-finite values produced by {node.op!r}")
+    # Only the sum of finite leaf gradients overflowed: nothing to report.
 
 
 def backward(loss: Tensor) -> None:
@@ -139,40 +164,32 @@ def backward(loss: Tensor) -> None:
     if loss._tape_pos is None or loss._tape_pos[0] != _tape.generation:
         raise TapeError("loss is not on the active tape (tape was reset?)")
 
-    pos = loss._tape_pos[1]
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {
-        id(loss): (loss, np.ones_like(loss.data))
-    }
-    for node in reversed(_tape.nodes[: pos + 1]):
+    nodes = _tape.nodes[: loss._tape_pos[1] + 1]
+    _check_sweep(loss.data.item(), nodes, grads=False)
+    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
+    for node in reversed(nodes):
         entry = pending.pop(id(node.output), None)
         if entry is None:
             continue
         out_t, g = entry
-        _ensure_finite(g, f"backward of {node.op!r}")
         out_t.grad = g if out_t.grad is None else out_t.grad + g
         for parent, pg in node.backward_fn(g):
             if not parent.requires_grad:
                 continue
             prev = pending.get(id(parent))
             pending[id(parent)] = (parent, pg if prev is None else prev[1] + pg)
-    # Whatever remains belongs to leaves (parameters and inputs).
-    for t, g in pending.values():
-        _ensure_finite(g, "backward (leaf)")
+    # Whatever remains belongs to leaves (parameters and inputs).  Every
+    # gradient reaches some leaf, so one sum shows a non-finite one.
+    leaves = list(pending.values())
+    _check_sweep(np.add.reduce(np.concatenate([g.ravel() for _, g in leaves])), nodes,
+                 grads=True)
+    for t, g in leaves:
         t.grad = g if t.grad is None else t.grad + g
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.grad = None
-
-
-def _as_const(value, like: np.ndarray) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    try:
-        return np.broadcast_to(arr, like.shape)
-    except ValueError as exc:
-        raise DimensionError(f"constant of shape {arr.shape} does not broadcast "
-                             f"to {like.shape}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -192,45 +209,65 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a_data @ b_data, bw)
 
 
-def batched_matmul(a: Tensor, w: Tensor) -> Tensor:
-    """Stacked products ``a[k] @ w[k]``, shape [K, m, h].
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
+    """One layer, ``x @ w + b`` and then relu if ``act`` is ``"relu"``.
 
-    ``w`` is a [K, d, h] stack; ``a`` is either one [m, d] input shared by
-    every slice or a [K, m, d] stack.  Each slice is its own product, so
-    slice k is bit-equal to ``matmul`` of the slice alone.
+    ``w`` is a [d, h] weight with a [h] bias, or a [K, d, h] stack with a
+    [K, h] bias stack; a stack takes one [m, d] input shared by every
+    slice or a [K, m, d] stack, and gives [K, m, h].  Each slice is its
+    own product, so slice k is bit-equal to the 2-d layer of slice k.
     """
-    if w.data.ndim != 3 or a.data.ndim not in (2, 3):
-        raise DimensionError("batched_matmul requires a 2-d or 3-d input and 3-d weights")
-    if a.shape[-1] != w.shape[1] or (a.data.ndim == 3 and a.shape[0] != w.shape[0]):
-        raise DimensionError(f"batched_matmul shapes disagree: {a.shape} x {w.shape}")
-    a_data, w_data = a.data, w.data
+    x_data, w_data, b_data = x.data, w.data, b.data
+    if w_data.ndim not in (2, 3) or x_data.ndim not in (2, w_data.ndim) \
+            or x_data.shape[-1] != w_data.shape[-2] \
+            or (x_data.ndim == 3 and x_data.shape[0] != w_data.shape[0]) \
+            or b_data.shape != w_data.shape[:-2] + w_data.shape[-1:]:
+        raise DimensionError(f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
+    if act not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {act!r}")
+    pre = x_data @ w_data + b_data[..., None, :]
+    # The one eager check on the tape: relu zeroes -inf and nan, and a
+    # sigmoid downstream maps +-inf to 0 or 1, so the loss may not show it.
+    _ensure_finite(pre, "linear")
+    # relu as np.where(pre > 0, pre, 0.0) to the bit, several times faster:
+    # x * 1.0 is x, and + 0.0 turns the -0.0 of a negative x * 0.0 into 0.0.
+    mask = (pre > 0.0).astype(np.float64) if act == "relu" else None
+    out = pre if mask is None else pre * mask + 0.0
 
     def bw(g):
-        w_t = w_data.transpose(0, 2, 1)
-        if a_data.ndim == 3:
-            return [(a, np.matmul(g, w_t)), (w, np.matmul(a_data.transpose(0, 2, 1), g))]
-        # Summed from the last slice down: the order in which the tape
-        # accumulates K separate matmul nodes that read one input.
-        ga = g[-1] @ w_t[-1]
-        for k in range(len(g) - 2, -1, -1):
-            ga = ga + g[k] @ w_t[k]
-        return [(a, ga), (w, np.matmul(a_data.T, g))]
+        if mask is not None:
+            g = g * mask
+        grads = [(b, np.add.reduce(g, -2)), (w, x_data.swapaxes(-1, -2) @ g)]
+        if x.requires_grad:
+            w_t = w_data.swapaxes(-1, -2)
+            # Over an inner dimension of 1 a product is one multiplication;
+            # + 0.0 gives the 0.0 that matmul's zero-started sum gives for -0.0.
+            gx = g * w_t + 0.0 if w_data.shape[-1] == 1 else g @ w_t
+            if gx.ndim > x_data.ndim:
+                # Summed from the last slice down: the order in which the tape
+                # accumulates K separate layers that read one input.
+                total = gx[-1]
+                for k in range(len(gx) - 2, -1, -1):
+                    total = total + gx[k]
+                gx = total
+            grads.append((x, gx))
+        return grads
 
-    return _record("batched_matmul", (a, w), np.matmul(a_data, w_data), bw)
+    return _record("linear", (x, w, b), out, bw, checked=True)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a bias row against a matrix, and a
-    [K, h] stack of bias rows against a [K, m, h] stack of matrices."""
-    if a.shape == b.shape:
-        def bw(g):
-            return [(a, g), (b, g)]
-        return _record("add", (a, b), a.data + b.data, bw)
-    if a.data.ndim in (2, 3) and a.shape[:-2] + a.shape[-1:] == b.shape:
-        def bw(g):
-            return [(a, g), (b, g.sum(axis=-2))]
-        return _record("add_bias", (a, b), a.data + b.data[..., None, :], bw)
-    raise DimensionError(f"add shapes incompatible: {a.shape} vs {b.shape}")
+def add(*terms: Tensor) -> Tensor:
+    """Elementwise sum of same-shaped tensors, left to right, in one node."""
+    if any(t.shape != terms[0].shape for t in terms):
+        raise DimensionError(f"add shapes differ: {[t.shape for t in terms]}")
+    out = terms[0].data
+    for t in terms[1:]:
+        out = out + t.data
+
+    def bw(g):
+        return [(t, g) for t in terms]
+
+    return _record("add", terms, out, bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -244,58 +281,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record("mul", (a, b), a_data * b_data, bw)
 
 
-def mul_const(a: Tensor, c) -> Tensor:
-    c_arr = _as_const(c, a.data)
-
-    def bw(g):
-        return [(a, g * c_arr)]
-
-    return _record("mul_const", (a,), a.data * c_arr, bw)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bw(g):
-        return [(a, g * s)]
-
-    return _record("scale", (a,), a.data * s, bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def bw(g):
-        return [(a, g * mask)]
-
-    return _record("relu", (a,), np.where(mask, a.data, 0.0), bw)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def bw(g):
-        return [(a, np.broadcast_to(g, shape).copy())]
-
-    return _record("sum", (a,), np.asarray(a.data.sum()), bw)
-
-
 def mean(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
         raise DimensionError("mean of an empty tensor")
-    shape = a.shape
 
     def bw(g):
-        return [(a, np.broadcast_to(g / n, shape).copy())]
+        return [(a, np.broadcast_to(g / n, a.shape).copy())]
 
     return _record("mean", (a,), np.asarray(a.data.mean()), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g):
         return [(a, g * out_data * (1.0 - out_data))]
@@ -317,70 +317,70 @@ def softmax_rows(logits: Tensor) -> Tensor:
     return _record("softmax_rows", (logits,), p, bw)
 
 
-def cross_entropy_rows(pred: Tensor, labels) -> Tensor:
-    """Per-row cross-entropy of simplex rows against integer class labels.
-
-    ``labels`` is a vector of one class index per row.  Entries of
-    ``pred`` are floored at ``LOG_FLOOR`` before the log.
-    """
-    if pred.data.ndim != 2:
-        raise DimensionError("cross_entropy_rows requires a 2-d prediction tensor")
+def cross_entropy_mean(pred: Tensor, labels, class_weights) -> Tensor:
+    """Mean over rows of ``class_weights[y] * -log pred[y]`` for simplex rows and
+    one class label per row; ``pred`` is floored at ``LOG_FLOOR`` before the log."""
+    if pred.data.ndim != 2 or pred.shape[0] == 0:
+        raise DimensionError("cross_entropy_mean requires a nonempty 2-d tensor")
     m, k = pred.shape
-    p = pred.data
-    clamped = np.maximum(p, LOG_FLOOR)
     labels = np.asarray(labels)
     if labels.shape != (m,):
         raise DimensionError("one label per prediction row required")
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
-    if (labels < 0).any() or (labels >= k).any():
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k:
         raise ValueError(f"label index out of range [0, {k})")
+    p = pred.data
     rows = np.arange(m)
-    out_data = -np.log(clamped[rows, labels])
+    p_y = p[rows, labels]
+    picked = np.maximum(p_y, LOG_FLOOR)
+    weights = np.asarray(class_weights, dtype=np.float64)[labels]
 
     def bw(g):
-        gp = np.zeros_like(p)
-        live = p[rows, labels] > LOG_FLOOR
-        gp[rows, labels] = -g * live / clamped[rows, labels]
+        gp = np.zeros(p.shape)
+        gp[rows, labels] = -((g / m) * weights) * (p_y > LOG_FLOOR) / picked
         return [(pred, gp)]
 
-    return _record("cross_entropy", (pred,), out_data, bw)
+    out = np.asarray(np.add.reduce(-np.log(picked) * weights) / m)
+    return _record("cross_entropy_mean", (pred,), out, bw)
 
 
-def binary_cross_entropy(probs: Tensor, targets) -> Tensor:
-    """Elementwise -[d log p + (1-d) log(1-p)], logs floored at LOG_FLOOR.
-
-    ``targets`` may match ``probs`` or be a per-row vector broadcast
-    across columns (one domain label per sample).
-    """
+def weighted_bce(probs: Tensor, targets, weights) -> Tensor:
+    """``sum(weights * -[d log p + (1-d) log(1-p)]) / m`` over [m, k] ``probs``, with
+    logs floored at ``LOG_FLOOR``; targets d of one label per row span the row."""
     p = probs.data
+    if p.ndim != 2 or p.shape[0] == 0:
+        raise DimensionError("weighted_bce requires a nonempty 2-d tensor")
     d = np.asarray(targets, dtype=np.float64)
-    if d.ndim == 1 and p.ndim == 2 and d.shape[0] == p.shape[0]:
+    if d.ndim == 1 and d.shape[0] == p.shape[0]:
         d = d[:, None]
-    d = _as_const(d, p)
-    pc = np.maximum(p, LOG_FLOOR)
-    qc = np.maximum(1.0 - p, LOG_FLOOR)
-    out_data = -(d * np.log(pc) + (1.0 - d) * np.log(qc))
+    weights = np.asarray(weights, dtype=np.float64)
+    q, d_q, s = 1.0 - p, 1.0 - d, 1.0 / p.shape[0]
+    pc, qc = np.maximum(p, LOG_FLOOR), np.maximum(q, LOG_FLOOR)
 
     def bw(g):
-        gp = -d * (p > LOG_FLOOR) / pc + (1.0 - d) * ((1.0 - p) > LOG_FLOOR) / qc
-        return [(probs, g * gp)]
+        gp = -d * (p > LOG_FLOOR) / pc + d_q * (q > LOG_FLOOR) / qc
+        return [(probs, (g * s) * weights * gp)]
 
-    return _record("binary_cross_entropy", (probs,), out_data, bw)
+    weighted = -(d * np.log(pc) + d_q * np.log(qc)) * weights
+    if weighted.shape != p.shape:
+        raise DimensionError(f"targets {d.shape} and weights {np.shape(weights)} "
+                             f"do not broadcast to {p.shape}")
+    return _record("weighted_bce", (probs,), np.asarray(np.add.reduce(weighted, None)) * s, bw)
 
 
-def entropy_rows(pred: Tensor) -> Tensor:
-    """Per-row Shannon entropy (natural log) of simplex rows."""
-    if pred.data.ndim != 2:
-        raise DimensionError("entropy_rows requires a 2-d tensor")
-    p = pred.data
-    clamped = np.maximum(p, LOG_FLOOR)
-    out_data = -(p * np.log(clamped)).sum(axis=1)
+def entropy_mean(pred: Tensor, scale: float) -> Tensor:
+    """``scale`` times the mean Shannon entropy (natural log) of simplex rows."""
+    if pred.data.ndim != 2 or pred.shape[0] == 0:
+        raise DimensionError("entropy_mean requires a nonempty 2-d tensor")
+    p, m, s = pred.data, pred.shape[0], float(scale)
+    log_p = np.log(np.maximum(p, LOG_FLOOR))
 
     def bw(g):
-        return [(pred, -g[:, None] * (np.log(clamped) + (p > LOG_FLOOR)))]
+        return [(pred, -(g * s / m) * (log_p + (p > LOG_FLOOR)))]
 
-    return _record("entropy_rows", (pred,), out_data, bw)
+    out = np.asarray(np.add.reduce(-np.add.reduce(p * log_p, 1)) / m) * s
+    return _record("entropy_mean", (pred,), out, bw)
 
 
 def grad_reverse(x: Tensor, lam: float) -> Tensor:
@@ -400,10 +400,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         raise DimensionError("slice_rows requires a 2-d tensor")
     if not (0 <= start <= stop <= a.shape[0]):
         raise DimensionError(f"row slice [{start}:{stop}] out of bounds for {a.shape}")
-    shape = a.shape
 
     def bw(g):
-        full = np.zeros(shape)
+        full = np.zeros(a.shape)
         full[start:stop] = g
         return [(a, full)]
 

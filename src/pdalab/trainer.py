@@ -147,28 +147,34 @@ def adv_ramp(p: float) -> float:
     return 2.0 / (1.0 + math.exp(-10.0 * p)) - 1.0
 
 
-def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-             lr: float, momentum: float) -> None:
-    """In-place momentum update: v <- momentum*v + g; theta <- theta - lr*v."""
-    if param.shape != grad.shape or param.shape != velocity.shape:
-        raise ValueError("parameter/gradient/velocity shapes disagree")
-    velocity *= momentum
-    velocity += grad
-    param -= lr * velocity
-
-
 class MomentumSGD:
-    """Momentum SGD over a fixed parameter list; velocities persist."""
+    """Momentum SGD over a fixed parameter list; velocities persist.
+
+    The parameters become views of one flat buffer, so a step is one
+    elementwise update of the whole model: v <- momentum*v + g, then
+    theta <- theta - lr*v.  A parameter without a gradient counts as a
+    zero gradient: one that never gets a gradient never moves.
+    """
 
     def __init__(self, params: list[Tensor], momentum: float):
         self.params = params
         self.momentum = momentum
-        self.velocities = [np.zeros_like(p.data) for p in params]
+        self.flat = np.concatenate([p.data.ravel() for p in params])
+        offset = 0
+        for p in params:
+            p.data = self.flat[offset:offset + p.data.size].reshape(p.shape)
+            offset += p.data.size
+        self.velocity = np.zeros_like(self.flat)
+        self._zeros = [np.zeros(p.data.size) for p in params]
 
     def step(self, lr: float) -> None:
-        for p, v in zip(self.params, self.velocities):
-            if p.grad is not None:
-                sgd_step(p.data, p.grad, v, lr, self.momentum)
+        grad = np.concatenate([z if p.grad is None else p.grad.ravel()
+                               for p, z in zip(self.params, self._zeros)])
+        if grad.shape != self.flat.shape:
+            raise ValueError("gradient sizes disagree with the parameters")
+        self.velocity *= self.momentum
+        self.velocity += grad
+        self.flat -= lr * self.velocity
 
     def zero_grad(self) -> None:
         T.zero_grad(self.params)
@@ -188,10 +194,16 @@ def extract_features(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
 def evaluate(bundle: ModelBundle, x: np.ndarray, labels: np.ndarray,
              num_classes: int) -> tuple[float, np.ndarray]:
     """Accuracy and the confusion matrix (rows true, columns predicted)."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
+    if np.asarray(labels).size == 0:
         raise ValueError("evaluation requires a labeled, nonempty dataset")
-    pred = predict(bundle, x).argmax(axis=1)
+    return _score(predict(bundle, x), labels, num_classes)
+
+
+def _score(preds: np.ndarray, labels: np.ndarray,
+           num_classes: int) -> tuple[float, np.ndarray]:
+    """Accuracy and confusion matrix of the argmax of prediction rows."""
+    labels = np.asarray(labels)
+    pred = preds.argmax(axis=1)
     accuracy = float(np.mean(pred == labels))
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(confusion, (labels, pred), 1)
@@ -218,6 +230,9 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     """
     k = bundle.num_classes
     w_eff = np.asarray(class_weights, dtype=np.float64) if flags.class_sel else np.ones(k)
+    b = sched.batch_size
+    domains = np.concatenate([np.ones(b), np.zeros(b)])
+    fixed_inst = np.ones((2 * b, 1)) if flags.adversary == "single" else _uniform_rows(2 * b, k)
     breakdowns = []
     for src_idx, tgt_idx in batch_iterator(len(source), len(target),
                                            sched.batch_size, rng):
@@ -225,7 +240,6 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
         lr = lr_at(p, sched)
         lam = adv_ramp(p) if lam_override is None else lam_override
 
-        b = sched.batch_size
         x_all = np.vstack([source.x[src_idx], target.x[tgt_idx]])
         y_src = source.y[src_idx]
 
@@ -245,21 +259,15 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
         l_adv = None
         if flags.adversary != "none":
             domain_probs = d_forward(bundle.discriminator, f, lam)
-            class_preds = preds.data.copy()  # detached: weights are constants
-            if flags.adversary == "single":
-                inst = np.ones((2 * b, 1))
-            elif flags.instance_sel:
-                inst = class_preds
-            else:
-                inst = _uniform_rows(2 * b, k)
-            domains = np.concatenate([np.ones(b), np.zeros(b)])
+            # Detached: instance weights are constants, and never written to.
+            inst = preds.data if flags.instance_sel else fixed_inst
             l_adv = adversarial_loss(domain_probs, inst, domains, w_eff,
                                      use_class_sel=flags.class_sel,
                                      use_entropy_w=flags.entropy_min)
 
         regs = ()
         if flags.entropy_min:
-            regs = (T.scale(T.mean(T.entropy_rows(preds_tgt)), ENTROPY_MIN_COEF),)
+            regs = (T.entropy_mean(preds_tgt, ENTROPY_MIN_COEF),)
 
         breakdown, total = compose_objective(l_sup, l_self, l_adv, regs)
         backward(total)
@@ -350,7 +358,7 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
                     record.target_accuracy, record.losses.objective)
 
     confusion = None
-    if oracle is not None:
-        _, confusion = evaluate(bundle, target.x, oracle.target_labels, k)
+    if oracle is not None:  # the last snapshot's predictions are the final model's
+        _, confusion = _score(preds_t, oracle.target_labels, k)
     return ExperimentResult(records=records, confusion=confusion, bundle=bundle,
                             epoch_seconds=epoch_seconds)

@@ -11,6 +11,7 @@ from pdalab.bound import (
     check_bound,
     delta_bar,
     estimate_hdh_divergence,
+    in_classes,
     restricted_argmax,
     shared_error,
     type1_error,
@@ -23,6 +24,21 @@ def intermediate_rhs(preds, oracle):
     return 2.0 * (delta_bar(preds)
                   + type1_error(preds, oracle.shared_classes)
                   + shared_error(preds, oracle.target_labels, oracle.shared_classes))
+
+
+class TestInClasses:
+    def test_agrees_with_isin(self):
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            k = int(rng.integers(1, 9))
+            classes = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+            labels = rng.integers(-3, 12, size=int(rng.integers(0, 30)))
+            assert np.array_equal(in_classes(labels, classes), np.isin(labels, classes))
+
+    @pytest.mark.parametrize("classes", [(), (-1, 2)])
+    def test_needs_nonnegative_classes(self, classes):
+        with pytest.raises(ValueError):
+            in_classes(np.array([0]), classes)
 
 
 class TestOracleContext:

@@ -372,3 +372,52 @@ class TestCsvErrors:
         capsys.readouterr()
         assert main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == f"error: {source}:5: non-finite feature value\n"
+
+
+def _csv_train_config(tmp_path, target_rows=None):
+    """A training config on generated CSVs; ``target_rows`` edits target.csv's data rows."""
+    data_dir = tmp_path / "data"
+    main(["generate-data", "--config", str(write_config(tmp_path / "gen.yaml")),
+          "--out", str(data_dir)])
+    target = data_dir / "target.csv"
+    if target_rows is not None:
+        header, *rows = target.read_text().splitlines()
+        target.write_text("\n".join([header] + target_rows(rows)) + "\n")
+    return write_config(
+        tmp_path / "train.yaml",
+        data={"csv": {"source": str(data_dir / "source.csv"), "target": str(target),
+                      "metadata": str(data_dir / "metadata.json")}})
+
+
+def _blank_labels(rows, which):
+    out = []
+    for i, row in enumerate(rows):
+        *x, y, domain = row.split(",")
+        out.append(",".join(x + ["" if which(i) else y, domain]))
+    return out
+
+
+class TestTargetLabels:
+    def test_partly_labeled_target_names_the_first_blank_line(self, tmp_path, capsys):
+        cfg = _csv_train_config(tmp_path, lambda rows: _blank_labels(rows, lambda i: i in (3, 7)))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'data' / 'target.csv'}:5: blank label")
+        assert err.count("\n") == 1
+
+    def test_unlabeled_target_trains_without_an_oracle(self, tmp_path, capsys):
+        cfg = _csv_train_config(tmp_path, lambda rows: _blank_labels(rows, lambda i: True))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert "final target accuracy n/a" in capsys.readouterr().out
+
+    def test_reused_out_keeps_only_its_own_files(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--out", str(out)]) == 0
+        assert (out / "confusion.csv").exists()
+        cfg = _csv_train_config(tmp_path, lambda rows: _blank_labels(rows, lambda i: True))
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "effective_config.yaml", "metrics.jsonl", "model.json", "run_log.txt"]

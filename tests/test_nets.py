@@ -21,10 +21,9 @@ from pdalab.tensor import (
     backward,
     grad_reverse,
     mean,
-    mul_const,
     reset_tape,
     sigmoid,
-    sum_all,
+    weighted_bce,
     zero_grad,
 )
 
@@ -160,7 +159,7 @@ def _head_chain(disc, k):
 
 
 def _per_head_probs(disc, features, lam):
-    """One probability column per head, each through its own matmul/add nodes,
+    """One probability column per head, each through its own 2-d layer nodes,
     heads recorded in order as K separate one-column networks would be."""
     h = grad_reverse(features, lam)
     if disc.shared_trunk:
@@ -181,24 +180,21 @@ class TestStackedHeads:
             p.data[...] = rng.normal(size=p.shape)  # in place: the views follow
         x = rng.normal(size=(128, arch.feature_dim))
         c = rng.normal(size=(128, disc.num_heads))
+        d = rng.integers(0, 2, size=128)
         lam = 0.7
 
         reset_tape()
         zero_grad(disc.parameters())
         f = Tensor(x, requires_grad=True)
         probs = d_forward(disc, f, lam)
-        backward(sum_all(mul_const(probs, c)))
+        backward(weighted_bce(probs, d, c))
         stacked = {id(p): p.grad.copy() for p in disc.parameters()}
 
         reset_tape()
         zero_grad(disc.parameters())
         f_ref = Tensor(x, requires_grad=True)
         cols = _per_head_probs(disc, f_ref, lam)
-        losses = [sum_all(mul_const(col, c[:, k:k + 1])) for k, col in enumerate(cols)]
-        total = losses[0]
-        for loss in losses[1:]:
-            total = add(total, loss)
-        backward(total)
+        backward(add(*[weighted_bce(col, d, c[:, k:k + 1]) for k, col in enumerate(cols)]))
 
         for k, col in enumerate(cols):
             assert np.array_equal(probs.data[:, k], col.data[:, 0])
@@ -233,3 +229,21 @@ def test_per_head_snapshot_round_trips_byte_for_byte(shared):
     bundle = bundle_from_state(json.loads(text)["model"])
     assert json.dumps({"schema": "1.0", "model": bundle_state(bundle)},
                       sort_keys=True, separators=(",", ":")) == text
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_per_head_views_follow_an_optimizer_buffer(shared):
+    from pdalab.trainer import MomentumSGD
+
+    arch = ArchSpec(in_dim=2, num_classes=3, disc_hidden=(4,))
+    bundle = init_bundle(arch, np.random.default_rng(3), shared_trunk=shared)
+    opt = MomentumSGD(bundle.parameters(), 0.9)  # moves every parameter into its buffer
+    for p in bundle.parameters():
+        p.grad = np.ones(p.shape)
+    opt.step(0.5)
+    disc = bundle.discriminator
+    for k in range(disc.num_heads):
+        for (w, b, _), (w_k, b_k, _) in zip(disc.layers, _head_chain(disc, k)):
+            assert np.array_equal(w_k.data, w.data[k]) and np.array_equal(b_k.data, b.data[k])
+    state = bundle_state(bundle)["discriminator"]["heads"]
+    assert [h[0]["b"] for h in state] == [[v] for v in disc.layers[-1][1].data[:, 0]]

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from pdalab import tensor as T
 from pdalab.data import Dataset, SyntheticSpec, UNLABELED, generate_toy, steps_per_epoch
 from pdalab.losses import assign_pseudo_labels
 from pdalab.metrics import to_json_line
 from pdalab.nets import ArchSpec, init_bundle
 from pdalab.rngstreams import substream
+from pdalab.tensor import Tensor
 from pdalab.trainer import (
     ABLATION_VARIANTS,
     MomentumSGD,
@@ -20,7 +22,6 @@ from pdalab.trainer import (
     predict,
     resolve_variant,
     run_experiment,
-    sgd_step,
     train_epoch,
 )
 
@@ -69,30 +70,52 @@ class TestSchedules:
         assert vals[-1] < 1.0
 
 
+def sgd_step(values, grad, lr, momentum, steps=1):
+    """The parameter after ``steps`` MomentumSGD steps with a fixed gradient."""
+    p = Tensor(values, requires_grad=True)
+    opt = MomentumSGD([p], momentum)
+    for _ in range(steps):
+        p.grad = np.asarray(grad, dtype=np.float64)
+        opt.step(lr)
+    return p.data
+
+
 class TestSgd:
     def test_zero_gradient_zero_velocity_fixed_point(self):
-        p = np.array([1.0, -2.0])
-        v = np.zeros(2)
-        sgd_step(p, np.zeros(2), v, lr=0.1, momentum=0.9)
-        assert np.array_equal(p, [1.0, -2.0])
+        assert np.array_equal(sgd_step([1.0, -2.0], np.zeros(2), lr=0.1, momentum=0.9),
+                              [1.0, -2.0])
 
     def test_no_momentum_is_plain_descent(self):
-        p = np.array([1.0])
-        v = np.zeros(1)
-        sgd_step(p, np.array([2.0]), v, lr=0.1, momentum=0.0)
-        assert np.allclose(p, [0.8])
+        assert np.allclose(sgd_step([1.0], [2.0], lr=0.1, momentum=0.0), [0.8])
 
     def test_two_steps_constant_gradient(self):
         momentum, lr, g = 0.9, 0.1, np.array([1.5])
-        p = np.array([0.0])
-        v = np.zeros(1)
-        sgd_step(p, g, v, lr, momentum)
-        sgd_step(p, g, v, lr, momentum)
+        p = sgd_step([0.0], g, lr, momentum, steps=2)
         assert np.allclose(p, -lr * g * (2.0 + momentum))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
+            sgd_step(np.zeros(2), np.zeros(3), 0.1, 0.9)
+
+    def test_flat_step_is_bit_equal_to_per_parameter_updates(self):
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (4,), (2, 4, 1), (2, 1)]
+        values = [rng.normal(size=s) for s in shapes]
+        params = [Tensor(v, requires_grad=True) for v in values]
+        opt = MomentumSGD(params, 0.9)
+        velocities = [np.zeros(s) for s in shapes]
+        for lr in (0.1, 0.05, 0.02):
+            for i, (p, v) in enumerate(zip(params, velocities)):
+                # The last parameter never gets a gradient and never moves.
+                p.grad = None if i == len(params) - 1 else rng.normal(size=p.shape)
+                if p.grad is not None:
+                    v *= 0.9
+                    v += p.grad
+                    values[i] = values[i] - lr * v
+            opt.step(lr)
+            for p, expected in zip(params, values):
+                assert np.array_equal(p.data, expected)
+        assert all(p.data.base is opt.flat for p in params)
 
 
 class TestVariants:
@@ -242,6 +265,49 @@ class TestTrainEpoch:
                               PRESETS["source_only"], sched, False, done, total,
                               substream(6, "data"))
         assert done == total  # progress reaches exactly 1 at the final step
+
+
+class TestStepCost:
+    @pytest.mark.parametrize("variant, disc_hidden", [("san_pp", ()), ("san", (16,))])
+    def test_nodes_and_finiteness_checks_per_step(self, monkeypatch, variant, disc_hidden):
+        """A step is at most 15 tape nodes and 8 finiteness checks, past warm-up too."""
+        import pdalab.trainer
+
+        nodes, checks = [], []
+        real_backward = pdalab.trainer.backward
+
+        def counting_backward(loss):
+            nodes.append(len(T._tape.nodes))
+            real_backward(loss)
+
+        def counting(name):
+            real = getattr(T, name)
+
+            def wrapper(*args, **kwargs):
+                checks[-1] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def step_start():
+            checks.append(0)
+            T.reset_tape()
+
+        source, target, _ = tiny_problem(seed=13)
+        arch = ArchSpec(in_dim=2, num_classes=5, disc_hidden=disc_hidden)
+        bundle = init_bundle(arch, substream(8, "init"), shared_trunk=variant == "san_pp")
+        opt = MomentumSGD(bundle.parameters(), 0.9)
+        sched = small_sched()
+        steps = steps_per_epoch(len(source), len(target), sched.batch_size)
+        pseudo = assign_pseudo_labels(predict(bundle, target.x))
+        monkeypatch.setattr(pdalab.trainer, "backward", counting_backward)
+        monkeypatch.setattr(pdalab.trainer, "reset_tape", step_start)
+        for name in ("_ensure_finite", "_check_sweep"):
+            monkeypatch.setattr(T, name, counting(name))
+        flags = PRESETS[variant]  # every term of the variant on, as after warm-up
+        train_epoch(bundle, opt, source, target, np.full(5, 0.2), pseudo, flags,
+                    sched, flags.self_training, 0, steps, substream(8, "data"))
+        assert len(nodes) == len(checks) == steps
+        assert max(nodes) <= 15 and max(checks) <= 8, (nodes, checks)
 
 
 class TestEvaluate:
