@@ -239,6 +239,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdalab",
@@ -268,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the six-variant ablation over seeds")
     common(p, variant=False)
-    p.add_argument("--seeds", type=int, default=5,
+    p.add_argument("--seeds", type=_count, default=5,
                    help="number of consecutive seeds (default 5)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_count, default=1,
                    help="parallel worker processes (default 1)")
     p.set_defaults(func=cmd_ablate)
 

@@ -129,11 +129,24 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+    """Read a config file; a YAML error is one line naming its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        raise ConfigError(f"{path}:{mark.line + 1}:{mark.column + 1}: "
+                          f"invalid YAML: {exc.problem}") from None
+    except yaml.reader.ReaderError as exc:  # a character YAML does not allow
+        line = text.count("\n", 0, exc.position) + 1
+        col = exc.position - text.rfind("\n", 0, exc.position)
+        raise ConfigError(f"{path}:{line}:{col}: invalid YAML: "
+                          f"unacceptable character #x{exc.character:04x}") from None
     return RunConfig.from_dict(raw)
 
 

@@ -50,10 +50,8 @@ def assign_pseudo_labels(preds) -> np.ndarray:
     return p.argmax(axis=1)
 
 
-def self_training_loss(preds: Tensor, pseudo_hard, class_weights, enabled: bool) -> Tensor:
-    """Mean of w_pseudo * cross_entropy(pred, pseudo); zero while disabled."""
-    if not enabled:
-        return Tensor(0.0)
+def self_training_loss(preds: Tensor, pseudo_hard, class_weights) -> Tensor:
+    """Mean of w_pseudo * cross_entropy(pred, pseudo)."""
     return supervised_loss(preds, pseudo_hard, class_weights)
 
 

@@ -64,10 +64,10 @@ class MultiTaskDiscriminator:
     The K heads, with their private trunks when ``shared_trunk`` is off,
     are stored as ``layers``: per depth one [K, d, h] weight stack and one
     [K, h] bias stack.  ``trunks`` and ``heads`` are the per-head MLPs
-    the constructor received, rebuilt over views of those stacks.  Each
-    read re-points the views at the stacks' current arrays, so they show
-    the trained values even after an optimizer moved the stacks into its
-    own buffer; a shared trunk stays an ordinary MLP.
+    the constructor received, built afresh on each read as views of the
+    stacks' current arrays, so they show the trained values even after an
+    optimizer moved the stacks into its own buffer; a shared trunk stays
+    the one ordinary MLP.
     """
 
     def __init__(self, trunks: list[MLP], heads: list[MLP], shared_trunk: bool):
@@ -90,35 +90,26 @@ class MultiTaskDiscriminator:
                         Tensor(np.stack([b.data for _, b, _ in depth]), requires_grad=True),
                         depth[0][2])
                        for depth in zip(*chains)]
+        self._trunk = trunks[0] if shared_trunk else MLP([])
         self._n_private = 0 if shared_trunk else len(trunks[0].layers)
-        self._trunks = trunks if shared_trunk else [self._view(k, self.layers[:self._n_private])
-                                                    for k in range(len(heads))]
-        self._heads = [self._view(k, self.layers[self._n_private:]) for k in range(len(heads))]
         self.shared_trunk = shared_trunk
 
-    @staticmethod
-    def _view(k: int, layers) -> MLP:
-        return MLP([(Tensor(w.data[k], requires_grad=True),
-                     Tensor(b.data[k], requires_grad=True), act) for w, b, act in layers])
-
-    def _repointed(self, mlps: list[MLP], depth: int) -> list[MLP]:
-        """Per-head ``mlps``, whose first layer is at ``depth``, over the current stacks."""
-        for k, mlp in enumerate(mlps):
-            for (w, b, _), (w_k, b_k, _) in zip(self.layers[depth:], mlp.layers):
-                w_k.data, b_k.data = w.data[k], b.data[k]
-        return mlps
+    def _views(self, layers) -> list[MLP]:
+        return [MLP([(Tensor(w.data[k], requires_grad=True),
+                      Tensor(b.data[k], requires_grad=True), act) for w, b, act in layers])
+                for k in range(self.num_heads)]
 
     @property
     def trunks(self) -> list[MLP]:
-        return self._trunks if self.shared_trunk else self._repointed(self._trunks, 0)
+        return [self._trunk] if self.shared_trunk else self._views(self.layers[:self._n_private])
 
     @property
     def heads(self) -> list[MLP]:
-        return self._repointed(self._heads, self._n_private)
+        return self._views(self.layers[self._n_private:])
 
     @property
     def num_heads(self) -> int:
-        return len(self._heads)
+        return self.layers[0][0].shape[0]
 
     def forward(self, features: Tensor, lam: float) -> Tensor:
         """Per-head source-domain probabilities, shape [m, num_heads].
@@ -127,16 +118,13 @@ class MultiTaskDiscriminator:
         the trunk, so one descent step trains the discriminator while
         pushing the feature extractor the opposite way.
         """
-        h = grad_reverse(features, lam)
-        if self.shared_trunk:
-            h = self._trunks[0].forward(h)
+        h = self._trunk.forward(grad_reverse(features, lam))
         for w, b, act in self.layers:
             h = linear(h, w, b, act)
         return sigmoid(stack_to_cols(h))
 
     def parameters(self) -> list[Tensor]:
-        params = self._trunks[0].parameters() if self.shared_trunk else []
-        return params + [t for w, b, _ in self.layers for t in (w, b)]
+        return self._trunk.parameters() + [t for w, b, _ in self.layers for t in (w, b)]
 
 
 @dataclass

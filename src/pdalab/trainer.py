@@ -216,17 +216,15 @@ def _uniform_rows(m: int, k: int) -> np.ndarray:
 
 def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
                 target: Dataset, class_weights: np.ndarray, pseudo: np.ndarray | None,
-                flags: VariantFlags, sched: Schedule, self_training_active: bool,
-                steps_done: int, total_steps: int, rng: np.random.Generator,
-                lam_override: float | None = None,
-                ) -> tuple[list, int]:
+                flags: VariantFlags, sched: Schedule, steps_done: int, total_steps: int,
+                rng: np.random.Generator) -> tuple[list, int]:
     """One shuffled pass over the paired domains.
 
     ``class_weights`` and ``pseudo`` were estimated at epoch start and
-    stay frozen here; the class gate replaces the weights with ones
-    when class selection is off, so the estimate cannot influence any
-    gradient.  Returns the per-step loss breakdowns and the updated
-    global step count.
+    stay frozen here; ``pseudo`` is None while self-training is off.  The
+    class gate replaces the weights with ones when class selection is off,
+    so the estimate cannot influence any gradient.  Returns the per-step
+    loss breakdowns and the updated global step count.
     """
     k = bundle.num_classes
     w_eff = np.asarray(class_weights, dtype=np.float64) if flags.class_sel else np.ones(k)
@@ -238,7 +236,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
                                            sched.batch_size, rng):
         p = steps_done / total_steps
         lr = lr_at(p, sched)
-        lam = adv_ramp(p) if lam_override is None else lam_override
+        lam = adv_ramp(p)
 
         x_all = np.vstack([source.x[src_idx], target.x[tgt_idx]])
         y_src = source.y[src_idx]
@@ -251,8 +249,8 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
         preds_tgt = slice_rows(preds, b, 2 * b)
 
         l_sup = supervised_loss(preds_src, y_src, w_eff)
-        if self_training_active and pseudo is not None:
-            l_self = self_training_loss(preds_tgt, pseudo[tgt_idx], w_eff, True)
+        if pseudo is not None:
+            l_self = self_training_loss(preds_tgt, pseudo[tgt_idx], w_eff)
         else:
             l_self = Tensor(0.0)
 
@@ -346,11 +344,10 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
         warm = e < sched.warmup_epochs
         eff_flags = flags if not warm else replace(flags, class_sel=False,
                                                    entropy_min=False)
-        self_active = flags.self_training and not warm
-        pseudo = assign_pseudo_labels(preds_t) if self_active else None
+        pseudo = assign_pseudo_labels(preds_t) if flags.self_training and not warm else None
         breakdowns, steps_done = train_epoch(
             bundle, opt, source, target, w, pseudo, eff_flags, sched,
-            self_active, steps_done, total_steps, data_rng)
+            steps_done, total_steps, data_rng)
         record, preds_t, w = snapshot(e + 1, losses=_mean_breakdown(breakdowns))
         epoch_seconds.append(time.perf_counter() - t0)
         records.append(record)

@@ -117,6 +117,22 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_yaml_syntax_error_is_one_line_at_its_mark(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text("seed: [1\nvariant: san\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:2:8: invalid YAML: expected ',' or ']', but got ':'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"seed: 1\n# \xff\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+            "in position 10: invalid start byte)\n")
+
 
 class TestBoundTrace:
     def test_table_shape_and_columns(self, tmp_path, capsys):
@@ -237,6 +253,17 @@ class TestAblate:
             assert int(k) == 1
             assert 0.0 <= float(mean_acc) <= 1.0
             assert float(std_acc) == 0.0
+
+    @pytest.mark.parametrize("flag, value", [("--seeds", "0"), ("--workers", "0"),
+                                             ("--workers", "-3")])
+    def test_counts_below_one_are_argument_errors(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path / "c.yaml")
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--config", str(cfg), flag, value, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: must be at least 1, got {value}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_workers_do_not_change_results(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml",

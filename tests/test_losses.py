@@ -64,20 +64,14 @@ class TestPseudoLabels:
 
 
 class TestSelfTrainingLoss:
-    def test_disabled_gives_zero(self):
-        preds = Tensor([[0.5, 0.5]])
-        loss = self_training_loss(preds, [0], [1.0, 1.0], enabled=False)
-        assert loss.item() == 0.0
-        assert not loss.requires_grad
-
     def test_one_hot_predictions_give_zero(self):
         preds = np.eye(3)[[0, 2, 1]]
         pseudo = assign_pseudo_labels(preds)
-        loss = self_training_loss(Tensor(preds), pseudo, np.ones(3), enabled=True)
+        loss = self_training_loss(Tensor(preds), pseudo, np.ones(3))
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
     def test_worked_example(self):
-        loss = self_training_loss(Tensor([[0.5, 0.5]]), [0], [0.6, 0.4], enabled=True)
+        loss = self_training_loss(Tensor([[0.5, 0.5]]), [0], [0.6, 0.4])
         assert loss.item() == pytest.approx(0.6 * math.log(2.0), abs=1e-9)
         assert loss.item() == pytest.approx(0.415888, abs=1e-6)
 

@@ -158,13 +158,13 @@ def _head_chain(disc, k):
     return trunk + disc.heads[k].layers
 
 
-def _per_head_probs(disc, features, lam):
-    """One probability column per head, each through its own 2-d layer nodes,
-    heads recorded in order as K separate one-column networks would be."""
+def _per_head_probs(disc, chains, features, lam):
+    """One probability column per head chain, each through its own 2-d layer
+    nodes, heads recorded in order as K separate one-column networks would be."""
     h = grad_reverse(features, lam)
     if disc.shared_trunk:
         h = disc.trunks[0].forward(h)
-    return [sigmoid(MLP(_head_chain(disc, k)).forward(h)) for k in range(disc.num_heads)]
+    return [sigmoid(MLP(chain).forward(h)) for chain in chains]
 
 
 class TestStackedHeads:
@@ -193,7 +193,8 @@ class TestStackedHeads:
         reset_tape()
         zero_grad(disc.parameters())
         f_ref = Tensor(x, requires_grad=True)
-        cols = _per_head_probs(disc, f_ref, lam)
+        chains = [_head_chain(disc, k) for k in range(disc.num_heads)]
+        cols = _per_head_probs(disc, chains, f_ref, lam)
         backward(add(*[weighted_bce(col, d, c[:, k:k + 1]) for k, col in enumerate(cols)]))
 
         for k, col in enumerate(cols):
@@ -204,7 +205,7 @@ class TestStackedHeads:
                 assert np.array_equal(stacked[id(p)], p.grad)
         for depth, (w, b, _) in enumerate(disc.layers):
             for k in range(disc.num_heads):
-                w_k, b_k, _ = _head_chain(disc, k)[depth]
+                w_k, b_k, _ = chains[k][depth]
                 assert np.array_equal(stacked[id(w)][k], w_k.grad)
                 assert np.array_equal(stacked[id(b)][k], b_k.grad)
 

@@ -175,8 +175,7 @@ class TestTrainEpoch:
 
         opt = MomentumSGD(bundle.parameters(), sched.momentum)
         train_epoch(bundle, opt, source, target, np.ones(3), None,
-                    PRESETS["source_only"], sched, False, 0, 1,
-                    substream(0, "data"))
+                    PRESETS["source_only"], sched, 0, 1, substream(0, "data"))
 
         x = source.x
         logits = x @ w0 + b0
@@ -191,12 +190,14 @@ class TestTrainEpoch:
         assert np.allclose(bundle.classifier.layers[0][1].data,
                            b0 - sched.eta0 * grad_b, atol=1e-12)
 
-    def test_lambda_zero_equals_no_adversary_for_feature_params(self):
+    def test_lambda_zero_equals_no_adversary_for_feature_params(self, monkeypatch):
+        import pdalab.trainer
+
         source, target, oracle = tiny_problem()
         arch = ArchSpec(in_dim=2, num_classes=5)
         sched = small_sched()
 
-        def run(flags, lam_override):
+        def run(flags):
             bundle = init_bundle(arch, substream(3, "init"), num_heads=5,
                                  shared_trunk=True)
             opt = MomentumSGD(bundle.parameters(), sched.momentum)
@@ -205,12 +206,12 @@ class TestTrainEpoch:
             done = 0
             for _ in range(2):
                 _, done = train_epoch(bundle, opt, source, target, np.ones(5), None,
-                                      flags, sched, False, done, 2 * steps, rng,
-                                      lam_override=lam_override)
+                                      flags, sched, done, 2 * steps, rng)
             return bundle
 
-        adv = run(VariantFlags(instance_sel=True, adversary="multi"), 0.0)
-        plain = run(PRESETS["source_only"], None)
+        plain = run(PRESETS["source_only"])
+        monkeypatch.setattr(pdalab.trainer, "adv_ramp", lambda p: 0.0)
+        adv = run(VariantFlags(instance_sel=True, adversary="multi"))
         for pa, pb in zip(adv.features.parameters() + adv.classifier.parameters(),
                           plain.features.parameters() + plain.classifier.parameters()):
             assert np.array_equal(pa.data, pb.data)
@@ -231,7 +232,7 @@ class TestTrainEpoch:
             steps = steps_per_epoch(len(source), len(target), sched.batch_size)
             pseudo = assign_pseudo_labels(predict(bundle, target.x))
             train_epoch(bundle, opt, source, target, w, pseudo, flags, sched,
-                        True, 0, steps, rng)
+                        0, steps, rng)
             return np.concatenate([p.data.ravel() for p in bundle.parameters()])
 
         rng = np.random.default_rng(0)
@@ -245,7 +246,7 @@ class TestTrainEpoch:
         opt = MomentumSGD(bundle.parameters(), sched.momentum)
         steps = steps_per_epoch(len(source), len(target), sched.batch_size)
         breakdowns, _ = train_epoch(bundle, opt, source, target, np.ones(5), None,
-                                    PRESETS["san_pp"], sched, False, 0, steps,
+                                    PRESETS["san_pp"], sched, 0, steps,
                                     substream(5, "data"))
         assert all(b.l_self == 0.0 for b in breakdowns)
 
@@ -258,11 +259,11 @@ class TestTrainEpoch:
         steps = steps_per_epoch(len(source), len(target), sched.batch_size)
         total = steps * 2
         _, done = train_epoch(bundle, opt, source, target, np.ones(5), None,
-                              PRESETS["source_only"], sched, False, 0, total,
+                              PRESETS["source_only"], sched, 0, total,
                               substream(6, "data"))
         assert done == steps
         _, done = train_epoch(bundle, opt, source, target, np.ones(5), None,
-                              PRESETS["source_only"], sched, False, done, total,
+                              PRESETS["source_only"], sched, done, total,
                               substream(6, "data"))
         assert done == total  # progress reaches exactly 1 at the final step
 
@@ -304,8 +305,9 @@ class TestStepCost:
         for name in ("_ensure_finite", "_check_sweep"):
             monkeypatch.setattr(T, name, counting(name))
         flags = PRESETS[variant]  # every term of the variant on, as after warm-up
-        train_epoch(bundle, opt, source, target, np.full(5, 0.2), pseudo, flags,
-                    sched, flags.self_training, 0, steps, substream(8, "data"))
+        train_epoch(bundle, opt, source, target, np.full(5, 0.2),
+                    pseudo if flags.self_training else None, flags, sched, 0, steps,
+                    substream(8, "data"))
         assert len(nodes) == len(checks) == steps
         assert max(nodes) <= 15 and max(checks) <= 8, (nodes, checks)
 
