@@ -147,7 +147,7 @@ def _fit_logistic(x, y):
     theta = np.zeros(design.shape[0])
     for _ in range(_NEWTON_MAX_ITER):
         z = theta @ design
-        e = np.exp(-np.abs(z))  # overflow-safe sigmoid, as in tensor.sigmoid
+        e = np.exp(-np.abs(z))  # overflow-safe sigmoid, as in tensor.weighted_bce
         p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         grad = design @ (p - y) + ridge * theta
         hess = (design * (p * (1.0 - p))) @ design.T

@@ -55,17 +55,17 @@ def self_training_loss(preds: Tensor, pseudo_hard, class_weights) -> Tensor:
     return supervised_loss(preds, pseudo_hard, class_weights)
 
 
-def adversarial_loss(domain_preds: Tensor, class_preds, domains, class_weights,
+def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
                      use_class_sel: bool, use_entropy_w: bool) -> Tensor:
     """Sum over heads of the weighted binary cross-entropy to the domain tag.
 
-    ``domain_preds[i, k]`` is head k's source-probability for sample i;
+    ``domain_logits[i, k]`` is head k's source logit for sample i;
     ``class_preds[i, k]`` is the (detached) instance weight assigning
     sample i to head k's alignment task.
     """
     y_hat = np.asarray(class_preds, dtype=np.float64)
     d = np.asarray(domains, dtype=np.float64)
-    m, k = domain_preds.shape
+    m, k = domain_logits.shape
     if y_hat.shape != (m, k) or d.shape != (m,):
         raise ValueError("misaligned adversarial batch")
     if ((d != 0.0) & (d != 1.0)).any():
@@ -78,7 +78,7 @@ def adversarial_loss(domain_preds: Tensor, class_preds, domains, class_weights,
         weight *= w
     if use_entropy_w:
         weight *= entropy_weights(y_hat)[:, None]
-    return T.weighted_bce(domain_preds, d, weight)
+    return T.weighted_bce(domain_logits, d, weight)
 
 
 def compose_objective(l_sup: Tensor, l_self: Tensor, l_adv: Tensor | None,

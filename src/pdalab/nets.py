@@ -2,8 +2,8 @@
 multi-head domain discriminator with an optional shared trunk.
 
 The discriminator owns one logistic head per source class; each head
-estimates the probability that a sample is from the source domain,
-conditioned on that class's alignment task.  With ``shared_trunk``
+emits the logit of the probability that a sample is from the source
+domain, conditioned on that class's alignment task.  With ``shared_trunk``
 off, every head owns a private copy of the trunk instead.
 """
 
@@ -19,7 +19,6 @@ from .tensor import (
     Tensor,
     grad_reverse,
     linear,
-    sigmoid,
     softmax_rows,
     stack_to_cols,
 )
@@ -112,7 +111,7 @@ class MultiTaskDiscriminator:
         return self.layers[0][0].shape[0]
 
     def forward(self, features: Tensor, lam: float) -> Tensor:
-        """Per-head source-domain probabilities, shape [m, num_heads].
+        """Per-head source-domain logits, shape [m, num_heads].
 
         Features pass through gradient reversal scaled by ``lam`` before
         the trunk, so one descent step trains the discriminator while
@@ -121,7 +120,7 @@ class MultiTaskDiscriminator:
         h = self._trunk.forward(grad_reverse(features, lam))
         for w, b, act in self.layers:
             h = linear(h, w, b, act)
-        return sigmoid(stack_to_cols(h))
+        return stack_to_cols(h)
 
     def parameters(self) -> list[Tensor]:
         return self._trunk.parameters() + [t for w, b, _ in self.layers for t in (w, b)]

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-# Probabilities are clamped to this floor before any log.
+# Simplex probabilities are clamped to this floor before any log.
 LOG_FLOOR = 1e-12
 ACTIVATIONS = ("relu", "none")
 
@@ -226,8 +226,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {act!r}")
     pre = x_data @ w_data + b_data[..., None, :]
-    # The one eager check on the tape: relu zeroes -inf and nan, and a
-    # sigmoid downstream maps +-inf to 0 or 1, so the loss may not show it.
+    # The one eager check on the tape: relu zeroes -inf and nan, so the loss would
+    # not show them (without relu they reach it, and the sweep names this node).
     _ensure_finite(pre, "linear")
     # relu as np.where(pre > 0, pre, 0.0) to the bit, several times faster:
     # x * 1.0 is x, and + 0.0 turns the -0.0 of a negative x * 0.0 into 0.0.
@@ -292,17 +292,6 @@ def mean(a: Tensor) -> Tensor:
     return _record("mean", (a,), np.asarray(a.data.mean()), bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def bw(g):
-        return [(a, g * out_data * (1.0 - out_data))]
-
-    return _record("sigmoid", (a,), out_data, bw)
-
-
 def softmax_rows(logits: Tensor) -> Tensor:
     """Row-wise exp-normalize, stabilized by per-row max subtraction."""
     if logits.data.ndim != 2:
@@ -345,28 +334,29 @@ def cross_entropy_mean(pred: Tensor, labels, class_weights) -> Tensor:
     return _record("cross_entropy_mean", (pred,), out, bw)
 
 
-def weighted_bce(probs: Tensor, targets, weights) -> Tensor:
-    """``sum(weights * -[d log p + (1-d) log(1-p)]) / m`` over [m, k] ``probs``, with
-    logs floored at ``LOG_FLOOR``; targets d of one label per row span the row."""
-    p = probs.data
-    if p.ndim != 2 or p.shape[0] == 0:
+def weighted_bce(logits: Tensor, targets, weights) -> Tensor:
+    """``sum(weights * (softplus(z) - d z)) / m`` over [m, k] ``logits`` z, the binary
+    cross-entropy of sigmoid(z) to targets d (one label per row spans the row), as
+    ``max(z, 0) - d z + log1p(exp(-|z|))``: no overflow, no floor, and the first two
+    terms exact for d in {0, 1}.  The gradient is ``weights * (sigmoid(z) - d) / m``."""
+    z = logits.data
+    if z.ndim != 2 or z.shape[0] == 0:
         raise DimensionError("weighted_bce requires a nonempty 2-d tensor")
     d = np.asarray(targets, dtype=np.float64)
-    if d.ndim == 1 and d.shape[0] == p.shape[0]:
+    if d.ndim == 1 and d.shape[0] == z.shape[0]:
         d = d[:, None]
     weights = np.asarray(weights, dtype=np.float64)
-    q, d_q, s = 1.0 - p, 1.0 - d, 1.0 / p.shape[0]
-    pc, qc = np.maximum(p, LOG_FLOOR), np.maximum(q, LOG_FLOOR)
+    e, s = np.exp(-np.abs(z)), 1.0 / z.shape[0]
 
     def bw(g):
-        gp = -d * (p > LOG_FLOOR) / pc + d_q * (q > LOG_FLOOR) / qc
-        return [(probs, (g * s) * weights * gp)]
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return [(logits, (g * s) * weights * (sig - d))]
 
-    weighted = -(d * np.log(pc) + d_q * np.log(qc)) * weights
-    if weighted.shape != p.shape:
+    weighted = (np.maximum(z, 0.0) - d * z + np.log1p(e)) * weights
+    if weighted.shape != z.shape:
         raise DimensionError(f"targets {d.shape} and weights {np.shape(weights)} "
-                             f"do not broadcast to {p.shape}")
-    return _record("weighted_bce", (probs,), np.asarray(np.add.reduce(weighted, None)) * s, bw)
+                             f"do not broadcast to {z.shape}")
+    return _record("weighted_bce", (logits,), np.asarray(np.add.reduce(weighted, None)) * s, bw)
 
 
 def entropy_mean(pred: Tensor, scale: float) -> Tensor:

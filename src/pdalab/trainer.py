@@ -249,17 +249,15 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
         preds_tgt = slice_rows(preds, b, 2 * b)
 
         l_sup = supervised_loss(preds_src, y_src, w_eff)
-        if pseudo is not None:
-            l_self = self_training_loss(preds_tgt, pseudo[tgt_idx], w_eff)
-        else:
-            l_self = Tensor(0.0)
+        l_self = Tensor(0.0) if pseudo is None else \
+            self_training_loss(preds_tgt, pseudo[tgt_idx], w_eff)
 
         l_adv = None
         if flags.adversary != "none":
-            domain_probs = d_forward(bundle.discriminator, f, lam)
+            domain_logits = d_forward(bundle.discriminator, f, lam)
             # Detached: instance weights are constants, and never written to.
             inst = preds.data if flags.instance_sel else fixed_inst
-            l_adv = adversarial_loss(domain_probs, inst, domains, w_eff,
+            l_adv = adversarial_loss(domain_logits, inst, domains, w_eff,
                                      use_class_sel=flags.class_sel,
                                      use_entropy_w=flags.entropy_min)
 

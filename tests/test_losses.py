@@ -20,6 +20,12 @@ def simplex_rows(rng, m, k):
     return rng.dirichlet(np.ones(k), size=m)
 
 
+def logit(p):
+    """The logit whose sigmoid is the probability ``p``."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.log(p) - np.log1p(-p)
+
+
 class TestSupervisedLoss:
     def test_uniform_weights_factor_out(self):
         rng = np.random.default_rng(0)
@@ -78,14 +84,15 @@ class TestSelfTrainingLoss:
 
 class TestAdversarialLoss:
     def test_single_class_bce_at_half(self):
-        dp = Tensor([[0.5]])
+        dp = Tensor([[0.0]])  # logit 0: probability one half
         loss = adversarial_loss(dp, [[1.0]], [1], [1.0],
                                 use_class_sel=False, use_entropy_w=False)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_zero_class_weight_silences_head(self):
         rng = np.random.default_rng(2)
-        dp = Tensor(rng.uniform(0.1, 0.9, size=(6, 3)))
+        probs = rng.uniform(0.1, 0.9, size=(6, 3))
+        dp = Tensor(logit(probs))
         preds = simplex_rows(rng, 6, 3)
         d = np.array([1, 1, 1, 0, 0, 0])
         full = adversarial_loss(dp, preds, d, [0.5, 0.5, 0.0],
@@ -93,13 +100,13 @@ class TestAdversarialLoss:
         # Recompute with head 2 excluded entirely.
         manual = 0.0
         for k, wk in enumerate([0.5, 0.5]):
-            p = dp.data[:, k]
+            p = probs[:, k]
             bce = -(d * np.log(p) + (1 - d) * np.log(1 - p))
             manual += np.mean(wk * preds[:, k] * bce)
         assert full == pytest.approx(manual, rel=1e-12)
 
     def test_one_hot_instance_weight_routes_single_head(self):
-        dp = Tensor([[0.3, 0.6, 0.9]])
+        dp = Tensor(logit([[0.3, 0.6, 0.9]]))
         one_hot = np.array([[0.0, 1.0, 0.0]])
         loss = adversarial_loss(dp, one_hot, [1], np.ones(3),
                                 use_class_sel=False, use_entropy_w=False).item()
@@ -112,11 +119,11 @@ class TestAdversarialLoss:
 
     def test_dann_equivalence_single_head(self):
         rng = np.random.default_rng(3)
-        dp = Tensor(rng.uniform(0.05, 0.95, size=(8, 1)))
+        p = rng.uniform(0.05, 0.95, size=8)
+        dp = Tensor(logit(p)[:, None])
         d = rng.integers(0, 2, size=8)
         loss = adversarial_loss(dp, np.ones((8, 1)), d, np.ones(1),
                                 use_class_sel=False, use_entropy_w=False).item()
-        p = dp.data[:, 0]
         expected = np.mean(-(d * np.log(p) + (1 - d) * np.log(1 - p)))
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -128,6 +135,62 @@ class TestAdversarialLoss:
         base = adversarial_loss(dp, preds, d, np.ones(2), False, False).item()
         weighted = adversarial_loss(dp, preds, d, np.ones(2), False, True).item()
         assert weighted > base  # entropy weights are > 1
+
+    def test_saturated_heads_match_central_differences(self):
+        # Head logits near 20 on target rows: 1 - sigmoid(z) is about 2e-9,
+        # too close to 1 for a log of a probability to keep its digits.
+        arch = ArchSpec(in_dim=2, num_classes=3, hidden=(4,))
+        bundle = init_bundle(arch, np.random.default_rng(31))
+        w_head, b_head, _ = bundle.discriminator.layers[-1]
+        b_head.data[...] = 20.0
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(6, 2))
+        inst = simplex_rows(rng, 6, 3)
+        d = np.array([1, 1, 0, 0, 0, 0])
+        with T.no_grad():
+            z = f_forward(bundle.features, x).data @ w_head.data + b_head.data[:, None, :]
+        assert np.abs(np.abs(z) - 20.0).max() < 5.0
+
+        def loss():
+            # lam = -1: the reversal scales by +1, so every gradient is plain descent.
+            logits = d_forward(bundle.discriminator, f_forward(bundle.features, x), -1.0)
+            return adversarial_loss(logits, inst, d, np.ones(3), False, False)
+
+        reset_tape()
+        zero_grad(bundle.parameters())
+        backward(loss())
+        params = bundle.features.parameters() + bundle.discriminator.parameters()
+        worst, h = 0.0, 1e-5
+        for p in params:
+            for idx in np.ndindex(p.shape):
+                orig = p.data[idx]
+                with T.no_grad():
+                    p.data[idx] = orig + h
+                    hi = loss().item()
+                    p.data[idx] = orig - h
+                    lo = loss().item()
+                p.data[idx] = orig
+                fd = (hi - lo) / (2 * h)
+                auto = 0.0 if p.grad is None else p.grad[idx]
+                worst = max(worst, abs(auto - fd) / max(abs(auto), abs(fd), 1.0))
+        assert worst < 1e-6, worst
+
+    def test_confidently_wrong_head_keeps_its_gradient(self):
+        # A source row (d = 1) whose every head says "target" at logit -40.
+        arch = ArchSpec(in_dim=2, num_classes=3)
+        bundle = init_bundle(arch, np.random.default_rng(33))
+        w_head, b_head, _ = bundle.discriminator.layers[-1]
+        w_head.data[...] = 0.0
+        b_head.data[...] = -40.0
+        class_w = np.array([0.5, 1.0, 2.0])
+        x = np.random.default_rng(34).normal(size=(2, 2))
+        inst = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])  # the target row is silent
+        reset_tape()
+        zero_grad(bundle.parameters())
+        logits = d_forward(bundle.discriminator, f_forward(bundle.features, x), 1.0)
+        backward(adversarial_loss(logits, inst, [1, 0], class_w, True, False))
+        assert b_head.grad[:, 0] == pytest.approx(-class_w / 2, rel=1e-12)
+        assert np.all(logits.data == -40.0)
 
 
 class TestObjective:

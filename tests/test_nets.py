@@ -22,7 +22,6 @@ from pdalab.tensor import (
     grad_reverse,
     mean,
     reset_tape,
-    sigmoid,
     weighted_bce,
     zero_grad,
 )
@@ -76,8 +75,8 @@ class TestForward:
             for w, b, _ in head.layers:
                 w.data[:] = 0.0
         x = np.random.default_rng(9).normal(size=(4, 2))
-        probs = d_forward(bundle.discriminator, f_forward(bundle.features, x), 1.0)
-        assert np.allclose(probs.data, 0.5)
+        logits = d_forward(bundle.discriminator, f_forward(bundle.features, x), 1.0)
+        assert np.all(logits.data == 0.0)  # the logit of probability one half
 
     def test_dimension_mismatch_rejected(self):
         bundle = init_bundle(toy_arch(), np.random.default_rng(10))
@@ -158,13 +157,13 @@ def _head_chain(disc, k):
     return trunk + disc.heads[k].layers
 
 
-def _per_head_probs(disc, chains, features, lam):
-    """One probability column per head chain, each through its own 2-d layer
-    nodes, heads recorded in order as K separate one-column networks would be."""
+def _per_head_logits(disc, chains, features, lam):
+    """One logit column per head chain, each through its own 2-d layer nodes,
+    heads recorded in order as K separate one-column networks would be."""
     h = grad_reverse(features, lam)
     if disc.shared_trunk:
         h = disc.trunks[0].forward(h)
-    return [sigmoid(MLP(chain).forward(h)) for chain in chains]
+    return [MLP(chain).forward(h) for chain in chains]
 
 
 class TestStackedHeads:
@@ -186,19 +185,19 @@ class TestStackedHeads:
         reset_tape()
         zero_grad(disc.parameters())
         f = Tensor(x, requires_grad=True)
-        probs = d_forward(disc, f, lam)
-        backward(weighted_bce(probs, d, c))
+        logits = d_forward(disc, f, lam)
+        backward(weighted_bce(logits, d, c))
         stacked = {id(p): p.grad.copy() for p in disc.parameters()}
 
         reset_tape()
         zero_grad(disc.parameters())
         f_ref = Tensor(x, requires_grad=True)
         chains = [_head_chain(disc, k) for k in range(disc.num_heads)]
-        cols = _per_head_probs(disc, chains, f_ref, lam)
+        cols = _per_head_logits(disc, chains, f_ref, lam)
         backward(add(*[weighted_bce(col, d, c[:, k:k + 1]) for k, col in enumerate(cols)]))
 
         for k, col in enumerate(cols):
-            assert np.array_equal(probs.data[:, k], col.data[:, 0])
+            assert np.array_equal(logits.data[:, k], col.data[:, 0])
         assert np.array_equal(f.grad, f_ref.grad)
         if shared:
             for p in disc.trunks[0].parameters():

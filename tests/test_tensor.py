@@ -18,7 +18,6 @@ from pdalab.tensor import (
     mean,
     no_grad,
     reset_tape,
-    sigmoid,
     slice_rows,
     softmax_rows,
     stack_to_cols,
@@ -457,22 +456,24 @@ class TestFusedNodesMatchChains:
 
     def test_weighted_bce(self):
         rng = np.random.default_rng(13)
-        p = rng.uniform(0.01, 0.99, size=(5, 3))
-        p[0, 0], p[1, 2] = 1e-13, 1.0 - 1e-13  # both logs floored
+        z = rng.normal(scale=3.0, size=(5, 3))
+        z[0, 0], z[1, 2] = -40.0, 40.0  # saturated logits of both signs
         d = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         c = rng.uniform(0.0, 1.0, size=(5, 3))
         reset_tape()
-        pt = Tensor(p, requires_grad=True)
-        loss = weighted_bce(pt, d, c)
-        (grad,) = _tape_grads(loss, pt)
+        zt = Tensor(z, requires_grad=True)
+        loss = weighted_bce(zt, d, c)
+        (grad,) = _tape_grads(loss, zt)
 
-        dd = np.broadcast_to(d[:, None], p.shape)
-        pc, qc = np.maximum(p, LOG_FLOOR), np.maximum(1.0 - p, LOG_FLOOR)
-        bce = -(dd * np.log(pc) + (1.0 - dd) * np.log(qc))
+        dd = np.broadcast_to(d[:, None], z.shape)
+        softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        bce = np.maximum(z, 0.0) - dd * z + np.log1p(np.exp(-np.abs(z)))
         ref = np.asarray((bce * c).sum()) * float(1.0 / 5)
-        gp = -dd * (p > LOG_FLOOR) / pc + (1.0 - dd) * ((1.0 - p) > LOG_FLOOR) / qc
-        want = np.broadcast_to(1.0 * float(1.0 / 5), p.shape).copy() * c * gp
+        e = np.exp(-np.abs(z))
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        want = np.broadcast_to(1.0 * float(1.0 / 5), z.shape).copy() * c * (sig - dd)
         assert bits_equal(loss.data, ref)
+        assert np.allclose(ref, (c * (softplus - dd * z)).sum() / 5, rtol=1e-14, atol=0)
         assert bits_equal(grad, want)
 
     def test_entropy_mean(self):
@@ -525,7 +526,7 @@ def _gradcheck_primitive(name, build, sampler, trials=120, tol=1e-4, seed=1234):
 
 
 @pytest.mark.parametrize("name", [
-    "matmul", "add_bias", "mul", "relu", "mean", "sigmoid",
+    "matmul", "add_bias", "mul", "relu", "mean",
     "softmax", "cross_entropy_hard",
     "binary_cross_entropy", "entropy_rows", "slice", "stack_to_cols", "add_bias_stack",
     "batched_matmul_shared_input", "batched_matmul_stacked_input",
@@ -561,12 +562,11 @@ def test_primitive_gradients_match_finite_differences(name):
         "relu": (lambda x: mean(relu(x)),
                  lambda r: np.sign(r.normal(size=(4, 3))) * r.uniform(0.01, 2.0, size=(4, 3))),
         "mean": (lambda x: mean(T.add(x, x)), lambda r: r.normal(size=(4, 3))),
-        "sigmoid": (lambda x: mean(sigmoid(x)), lambda r: r.normal(size=(4, 3))),
         "softmax": (lambda x: mean(T.mul(softmax_rows(x), softmax_rows(x))),
                     lambda r: r.normal(size=(4, 3))),
         "cross_entropy_hard": (lambda x: cross_entropy_mean(softmax_rows(x), labels, np.ones(3)),
                                lambda r: r.normal(size=(4, 3))),
-        "binary_cross_entropy": (lambda x: weighted_bce(sigmoid(x), domains, np.ones((4, 3))),
+        "binary_cross_entropy": (lambda x: weighted_bce(x, domains, np.ones((4, 3))),
                                  lambda r: r.normal(size=(4, 3))),
         "entropy_rows": (lambda x: entropy_mean(softmax_rows(x), 1.0),
                          lambda r: r.normal(size=(4, 3))),
@@ -596,7 +596,7 @@ def test_primitive_gradients_match_finite_differences(name):
         "cross_entropy_mean_weighted": (
             lambda x: cross_entropy_mean(softmax_rows(x), labels, class_w),
             lambda r: r.normal(size=(4, 3))),
-        "weighted_bce": (lambda x: weighted_bce(sigmoid(x), targets, cols),
+        "weighted_bce": (lambda x: weighted_bce(x, targets, cols),
                          lambda r: r.normal(size=(4, 3))),
         "entropy_mean_scaled": (lambda x: entropy_mean(softmax_rows(x), 0.1),
                                 lambda r: r.normal(size=(4, 3))),
