@@ -117,12 +117,15 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "unknown keys" in capsys.readouterr().err
 
-    def test_yaml_syntax_error_is_one_line_at_its_mark(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("seed: [1\nvariant: san\n", "2:8: invalid YAML: expected ',' or ']', but got ':'"),
+        ("seed: 1\nout_dir: a\x07b\n", "2:11: invalid YAML: unacceptable character #x0007"),
+    ])
+    def test_yaml_error_is_one_line_at_its_mark(self, tmp_path, capsys, text, message):
         path = tmp_path / "c.yaml"
-        path.write_text("seed: [1\nvariant: san\n")
+        path.write_text(text)
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == \
-            f"error: {path}:2:8: invalid YAML: expected ',' or ']', but got ':'\n"
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
