@@ -22,15 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .bound import INTERMEDIATE_TOL, BoundViolationError
-from .config import (
-    ConfigError,
-    RunConfig,
-    SyntheticDataConfig,
-    dump_config,
-    load_config,
-)
+from .config import ConfigError, RunConfig, _parse_variant, dump_config, load_config
 from .data import (
     DataFormatError,
+    SyntheticSpec,
     generate_toy,
     load_experiment_data,
     load_target_data,
@@ -38,6 +33,7 @@ from .data import (
 )
 from .metrics import MetricsSchemaError, atomic_write, read_metrics, same_major, write_metrics
 from .nets import bundle_from_state, bundle_state
+from .rngstreams import substream_seed
 from .trainer import ABLATION_VARIANTS, evaluate, run_experiment
 
 MODEL_SCHEMA_VERSION = "1.0"
@@ -58,8 +54,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "variant", None) is not None:
-        cfg = replace(cfg, variant=args.variant)
-    cfg.flags()  # validate
+        cfg = replace(cfg, variant=_parse_variant(args.variant, "variant"))
     return cfg
 
 
@@ -72,12 +67,16 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _load_data(cfg: RunConfig):
-    """Returns (source, target, oracle, num_classes, resolved_data_config)."""
-    if isinstance(cfg.data, SyntheticDataConfig):
-        spec = cfg.data.to_spec(cfg.seed)
+    """Returns (source, target, oracle, num_classes, resolved_data_config).
+
+    A synthetic spec with a null seed takes one derived from the
+    experiment seed; the resolved spec records it.
+    """
+    if isinstance(cfg.data, SyntheticSpec):
+        spec = cfg.data if cfg.data.seed is not None \
+            else replace(cfg.data, seed=substream_seed(cfg.seed, "datagen"))
         source, target, oracle = generate_toy(spec)
-        resolved = replace(cfg.data, seed=spec.seed)
-        return source, target, oracle, spec.num_source_classes, resolved
+        return source, target, oracle, spec.num_source_classes, spec
     source, target, oracle, k = load_experiment_data(cfg.data.source, cfg.data.target,
                                                      cfg.data.metadata)
     return source, target, oracle, k, cfg.data
@@ -93,13 +92,11 @@ def _write_confusion(path, confusion: np.ndarray) -> None:
 
 def cmd_generate_data(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    if not isinstance(cfg.data, SyntheticDataConfig):
+    if not isinstance(cfg.data, SyntheticSpec):
         raise ConfigError("generate-data requires a synthetic data section")
-    spec = cfg.data.to_spec(cfg.seed)
-    source, target, oracle = generate_toy(spec)
+    source, target, oracle, k, _ = _load_data(cfg)
     out = _out_dir(cfg)
-    paths = save_experiment_data(out, source, target, oracle,
-                                 spec.num_source_classes)
+    paths = save_experiment_data(out, source, target, oracle, k)
     print(f"wrote {paths['source']} ({len(source)} rows), "
           f"{paths['target']} ({len(target)} rows), {paths['metadata']}")
     return 0
@@ -165,36 +162,29 @@ def cmd_bound_trace(args) -> int:
     return 0
 
 
-def _ablate_one(payload: tuple[dict, str, int]) -> tuple[str, int, float]:
-    cfg_dict, variant_name, seed = payload
-    cfg = replace(RunConfig.from_dict(cfg_dict), seed=seed, variant=variant_name)
+def _ablate_one(cfg: RunConfig) -> float:
+    """Final target accuracy of one ablation run; runs in a pool worker."""
     source, target, oracle, k, _ = _load_data(cfg)
     if oracle is None:
         raise ConfigError("ablate requires oracle target labels for accuracy")
     arch = cfg.arch.to_arch(source.dim, k)
     result = run_experiment(source, target, oracle, arch, cfg.flags(),
                             cfg.schedule, cfg.seed)
-    return variant_name, seed, result.records[-1].target_accuracy
+    return result.records[-1].target_accuracy
 
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     seeds = [cfg.seed + i for i in range(args.seeds)]
-    jobs = [(cfg.to_dict(), name, seed)
+    jobs = [replace(cfg, variant=name, seed=seed)
             for name in ABLATION_VARIANTS for seed in seeds]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_ablate_one, jobs))
-    else:
-        results = [_ablate_one(job) for job in jobs]
-    by_variant: dict[str, dict[int, float]] = {name: {} for name in ABLATION_VARIANTS}
-    for name, seed, acc in results:
-        by_variant[name][seed] = acc
+    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        results = list(pool.map(_ablate_one, jobs))
 
     lines = ["variant,seeds,mean_accuracy,std_accuracy"]
     print(f"{'variant':30s} {'mean':>8s} {'std':>8s}")
-    for name in ABLATION_VARIANTS:
-        accs = np.array([by_variant[name][s] for s in seeds])
+    for i, name in enumerate(ABLATION_VARIANTS):
+        accs = np.array(results[i * len(seeds):(i + 1) * len(seeds)])
         lines.append(f"{name},{len(seeds)},{float(accs.mean())!r},{float(accs.std())!r}")
         print(f"{name:30s} {accs.mean():8.4f} {accs.std():8.4f}")
     if args.out:

@@ -12,43 +12,18 @@ outputs replays the run exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import yaml
 
 from .data import SyntheticSpec
 from .metrics import from_plain, to_plain
 from .nets import ArchSpec
-from .rngstreams import substream_seed
-from .trainer import NAMED_VARIANTS, Schedule, VariantFlags, resolve_variant
+from .trainer import NAMED_VARIANTS, Schedule, VariantFlags
 
 
 class ConfigError(ValueError):
     """The configuration is malformed or fails validation."""
-
-
-@dataclass(frozen=True)
-class SyntheticDataConfig:
-    """SyntheticSpec fields; a null seed derives from the experiment seed."""
-
-    dim: int = 2
-    num_source_classes: int = 5
-    shared_classes: tuple[int, ...] = (0, 1, 2)
-    samples_per_class: int = 100
-    cluster_means: tuple[tuple[float, ...], ...] | None = None
-    cluster_std: float = 0.35
-    target_rotation: float = 0.3
-    target_shift: tuple[float, ...] = (0.5, 0.5)
-    seed: int | None = None
-
-    def to_spec(self, experiment_seed: int) -> SyntheticSpec:
-        seed = self.seed if self.seed is not None \
-            else substream_seed(experiment_seed, "datagen")
-        try:
-            return SyntheticSpec(**{f.name: getattr(self, f.name) for f in fields(self)}
-                                 | {"seed": seed})
-        except ValueError as exc:
-            raise ConfigError(f"data.synthetic: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -86,15 +61,15 @@ def _parse_variant(value, where: str) -> str | VariantFlags:
 class _DataSection:
     """The ``data`` mapping: one of its two kinds, synthetic if neither."""
 
-    synthetic: SyntheticDataConfig | None = None
+    synthetic: SyntheticSpec | None = None
     csv: CsvDataConfig | None = None
 
 
-def _parse_data(value, where: str) -> SyntheticDataConfig | CsvDataConfig:
+def _parse_data(value, where: str) -> SyntheticSpec | CsvDataConfig:
     section = from_plain(_DataSection, value, where)
     if section.synthetic is not None and section.csv is not None:
         raise ConfigError(f"{where}: specify either synthetic or csv, not both")
-    return section.csv or section.synthetic or SyntheticDataConfig()
+    return section.csv or section.synthetic or SyntheticSpec()
 
 
 @dataclass(frozen=True)
@@ -102,19 +77,18 @@ class RunConfig:
     seed: int = 0
     out_dir: str | None = None
     variant: str | VariantFlags = "san_pp"
-    data: SyntheticDataConfig | CsvDataConfig = field(default_factory=SyntheticDataConfig)
+    data: SyntheticSpec | CsvDataConfig = field(default_factory=SyntheticSpec)
     arch: ArchConfig = field(default_factory=ArchConfig)
     schedule: Schedule = field(default_factory=Schedule)
 
     def flags(self) -> VariantFlags:
-        try:
-            return resolve_variant(self.variant)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"variant: {exc}") from None
+        if isinstance(self.variant, VariantFlags):
+            return self.variant
+        return NAMED_VARIANTS[self.variant]
 
     def to_dict(self) -> dict:
         d = to_plain(self)
-        kind = "synthetic" if isinstance(self.data, SyntheticDataConfig) else "csv"
+        kind = "synthetic" if isinstance(self.data, SyntheticSpec) else "csv"
         d["data"] = {kind: d["data"]}
         return d
 

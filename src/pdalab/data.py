@@ -75,7 +75,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Layout of the toy problem: 5 source classes, 3 shared by default."""
+    """Layout of the toy problem: 5 source classes, 3 shared by default.
+
+    A None ``seed`` is left to the caller to derive (the CLI derives it
+    from the experiment seed); :func:`generate_toy` needs it set.
+    """
 
     dim: int = 2
     num_source_classes: int = 5
@@ -85,7 +89,7 @@ class SyntheticSpec:
     cluster_std: float = 0.35
     target_rotation: float = 0.3
     target_shift: tuple[float, ...] = (0.5, 0.5)
-    seed: int = 0
+    seed: int | None = None
 
     def __post_init__(self):
         shared = tuple(sorted(set(int(c) for c in self.shared_classes)))
@@ -125,6 +129,8 @@ def _rotation_matrix(dim: int, angle: float) -> np.ndarray:
 
 def generate_toy(spec: SyntheticSpec) -> tuple[Dataset, Dataset, OracleContext]:
     """Source dataset, unlabeled target dataset, and the oracle context."""
+    if spec.seed is None:  # default_rng(None) would draw fresh entropy
+        raise ValueError("generate_toy needs a seeded SyntheticSpec, got seed None")
     rng = np.random.default_rng(spec.seed)
     means = spec.resolved_means()
     n = spec.samples_per_class

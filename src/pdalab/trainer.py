@@ -90,18 +90,6 @@ ABLATION_VARIANTS: dict[str, VariantFlags] = {
 NAMED_VARIANTS: dict[str, VariantFlags] = {**ABLATION_VARIANTS, **PRESETS}
 
 
-def resolve_variant(variant) -> VariantFlags:
-    if isinstance(variant, VariantFlags):
-        return variant
-    if isinstance(variant, str):
-        try:
-            return NAMED_VARIANTS[variant]
-        except KeyError:
-            raise ValueError(f"unknown variant {variant!r}; "
-                             f"known: {sorted(NAMED_VARIANTS)}") from None
-    raise TypeError("variant must be a name or VariantFlags")
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Optimization schedule; defaults are calibrated for the toy task.

@@ -1,23 +1,23 @@
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 import yaml
 
+from pdalab.cli import _load_data
 from pdalab.cli import main as cli_main
 from pdalab.config import (
     ArchConfig,
     ConfigError,
     CsvDataConfig,
     RunConfig,
-    SyntheticDataConfig,
     dump_config,
     load_config,
 )
 from pdalab.data import SyntheticSpec
 from pdalab.nets import ArchSpec
-from pdalab.trainer import Schedule, VariantFlags
+from pdalab.trainer import PRESETS, Schedule, VariantFlags
 
 
 class TestParsing:
@@ -25,7 +25,7 @@ class TestParsing:
         cfg = RunConfig.from_dict({})
         assert cfg.seed == 0
         assert cfg.variant == "san_pp"
-        assert isinstance(cfg.data, SyntheticDataConfig)
+        assert isinstance(cfg.data, SyntheticSpec)
         assert cfg.schedule == Schedule()
         assert cfg.arch == ArchConfig()
 
@@ -51,6 +51,7 @@ class TestParsing:
         cfg = RunConfig.from_dict({"variant": {"instance_sel": True,
                                                "adversary": "multi"}})
         assert cfg.flags() == VariantFlags(instance_sel=True, adversary="multi")
+        assert RunConfig.from_dict({"variant": "dann"}).flags() == PRESETS["dann"]
 
     def test_invalid_flag_combo_rejected(self):
         with pytest.raises(ConfigError):
@@ -80,10 +81,7 @@ class TestParsing:
 
     def test_defaults_match_the_specs(self):
         cfg = RunConfig.from_dict({})
-        spec = SyntheticSpec()
-        names = [f.name for f in fields(SyntheticSpec) if f.name != "seed"]
-        assert [f.name for f in fields(SyntheticDataConfig)] == names + ["seed"]
-        assert [getattr(cfg.data, n) for n in names] == [getattr(spec, n) for n in names]
+        assert cfg.data == SyntheticSpec()
         arch = ArchSpec(in_dim=1, num_classes=1)
         assert [(f.name, getattr(cfg.arch, f.name)) for f in fields(ArchConfig)] == \
             [("hidden", arch.hidden), ("disc_hidden", arch.disc_hidden)]
@@ -165,19 +163,21 @@ class TestRoundTrip:
 
 
 class TestSeedDerivation:
+    @staticmethod
+    def data_seed(raw: dict, experiment_seed: int) -> int:
+        """The data seed the CLI's data path resolves for a config."""
+        cfg = replace(RunConfig.from_dict(raw), seed=experiment_seed)
+        return _load_data(cfg)[4].seed
+
     def test_null_data_seed_follows_experiment_seed(self):
-        data = SyntheticDataConfig()
-        spec_a = data.to_spec(1)
-        spec_b = data.to_spec(1)
-        spec_c = data.to_spec(2)
-        assert spec_a.seed == spec_b.seed
-        assert spec_a.seed != spec_c.seed
+        assert self.data_seed({}, 1) == self.data_seed({}, 1)
+        assert self.data_seed({}, 1) != self.data_seed({}, 2)
 
     def test_explicit_data_seed_pins_data(self):
-        data = SyntheticDataConfig(seed=42)
-        assert data.to_spec(1).seed == 42
-        assert data.to_spec(99).seed == 42
+        raw = {"data": {"synthetic": {"seed": 42}}}
+        assert self.data_seed(raw, 1) == 42
+        assert self.data_seed(raw, 99) == 42
 
     def test_invalid_synthetic_section_raises_config_error(self):
-        with pytest.raises(ConfigError):
-            SyntheticDataConfig(shared_classes=(9,)).to_spec(0)
+        with pytest.raises(ConfigError, match="^data.synthetic: shared classes"):
+            RunConfig.from_dict({"data": {"synthetic": {"shared_classes": [9]}}})

@@ -22,7 +22,7 @@ from pdalab.data import (
 
 class TestGenerateToy:
     def test_default_layout(self):
-        source, target, oracle = generate_toy(SyntheticSpec())
+        source, target, oracle = generate_toy(SyntheticSpec(seed=0))
         assert len(source) == 500
         assert len(target) == 300
         assert sorted(set(source.y.tolist())) == [0, 1, 2, 3, 4]
@@ -33,7 +33,7 @@ class TestGenerateToy:
 
     def test_zero_shift_zero_std_targets_on_means(self):
         spec = SyntheticSpec(cluster_std=0.0, target_rotation=0.0,
-                             target_shift=(0.0, 0.0), samples_per_class=3)
+                             target_shift=(0.0, 0.0), samples_per_class=3, seed=0)
         source, target, oracle = generate_toy(spec)
         means = spec.resolved_means()
         for i in range(len(target)):
@@ -55,6 +55,10 @@ class TestGenerateToy:
             bound = 3.0 * spec.cluster_std / np.sqrt(spec.samples_per_class)
             assert np.abs(emp - means[c]).max() < bound * 2.5  # slack for 2 dims
 
+    def test_unseeded_spec_rejected(self):
+        with pytest.raises(ValueError, match="seed None"):
+            generate_toy(SyntheticSpec())
+
     def test_invalid_shared_set_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(shared_classes=(0, 7))
@@ -64,7 +68,7 @@ class TestGenerateToy:
     def test_explicit_means(self):
         spec = SyntheticSpec(cluster_means=((0, 0), (1, 0), (0, 1), (1, 1), (2, 2)),
                              cluster_std=0.0, target_rotation=0.0,
-                             target_shift=(0.0, 0.0), samples_per_class=1)
+                             target_shift=(0.0, 0.0), samples_per_class=1, seed=0)
         source, _, _ = generate_toy(spec)
         assert np.allclose(source.x[0], [0.0, 0.0])
         assert np.allclose(source.x[4], [2.0, 2.0])

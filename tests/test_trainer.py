@@ -20,7 +20,6 @@ from pdalab.trainer import (
     evaluate,
     lr_at,
     predict,
-    resolve_variant,
     run_experiment,
     train_epoch,
 )
@@ -145,12 +144,6 @@ class TestVariants:
             assert row.shared_trunk == sh
         assert rows[0].adversary == "none"
         assert all(r.adversary == "multi" for r in rows[1:])
-
-    def test_resolve_variant_forms(self):
-        assert resolve_variant("dann") == PRESETS["dann"]
-        assert resolve_variant(PRESETS["san"]) == PRESETS["san"]
-        with pytest.raises(ValueError):
-            resolve_variant("unknown_variant")
 
     def test_invalid_flag_combinations(self):
         with pytest.raises(ValueError):
