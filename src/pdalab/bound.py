@@ -159,6 +159,18 @@ def _fit_logistic(x, y):
     return theta[:-1], theta[-1]
 
 
+def proxy_test_rows(n: int, what: str = "rows") -> int:
+    """Held-out rows of ``n`` in the divergence proxy's train/test split.
+
+    Raises ValueError unless both parts of the split are nonempty.
+    """
+    n_test = int(round(n * PROXY_TEST_FRACTION))
+    if not 1 <= n_test < n:
+        raise ValueError(f"{n} {what} are too few for the divergence proxy's "
+                         "train/test split")
+    return n_test
+
+
 def estimate_hdh_divergence(source_features, target_features,
                             rng: np.random.Generator) -> float:
     """Proxy divergence 2*(1 - 2*eps), floored at 0.
@@ -177,10 +189,8 @@ def estimate_hdh_divergence(source_features, target_features,
     xt = np.asarray(target_features, dtype=np.float64)
     if xs.ndim != 2 or xt.ndim != 2 or xs.shape[0] == 0 or xt.shape[0] == 0:
         raise ValueError("both feature sets must be nonempty 2-d arrays")
-    n_test_s = int(round(xs.shape[0] * PROXY_TEST_FRACTION))
-    n_test_t = int(round(xt.shape[0] * PROXY_TEST_FRACTION))
-    if n_test_s < 1 or n_test_t < 1 or n_test_s >= xs.shape[0] or n_test_t >= xt.shape[0]:
-        raise ValueError("degenerate train/test split sizes")
+    n_test_s = proxy_test_rows(xs.shape[0], "source rows")
+    n_test_t = proxy_test_rows(xt.shape[0], "target rows")
     ps = rng.permutation(xs.shape[0])
     pt = rng.permutation(xt.shape[0])
     xs_tr, xs_te = xs[ps[n_test_s:]], xs[ps[:n_test_s]]

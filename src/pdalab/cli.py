@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import INTERMEDIATE_TOL, BoundViolationError
+from .bound import INTERMEDIATE_TOL, BoundViolationError, in_classes, proxy_test_rows
 from .config import ConfigError, RunConfig, _parse_variant, dump_config, load_config
 from .data import (
     DataFormatError,
@@ -70,16 +70,32 @@ def _load_data(cfg: RunConfig):
     """Returns (source, target, oracle, num_classes, resolved_data_config).
 
     A synthetic spec with a null seed takes one derived from the
-    experiment seed; the resolved spec records it.
+    experiment seed; the resolved spec records it.  Data the run cannot
+    use fails here, before any output: a domain smaller than a batch,
+    or, with oracle labels, one the bound audit cannot split.
     """
     if isinstance(cfg.data, SyntheticSpec):
         spec = cfg.data if cfg.data.seed is not None \
             else replace(cfg.data, seed=substream_seed(cfg.seed, "datagen"))
         source, target, oracle = generate_toy(spec)
-        return source, target, oracle, spec.num_source_classes, spec
-    source, target, oracle, k = load_experiment_data(cfg.data.source, cfg.data.target,
-                                                     cfg.data.metadata)
-    return source, target, oracle, k, cfg.data
+        k, resolved, names = spec.num_source_classes, spec, ("data.synthetic",) * 2
+    else:
+        source, target, oracle, k = load_experiment_data(cfg.data.source, cfg.data.target,
+                                                         cfg.data.metadata)
+        resolved, names = cfg.data, (cfg.data.source, cfg.data.target)
+    if oracle is not None:  # check_bound splits these rows of each domain
+        shared = int(in_classes(source.y, oracle.shared_classes).sum())
+        for where, n, what in ((names[0], shared, "source rows in the shared classes"),
+                               (names[1], len(target), "target rows")):
+            try:
+                proxy_test_rows(n, what)
+            except ValueError as exc:
+                raise DataFormatError(f"{where}: {exc}") from None
+    rows, domain = min((len(source), "source"), (len(target), "target"))
+    if cfg.schedule.batch_size > rows:
+        raise ConfigError(f"schedule.batch_size: {cfg.schedule.batch_size} exceeds "
+                          f"the {rows} rows of the {domain} domain")
+    return source, target, oracle, k, resolved
 
 
 def _write_confusion(path, confusion: np.ndarray) -> None:

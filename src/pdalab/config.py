@@ -102,8 +102,32 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
+class _DuplicateKeyError(yaml.MarkedYAMLError):
+    """A key given twice in one mapping: valid YAML syntax, so not "invalid YAML"."""
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.safe_load``'s loader, except that a mapping may not repeat a key.
+
+    Keys merged in with ``<<`` may still be overridden, as YAML allows.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        own_keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in own_keys:
+            key = self.constructed_objects[key_node]
+            if key in seen:
+                raise _DuplicateKeyError(problem=f"duplicate key {key!r}",
+                                         problem_mark=key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def load_config(path) -> RunConfig:
-    """Read a config file; a YAML error is one line naming its line and column."""
+    """Read a config file; every error is one line naming the file, and a
+    YAML error or a repeated key also its line and column."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -111,17 +135,21 @@ def load_config(path) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
+        kind = "" if isinstance(exc, _DuplicateKeyError) else "invalid YAML: "
         raise ConfigError(f"{path}:{mark.line + 1}:{mark.column + 1}: "
-                          f"invalid YAML: {exc.problem}") from None
+                          f"{kind}{exc.problem}") from None
     except yaml.reader.ReaderError as exc:  # a character YAML does not allow
         line = text.count("\n", 0, exc.position) + 1
         col = exc.position - text.rfind("\n", 0, exc.position)
         raise ConfigError(f"{path}:{line}:{col}: invalid YAML: "
                           f"unacceptable character #x{exc.character:04x}") from None
-    return RunConfig.from_dict(raw)
+    try:
+        return RunConfig.from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -7,6 +7,7 @@ import yaml
 from pdalab.cli import BOUND_TRACE_COLUMNS, main
 from pdalab.config import load_config
 from pdalab.metrics import read_metrics
+from pdalab.trainer import NAMED_VARIANTS
 
 
 def write_config(path, **overrides):
@@ -120,6 +121,9 @@ class TestTrain:
     @pytest.mark.parametrize("text, message", [
         ("seed: [1\nvariant: san\n", "2:8: invalid YAML: expected ',' or ']', but got ':'"),
         ("seed: 1\nout_dir: a\x07b\n", "2:11: invalid YAML: unacceptable character #x0007"),
+        ("seed: 1\nseed: 2\n", "2:1: duplicate key 'seed'"),
+        ("schedule:\n  eta0: 0.1\n  total_epochs: 3\n  eta0: 0.2\n", "4:3: duplicate key 'eta0'"),
+        ("variant: {adversary: single, adversary: multi}\n", "1:30: duplicate key 'adversary'"),
     ])
     def test_yaml_error_is_one_line_at_its_mark(self, tmp_path, capsys, text, message):
         path = tmp_path / "c.yaml"
@@ -451,3 +455,80 @@ class TestTargetLabels:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "effective_config.yaml", "metrics.jsonl", "model.json", "run_log.txt"]
+
+
+def _assert_one_error_line(tmp_path, err, expected):
+    """The whole stderr is ``expected``, and no output directory was made."""
+    assert err == f"error: {expected}\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+class TestConfigFileErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("42\n", "expected a mapping, got int"),
+        ("seed: 1e400\n", "seed: expected int, got str"),
+    ], ids=["not_a_mapping", "str_for_int"])
+    def test_value_error_names_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err, f"{path}: {message}")
+
+    def test_variant_flag_and_file_give_the_same_message(self, tmp_path, capsys):
+        message = f"variant: unknown name 'bogus'; known: {sorted(NAMED_VARIANTS)}"
+        path = write_config(tmp_path / "c.yaml")
+        assert main(["train", "--config", str(path), "--variant", "bogus",
+                     "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err, message)
+        bad = write_config(tmp_path / "bad.yaml", variant="bogus")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err, f"{bad}: {message}")
+
+
+class TestDataTheRunCannotUse:
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_batch_larger_than_a_domain_names_the_key(self, tmp_path, capfd, command):
+        path = write_config(tmp_path / "c.yaml", data={"synthetic": {"seed": 1}},
+                            schedule={"batch_size": 400})
+        args = ["--seeds", "1"] if command == "ablate" else []
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")] + args) == 1
+        _assert_one_error_line(tmp_path, capfd.readouterr().err,
+                               "schedule.batch_size: 400 exceeds the 300 rows "
+                               "of the target domain")
+
+    def test_source_csv_too_small_for_the_audit_split_names_the_file(self, tmp_path, capsys):
+        cfg = _csv_train_config(tmp_path)
+        source = tmp_path / "data" / "source.csv"
+        source.write_text("\n".join(source.read_text().splitlines()[:3]) + "\n")
+        write_config(cfg, data=yaml.safe_load(cfg.read_text())["data"],
+                     schedule={"total_epochs": 1, "batch_size": 1})
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err,
+                               f"{source}: 2 source rows in the shared classes are too few "
+                               "for the divergence proxy's train/test split")
+
+    def test_synthetic_domain_too_small_for_the_audit_split_names_the_section(
+            self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.yaml",
+                            data={"synthetic": {"samples_per_class": 2,
+                                                "shared_classes": [0]}},
+                            schedule={"total_epochs": 1, "batch_size": 1})
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err,
+                               "data.synthetic: 2 source rows in the shared classes are "
+                               "too few for the divergence proxy's train/test split")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_ablate_worker_error_is_one_line(self, tmp_path, capfd, workers):
+        cfg = _csv_train_config(tmp_path)
+        source = tmp_path / "data" / "source.csv"
+        lines = source.read_text().splitlines()
+        lines[4] = lines[4].replace(lines[4].split(",")[0], "nan", 1)
+        source.write_text("\n".join(lines) + "\n")
+        capfd.readouterr()
+        assert main(["ablate", "--config", str(cfg), "--seeds", "2", "--workers", workers,
+                     "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capfd.readouterr().err,
+                               f"{source}:5: non-finite feature value")

@@ -106,7 +106,7 @@ def test_mistyped_value_is_rejected_at_its_key_path(raw, path, tmp_path, capsys)
     cfg.write_text(yaml.safe_dump(raw))
     assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: expected ") and err.count("\n") == 1
+    assert err.startswith(f"error: {cfg}: {path}: expected ") and err.count("\n") == 1
 
 
 NON_FINITE = [("schedule:\n  eta0: .inf\n", "schedule.eta0", "inf"),
@@ -127,7 +127,7 @@ def test_non_finite_value_is_rejected_at_its_key_path(text, path, shown, tmp_pat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert not out.exists()
 
 
@@ -154,6 +154,15 @@ class TestRoundTrip:
         again = load_config(path)
         assert again == cfg
         assert dump_config(again) == dump_config(cfg)
+
+    def test_merged_keys_may_still_be_overridden(self, tmp_path):
+        text = ("variant:\n  <<: {adversary: single, shared_trunk: false}\n"
+                "  adversary: multi\n")
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        assert load_config(path) == RunConfig.from_dict(yaml.safe_load(text))
+        assert load_config(path).flags() == VariantFlags(adversary="multi",
+                                                         shared_trunk=False)
 
     def test_defaults_are_not_hidden_in_serialized_form(self):
         d = RunConfig.from_dict({}).to_dict()
