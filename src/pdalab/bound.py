@@ -11,7 +11,9 @@ where delta_bar is the mean complement of the row-max confidence,
 e_type1 the fraction of target predictions falling outside the shared
 class set, and e_tgt_shared the error of the shared-class-restricted
 argmax against the true labels.  This intermediate inequality holds
-verbatim for the empirical measure and is asserted on every report.
+verbatim for the empirical measure; :func:`intermediate_terms` computes
+these terms and asserts it, for every report and wherever the report
+itself is not wanted.
 
 The full right-hand side swaps the target restricted error for the
 source one plus a feature-distribution divergence.  The divergence is
@@ -211,20 +213,39 @@ def estimate_hdh_divergence(source_features, target_features,
     return max(0.0, 2.0 * (1.0 - 2.0 * eps))
 
 
-def check_bound(target_preds, oracle: OracleContext, source_preds, source_labels,
-                source_features, target_features, rng: np.random.Generator,
-                epoch: int = 0) -> BoundReport:
-    """Compute every bound term and assert the intermediate inequality.
+def intermediate_terms(target_preds, oracle: OracleContext, epoch: int = 0) -> dict:
+    """The target-side bound terms, after asserting the intermediate inequality.
 
-    The source-side error and divergence proxy are evaluated on the
-    source subdomain restricted to the shared classes.
+    Returns ``delta_bar``, ``e_type1``, ``e_tgt_shared``, ``w_error_l1``
+    and ``rhs_intermediate``, keyed by their BoundReport field names.
+    Raises BoundViolationError, naming ``epoch``, if ``w_error_l1``
+    exceeds ``rhs_intermediate`` by more than INTERMEDIATE_TOL.
     """
     p_t = _pred_matrix(target_preds)
     db = delta_bar(p_t)
     e1 = type1_error(p_t, oracle.shared_classes)
     e_tgt = shared_error(p_t, oracle.target_labels, oracle.shared_classes)
     w_err = w_estimation_error(p_t, oracle)
+    rhs_i = 2.0 * (db + e1 + e_tgt)
+    if w_err > rhs_i + INTERMEDIATE_TOL:
+        raise BoundViolationError(
+            f"intermediate inequality violated: {w_err} > {rhs_i} (epoch {epoch})")
+    return {"delta_bar": db, "e_type1": e1, "e_tgt_shared": e_tgt,
+            "w_error_l1": w_err, "rhs_intermediate": rhs_i}
 
+
+def check_bound(target_preds, oracle: OracleContext, source_preds, source_labels,
+                source_features, target_features, rng: np.random.Generator,
+                epoch: int = 0) -> BoundReport:
+    """Every bound term: the asserted :func:`intermediate_terms` plus the
+    reported source-side error and divergence proxy.
+
+    The source-side terms are evaluated on the source rows whose labels
+    lie in the shared classes; the others are dropped here, so callers
+    may pass every source row or only those.  The proxy draws its split
+    from ``rng``.
+    """
+    terms = intermediate_terms(target_preds, oracle, epoch)
     src_labels = np.asarray(source_labels)
     shared_mask = in_classes(src_labels, oracle.shared_classes)
     if not shared_mask.any():
@@ -233,12 +254,6 @@ def check_bound(target_preds, oracle: OracleContext, source_preds, source_labels
     e_src = shared_error(p_s[shared_mask], src_labels[shared_mask], oracle.shared_classes)
     d_proxy = estimate_hdh_divergence(np.asarray(source_features)[shared_mask],
                                       target_features, rng)
-
-    rhs_i = 2.0 * (db + e1 + e_tgt)
-    rhs_f = 2.0 * (db + e1 + e_src + d_proxy)
-    if w_err > rhs_i + INTERMEDIATE_TOL:
-        raise BoundViolationError(
-            f"intermediate inequality violated: {w_err} > {rhs_i} (epoch {epoch})")
-    return BoundReport(delta_bar=db, e_type1=e1, e_src_shared=e_src,
-                       e_tgt_shared=e_tgt, d_hdh_proxy=d_proxy, w_error_l1=w_err,
-                       rhs_intermediate=rhs_i, rhs_full=rhs_f, epoch=epoch)
+    rhs_f = 2.0 * (terms["delta_bar"] + terms["e_type1"] + e_src + d_proxy)
+    return BoundReport(**terms, e_src_shared=e_src, d_hdh_proxy=d_proxy,
+                       rhs_full=rhs_f, epoch=epoch)

@@ -31,7 +31,15 @@ from .data import (
     load_target_data,
     save_experiment_data,
 )
-from .metrics import MetricsSchemaError, atomic_write, read_metrics, same_major, write_metrics
+from .metrics import (
+    DuplicateKeyError,
+    MetricsSchemaError,
+    atomic_write,
+    read_metrics,
+    same_major,
+    unique_keys,
+    write_metrics,
+)
 from .nets import bundle_from_state, bundle_state
 from .rngstreams import substream_seed
 from .trainer import ABLATION_VARIANTS, evaluate, run_experiment
@@ -179,13 +187,17 @@ def cmd_bound_trace(args) -> int:
 
 
 def _ablate_one(cfg: RunConfig) -> float:
-    """Final target accuracy of one ablation run; runs in a pool worker."""
+    """Final target accuracy of one ablation run; runs in a pool worker.
+
+    The run asserts the bound's intermediate inequality every epoch but
+    skips the reported terms, which the ablation table does not hold.
+    """
     source, target, oracle, k, _ = _load_data(cfg)
     if oracle is None:
         raise ConfigError("ablate requires oracle target labels for accuracy")
     arch = cfg.arch.to_arch(source.dim, k)
     result = run_experiment(source, target, oracle, arch, cfg.flags(),
-                            cfg.schedule, cfg.seed)
+                            cfg.schedule, cfg.seed, full_audit=False)
     return result.records[-1].target_accuracy
 
 
@@ -215,7 +227,9 @@ def cmd_ablate(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         try:
-            snapshot = json.load(fh)
+            snapshot = json.load(fh, object_pairs_hook=unique_keys)
+        except DuplicateKeyError as exc:
+            raise ValueError(f"{args.model}: {exc}") from None
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"{args.model}: not a JSON model snapshot ({exc})") from None
     if not isinstance(snapshot, dict):

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .bound import OracleContext, in_classes
-from .metrics import atomic_write, from_plain, to_plain
+from .metrics import DuplicateKeyError, atomic_write, from_plain, to_plain, unique_keys
 
 UNLABELED = -1
 # Default cluster layout: a circle whose radius and phase are calibrated so
@@ -241,7 +241,9 @@ def load_metadata(path) -> Metadata:
     """Read a metadata file; keys other than Metadata's fields are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique_keys)
+        except DuplicateKeyError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
         except ValueError as exc:  # not JSON, or not UTF-8
             raise DataFormatError(f"{path}: not a JSON metadata file ({exc})") from None
     try:

@@ -8,8 +8,9 @@ files must be byte-identical across reruns of the same (config, seed).
 
 :func:`to_plain` and :func:`from_plain` are the one serializer and the
 one reader of every document pdalab reads or writes (run config,
-metrics records, dataset metadata); :func:`atomic_write` is the one way
-an output file is written.
+metrics records, dataset metadata); :func:`unique_keys` rejects a
+repeated key in every JSON document read; :func:`atomic_write` is the
+one way an output file is written.
 """
 
 from __future__ import annotations
@@ -31,6 +32,22 @@ SCHEMA_VERSION = "1.0"
 
 class MetricsSchemaError(ValueError):
     """A metrics file uses an unsupported schema version."""
+
+
+class DuplicateKeyError(ValueError):
+    """A JSON object gives one key twice."""
+
+
+def unique_keys(pairs) -> dict:
+    """The ``object_pairs_hook`` of every JSON document pdalab reads: the
+    object as a dict, or DuplicateKeyError at its first repeated key, which
+    ``json`` alone would let the last occurrence win."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DuplicateKeyError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def to_plain(value):
@@ -176,7 +193,8 @@ def read_metrics(path) -> list[MetricsRecord]:
             if not line:
                 continue
             try:
-                records.append(MetricsRecord.from_dict(json.loads(line)))
+                records.append(MetricsRecord.from_dict(
+                    json.loads(line, object_pairs_hook=unique_keys)))
             except MetricsSchemaError as exc:
                 raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
             except ValueError as exc:

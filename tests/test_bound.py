@@ -12,6 +12,7 @@ from pdalab.bound import (
     delta_bar,
     estimate_hdh_divergence,
     in_classes,
+    intermediate_terms,
     restricted_argmax,
     shared_error,
     type1_error,
@@ -332,3 +333,35 @@ class TestCheckBound:
         assert rep.delta_bar == 0.0
         assert rep.e_type1 == 0.0
         assert rep.e_tgt_shared == 0.0
+
+    def test_intermediate_terms_are_the_report_fields(self):
+        oracle, tp, sp, sl, sf, tf = self._inputs(2)
+        rep = check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(3), epoch=5)
+        terms = intermediate_terms(tp, oracle, epoch=5)
+        assert set(terms) == {"delta_bar", "e_type1", "e_tgt_shared", "w_error_l1",
+                              "rhs_intermediate"}
+        assert terms == {name: getattr(rep, name) for name in terms}
+
+    def test_shared_source_rows_alone_give_the_same_report(self):
+        oracle, tp, sp, sl, sf, tf = self._inputs(3)
+        shared = in_classes(sl, oracle.shared_classes)
+        every_row = check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(4))
+        shared_rows = check_bound(tp, oracle, sp[shared], sl[shared], sf[shared], tf,
+                                  np.random.default_rng(4))
+        assert every_row == shared_rows
+
+    def test_violation_names_the_epoch_before_any_proxy_fit(self, monkeypatch):
+        import pdalab.bound
+
+        def no_proxy(*args):
+            raise AssertionError("the proxy ran before the assertion")
+
+        monkeypatch.setattr(pdalab.bound, "w_estimation_error", lambda *args: 10.0)
+        monkeypatch.setattr(pdalab.bound, "estimate_hdh_divergence", no_proxy)
+        oracle, tp, sp, sl, sf, tf = self._inputs(4)
+        for audit in (lambda: intermediate_terms(tp, oracle, epoch=6),
+                      lambda: check_bound(tp, oracle, sp, sl, sf, tf,
+                                          np.random.default_rng(0), epoch=6)):
+            with pytest.raises(BoundViolationError, match=r"^intermediate inequality "
+                                                          r"violated: 10\.0 > .* \(epoch 6\)$"):
+                audit()

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,6 +287,83 @@ class TestAblate:
             (out_b / "ablation.csv").read_text()
 
 
+class TestAblateAudit:
+    """``ablate`` asserts the bound's intermediate inequality every epoch and
+    computes none of the reported terms."""
+
+    @staticmethod
+    def _job(tmp_path, variant="san_pp", seed=3):
+        cfg = load_config(write_config(tmp_path / "c.yaml",
+                                       schedule={"total_epochs": 4, "warmup_epochs": 1,
+                                                 "batch_size": 8, "eta0": 0.05}))
+        return replace(cfg, variant=NAMED_VARIANTS[variant], seed=seed)
+
+    def test_runs_no_proxy_and_no_source_forward(self, tmp_path, monkeypatch):
+        import pdalab.bound
+        import pdalab.trainer
+        from pdalab.cli import _ablate_one, _load_data
+        from pdalab.trainer import run_experiment
+
+        cfg = self._job(tmp_path)
+        source, target, oracle, k, _ = _load_data(cfg)
+        full = run_experiment(source, target, oracle, cfg.arch.to_arch(source.dim, k),
+                              cfg.flags(), cfg.schedule, cfg.seed)
+
+        def no_proxy(*args, **kwargs):
+            raise AssertionError("ablate fitted the divergence proxy")
+
+        forwards, audits = [], []
+        extract, w_error = pdalab.trainer.extract_features, pdalab.bound.w_estimation_error
+        monkeypatch.setattr(pdalab.bound, "estimate_hdh_divergence", no_proxy)
+        monkeypatch.setattr(pdalab.trainer, "extract_features",
+                            lambda bundle, x: forwards.append(len(x)) or extract(bundle, x))
+        monkeypatch.setattr(pdalab.bound, "w_estimation_error",
+                            lambda *a: audits.append(None) or w_error(*a))
+        assert _ablate_one(cfg) == full.records[-1].target_accuracy
+        # Epoch 0 and four trained epochs: target rows only, each audited.
+        assert forwards == [len(target)] * 5
+        assert len(audits) == 5
+
+    @pytest.mark.parametrize("epoch", [0, 2])
+    def test_violation_at_an_epoch_is_raised(self, tmp_path, monkeypatch, epoch):
+        import pdalab.bound
+        from pdalab.bound import BoundViolationError
+        from pdalab.cli import _ablate_one
+
+        _break_the_inequality_at(monkeypatch, pdalab.bound, epoch)
+        with pytest.raises(BoundViolationError, match=rf"\(epoch {epoch}\)$"):
+            _ablate_one(self._job(tmp_path, variant="source_only"))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers inherit the patched module only when forked")
+    def test_violation_in_a_worker_is_one_error_line(self, tmp_path, capfd, monkeypatch):
+        import pdalab.bound
+
+        _break_the_inequality_at(monkeypatch, pdalab.bound, 2)
+        cfg = write_config(tmp_path / "c.yaml",
+                           schedule={"total_epochs": 3, "warmup_epochs": 1,
+                                     "batch_size": 8, "eta0": 0.05})
+        assert main(["ablate", "--config", str(cfg), "--seeds", "1", "--workers", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: intermediate inequality violated: 10.0 > ")
+        assert err.endswith(" (epoch 2)\n") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+
+def _break_the_inequality_at(monkeypatch, bound, epoch):
+    """Make the (epoch + 1)-th w_error_l1 computed in a process read 10.0,
+    above any right-hand side: one audit per epoch, from epoch 0."""
+    calls = []
+    real = bound.w_estimation_error
+
+    def w_error(*args):
+        calls.append(None)
+        return 10.0 if len(calls) == epoch + 1 else real(*args)
+
+    monkeypatch.setattr(bound, "w_estimation_error", w_error)
+
+
 class TestEval:
     def test_eval_matches_training_accuracy(self, tmp_path, capsys):
         gen_cfg = write_config(tmp_path / "gen.yaml")
@@ -384,6 +463,43 @@ class TestMetadataErrors:
         assert code == 1
         assert err.startswith(f"error: {tmp_path / 'data' / 'target.csv'}:")
         assert "outside the shared classes [0]" in err and err.count("\n") == 1
+
+
+class TestDuplicateJsonKeys:
+    """A key given twice in a JSON document is one error line, not last-one-wins."""
+
+    def test_metadata_duplicate_key_fails_train_before_output(self, tmp_path, capsys):
+        cfg = _csv_train_config(tmp_path)
+        metadata = tmp_path / "data" / "metadata.json"
+        text = metadata.read_text()
+        assert '"num_source_classes": 5' in text
+        metadata.write_text(text.replace('"num_source_classes": 5',
+                                         '"num_source_classes": 5, "num_source_classes": 7'))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err,
+                               f"{metadata}: duplicate key 'num_source_classes'")
+
+    def test_model_duplicate_key_fails_eval(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"model": {}, "schema": "1.0", "schema": "1.0"}\n')
+        assert main(["eval", "--model", str(model), "--data", str(tmp_path)]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err,
+                               f"{model}: duplicate key 'schema'")
+
+    def test_metrics_duplicate_key_fails_bound_trace(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml")
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg), "--out", str(out)])
+        metrics = out / "metrics.jsonl"
+        lines = metrics.read_text().splitlines()
+        assert lines[1].startswith("{")
+        lines[1] = '{"epoch":7,' + lines[1][1:]
+        metrics.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["bound-trace", str(metrics)]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err,
+                               f"{metrics}:2: bad metrics record: duplicate key 'epoch'")
 
 
 class TestCsvErrors:

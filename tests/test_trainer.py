@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from pdalab import tensor as T
+from pdalab.bound import BoundReport
 from pdalab.data import Dataset, SyntheticSpec, UNLABELED, generate_toy, steps_per_epoch
 from pdalab.losses import assign_pseudo_labels
 from pdalab.metrics import to_json_line
@@ -374,6 +376,29 @@ class TestRunExperiment:
             assert rec.bound is not None
             assert rec.target_accuracy is not None
         assert res.records[-1].losses is not None
+
+    def test_default_run_reports_every_bound_term(self):
+        source, target, oracle = tiny_problem(seed=13)
+        arch = ArchSpec(in_dim=2, num_classes=5)
+        full = run_experiment(source, target, oracle, arch, PRESETS["san_pp"],
+                              small_sched(), 4)
+        assert [r.epoch for r in full.records] == [0, 1, 2, 3]
+        for rec in full.records:
+            assert isinstance(rec.bound, BoundReport) and rec.bound.epoch == rec.epoch
+            assert all(math.isfinite(getattr(rec.bound, f.name))
+                       for f in fields(BoundReport))
+
+    def test_asserted_part_only_leaves_training_unchanged(self):
+        source, target, oracle = tiny_problem(seed=13)
+        arch = ArchSpec(in_dim=2, num_classes=5)
+        full = run_experiment(source, target, oracle, arch, PRESETS["san_pp"],
+                              small_sched(), 4)
+        lite = run_experiment(source, target, oracle, arch, PRESETS["san_pp"],
+                              small_sched(), 4, full_audit=False)
+        assert all(r.bound is None and r.target_accuracy is not None
+                   for r in lite.records)
+        assert [replace(r, bound=None) for r in full.records] == lite.records
+        assert np.array_equal(full.confusion, lite.confusion)
 
     def test_no_oracle_skips_oracle_fields(self):
         source, target, _ = tiny_problem(seed=10)
