@@ -11,9 +11,9 @@ where delta_bar is the mean complement of the row-max confidence,
 e_type1 the fraction of target predictions falling outside the shared
 class set, and e_tgt_shared the error of the shared-class-restricted
 argmax against the true labels.  This intermediate inequality holds
-verbatim for the empirical measure; :func:`intermediate_terms` computes
-these terms and asserts it, for every report and wherever the report
-itself is not wanted.
+verbatim for the empirical measure.  :func:`intermediate_terms` asserts
+it; every report is built on that call, and runs that keep no report
+make it alone.
 
 The full right-hand side swaps the target restricted error for the
 source one plus a feature-distribution divergence.  The divergence is

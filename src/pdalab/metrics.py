@@ -40,8 +40,8 @@ class DuplicateKeyError(ValueError):
 
 def unique_keys(pairs) -> dict:
     """The ``object_pairs_hook`` of every JSON document pdalab reads: the
-    object as a dict, or DuplicateKeyError at its first repeated key, which
-    ``json`` alone would let the last occurrence win."""
+    object as a dict, or DuplicateKeyError at its first repeated key, where
+    ``json`` alone keeps the last value."""
     obj = {}
     for key, value in pairs:
         if key in obj:
