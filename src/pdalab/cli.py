@@ -10,8 +10,6 @@ never into the metrics stream.  The environment variable ``PDA_LOG``
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import os
 import sys
@@ -31,20 +29,11 @@ from .data import (
     load_target_data,
     save_experiment_data,
 )
-from .metrics import (
-    DuplicateKeyError,
-    MetricsSchemaError,
-    atomic_write,
-    read_metrics,
-    same_major,
-    unique_keys,
-    write_metrics,
-)
-from .nets import bundle_from_state, bundle_state
+from .metrics import MetricsSchemaError, atomic_write, read_metrics, write_csv, write_metrics
+from .nets import load_model, save_model
 from .rngstreams import substream_seed
 from .trainer import ABLATION_VARIANTS, evaluate, run_experiment
 
-MODEL_SCHEMA_VERSION = "1.0"
 # Column order of the bound-trace table; fixed format contract.
 BOUND_TRACE_COLUMNS = ("epoch", "w_error_l1", "delta_bar", "e_type1",
                        "e_src_shared", "d_hdh_proxy", "rhs_full")
@@ -108,10 +97,7 @@ def _load_data(cfg: RunConfig):
 
 def _write_confusion(path, confusion: np.ndarray) -> None:
     with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"pred_{j}" for j in range(confusion.shape[1])])
-        for row in confusion:
-            writer.writerow([int(v) for v in row])
+        write_csv(fh, [f"pred_{j}" for j in range(confusion.shape[1])], confusion.tolist())
 
 
 def cmd_generate_data(args) -> int:
@@ -139,10 +125,7 @@ def cmd_train(args) -> int:
     result = run_experiment(source, target, oracle, arch, cfg.flags(),
                             cfg.schedule, cfg.seed)
     write_metrics(out / "metrics.jsonl", result.records)
-    with atomic_write(out / "model.json") as fh:
-        json.dump({"schema": MODEL_SCHEMA_VERSION, "model": bundle_state(result.bundle)},
-                  fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    save_model(out / "model.json", result.bundle)
     if result.confusion is not None:
         _write_confusion(out / "confusion.csv", result.confusion)
     else:  # a reused --out keeps no earlier run's matrix
@@ -170,19 +153,15 @@ def cmd_bound_trace(args) -> int:
             raise BoundViolationError(
                 f"stored record violates the intermediate inequality at epoch "
                 f"{rec.epoch}: {b.w_error_l1} > {b.rhs_intermediate}")
-        rows.append([rec.epoch, b.w_error_l1, b.delta_bar, b.e_type1,
-                     b.e_src_shared, b.d_hdh_proxy, b.rhs_full])
-    lines = [",".join(BOUND_TRACE_COLUMNS)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    text = "\n".join(lines) + "\n"
+        fields = {**vars(b), "epoch": rec.epoch}
+        rows.append([fields[name] for name in BOUND_TRACE_COLUMNS])
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(args.out) as fh:
-            fh.write(text)
+            write_csv(fh, BOUND_TRACE_COLUMNS, rows)
         print(f"wrote {args.out} ({len(rows)} epochs)")
     else:
-        sys.stdout.write(text)
+        write_csv(sys.stdout, BOUND_TRACE_COLUMNS, rows)
     return 0
 
 
@@ -209,39 +188,23 @@ def cmd_ablate(args) -> int:
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(_ablate_one, jobs))
 
-    lines = ["variant,seeds,mean_accuracy,std_accuracy"]
+    rows = []
     print(f"{'variant':30s} {'mean':>8s} {'std':>8s}")
     for i, name in enumerate(ABLATION_VARIANTS):
         accs = np.array(results[i * len(seeds):(i + 1) * len(seeds)])
-        lines.append(f"{name},{len(seeds)},{float(accs.mean())!r},{float(accs.std())!r}")
+        rows.append([name, len(seeds), float(accs.mean()), float(accs.std())])
         print(f"{name:30s} {accs.mean():8.4f} {accs.std():8.4f}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with atomic_write(out / "ablation.csv") as fh:
-            fh.write("\n".join(lines) + "\n")
+            write_csv(fh, ["variant", "seeds", "mean_accuracy", "std_accuracy"], rows)
         print(f"wrote {out / 'ablation.csv'}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        try:
-            snapshot = json.load(fh, object_pairs_hook=unique_keys)
-        except DuplicateKeyError as exc:
-            raise ValueError(f"{args.model}: {exc}") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{args.model}: not a JSON model snapshot ({exc})") from None
-    if not isinstance(snapshot, dict):
-        raise ValueError(f"{args.model}: expected a JSON object")
-    if not same_major(snapshot.get("schema"), MODEL_SCHEMA_VERSION):
-        raise ValueError(f"{args.model}: unsupported model schema "
-                         f"{snapshot.get('schema')!r}")
-    try:
-        bundle = bundle_from_state(snapshot["model"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{args.model}: malformed model snapshot "
-                         f"({type(exc).__name__}: {exc})") from None
+    bundle = load_model(args.model)
     data_dir = Path(args.data)
     target, oracle, k = load_target_data(data_dir / "target.csv",
                                          data_dir / "metadata.json")

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .bound import OracleContext, in_classes
-from .metrics import DuplicateKeyError, atomic_write, from_plain, to_plain, unique_keys
+from .metrics import atomic_write, from_plain, load_json, to_plain, write_csv
 
 UNLABELED = -1
 # Default cluster layout: a circle whose radius and phase are calibrated so
@@ -166,15 +166,10 @@ def save_dataset_csv(path, ds: Dataset, labels: np.ndarray | None = None) -> Non
     y = ds.y if labels is None else np.asarray(labels, dtype=np.int64)
     if y.shape != (len(ds),):
         raise ValueError("one label per row required")
-    header = [f"x{i}" for i in range(ds.dim)] + ["y", "domain"]
     with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(len(ds)):
-            row = [repr(float(v)) for v in ds.x[i]]
-            row.append("" if y[i] == UNLABELED else str(int(y[i])))
-            row.append(str(int(ds.domain[i])))
-            writer.writerow(row)
+        write_csv(fh, [f"x{i}" for i in range(ds.dim)] + ["y", "domain"],
+                  ([*x, "" if label == UNLABELED else label, domain]
+                   for x, label, domain in zip(ds.x.tolist(), y.tolist(), ds.domain.tolist())))
 
 
 def load_csv(path) -> Dataset:
@@ -239,13 +234,7 @@ def save_metadata(path, num_source_classes: int, shared_classes, dim: int) -> No
 
 def load_metadata(path) -> Metadata:
     """Read a metadata file; keys other than Metadata's fields are ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh, object_pairs_hook=unique_keys)
-        except DuplicateKeyError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise DataFormatError(f"{path}: not a JSON metadata file ({exc})") from None
+    raw = load_json(path, "metadata file")
     try:
         return from_plain(Metadata, raw, strict=False)
     except ValueError as exc:

@@ -7,14 +7,15 @@ lossless.  Wall-clock timing is deliberately not serialized: metrics
 files must be byte-identical across reruns of the same (config, seed).
 
 :func:`to_plain` and :func:`from_plain` are the one serializer and the
-one reader of every document pdalab reads or writes (run config,
-metrics records, dataset metadata); :func:`unique_keys` rejects a
-repeated key in every JSON document read; :func:`atomic_write` is the
-one way an output file is written.
+one reader of every document pdalab reads or writes; :func:`load_json`
+reads a JSON file, where :func:`unique_keys` rejects a repeated key;
+:func:`atomic_write` writes every output file and :func:`write_csv` every
+CSV table.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -48,6 +49,18 @@ def unique_keys(pairs) -> dict:
             raise DuplicateKeyError(f"duplicate key {key!r}")
         obj[key] = value
     return obj
+
+
+def load_json(path, what: str):
+    """The JSON document in ``path``; a repeated key, or text that is not
+    JSON or not UTF-8 (``not a JSON <what>``), is a ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except DuplicateKeyError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: not a JSON {what} ({exc})") from None
 
 
 def to_plain(value):
@@ -153,6 +166,15 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(fh, header, rows) -> None:
+    """``header`` then ``rows`` as CSV on ``fh``, LF-terminated; a float is
+    written with round-trip precision (its repr), any other value by ``str``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)
 
 
 @dataclass

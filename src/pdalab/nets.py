@@ -4,15 +4,18 @@ multi-head domain discriminator with an optional shared trunk.
 The discriminator owns one logistic head per source class; each head
 emits the logit of the probability that a sample is from the source
 domain, conditioned on that class's alignment task.  With ``shared_trunk``
-off, every head owns a private copy of the trunk instead.
+off, every head owns a private copy of the trunk instead.  A bundle's
+snapshot is ``model.json``: :func:`save_model` and :func:`load_model`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import atomic_write, load_json, same_major
 from .tensor import (
     ACTIVATIONS,
     DimensionError,
@@ -23,6 +26,8 @@ from .tensor import (
     stack_to_cols,
 )
 from .tensor import matmul  # noqa: F401  test_tracer_reports_a_missing_function_as_absent pins it
+
+MODEL_SCHEMA_VERSION = "1.0"
 
 
 class MLP:
@@ -221,7 +226,7 @@ def d_forward(disc: MultiTaskDiscriminator, f: Tensor, lam: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot serialization (JSON-ready nested lists; floats round-trip exactly)
+# Snapshots: compact sort-keyed JSON; floats in nested lists round-trip exactly
 # ---------------------------------------------------------------------------
 
 def _mlp_state(mlp: MLP) -> list[dict]:
@@ -258,3 +263,23 @@ def bundle_from_state(state: dict) -> ModelBundle:
     return ModelBundle(_mlp_from_state(state["features"]),
                        _mlp_from_state(state["classifier"]),
                        disc, int(state["num_classes"]))
+
+
+def save_model(path, bundle: ModelBundle) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps({"schema": MODEL_SCHEMA_VERSION, "model": bundle_state(bundle)},
+                            sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def load_model(path) -> ModelBundle:
+    """The bundle a :func:`save_model` file holds; errors are ValueErrors naming ``path``."""
+    snapshot = load_json(path, "model snapshot")
+    if not isinstance(snapshot, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    if not same_major(snapshot.get("schema"), MODEL_SCHEMA_VERSION):
+        raise ValueError(f"{path}: unsupported model schema {snapshot.get('schema')!r}")
+    try:
+        return bundle_from_state(snapshot["model"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model snapshot "
+                         f"({type(exc).__name__}: {exc})") from None
