@@ -11,9 +11,9 @@ where delta_bar is the mean complement of the row-max confidence,
 e_type1 the fraction of target predictions falling outside the shared
 class set, and e_tgt_shared the error of the shared-class-restricted
 argmax against the true labels.  This intermediate inequality holds
-verbatim for the empirical measure.  :func:`intermediate_terms` asserts
-it; every report is built on that call, and runs that keep no report
-make it alone.
+verbatim for the empirical measure.  :func:`check_intermediate` asserts
+it, for every fresh report through :func:`intermediate_terms` (runs that
+keep no report make that call alone) and for stored ones.
 
 The full right-hand side swaps the target restricted error for the
 source one plus a feature-distribution divergence.  The divergence is
@@ -213,13 +213,20 @@ def estimate_hdh_divergence(source_features, target_features,
     return max(0.0, 2.0 * (1.0 - 2.0 * eps))
 
 
+def check_intermediate(w_error_l1: float, rhs_intermediate: float, epoch: int) -> None:
+    """Raise BoundViolationError, naming ``epoch``, if ``w_error_l1``
+    exceeds ``rhs_intermediate`` by more than INTERMEDIATE_TOL."""
+    if w_error_l1 > rhs_intermediate + INTERMEDIATE_TOL:
+        raise BoundViolationError(f"intermediate inequality violated: "
+                                  f"{w_error_l1} > {rhs_intermediate} (epoch {epoch})")
+
+
 def intermediate_terms(target_preds, oracle: OracleContext, epoch: int = 0) -> dict:
     """The target-side bound terms, after asserting the intermediate inequality.
 
     Returns ``delta_bar``, ``e_type1``, ``e_tgt_shared``, ``w_error_l1``
-    and ``rhs_intermediate``, keyed by their BoundReport field names.
-    Raises BoundViolationError, naming ``epoch``, if ``w_error_l1``
-    exceeds ``rhs_intermediate`` by more than INTERMEDIATE_TOL.
+    and ``rhs_intermediate``, keyed by their BoundReport field names;
+    :func:`check_intermediate` raises if the inequality fails.
     """
     p_t = _pred_matrix(target_preds)
     db = delta_bar(p_t)
@@ -227,9 +234,7 @@ def intermediate_terms(target_preds, oracle: OracleContext, epoch: int = 0) -> d
     e_tgt = shared_error(p_t, oracle.target_labels, oracle.shared_classes)
     w_err = w_estimation_error(p_t, oracle)
     rhs_i = 2.0 * (db + e1 + e_tgt)
-    if w_err > rhs_i + INTERMEDIATE_TOL:
-        raise BoundViolationError(
-            f"intermediate inequality violated: {w_err} > {rhs_i} (epoch {epoch})")
+    check_intermediate(w_err, rhs_i, epoch)
     return {"delta_bar": db, "e_type1": e1, "e_tgt_shared": e_tgt,
             "w_error_l1": w_err, "rhs_intermediate": rhs_i}
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import INTERMEDIATE_TOL, BoundViolationError, in_classes, proxy_test_rows
+from .bound import BoundViolationError, check_intermediate, in_classes, proxy_test_rows
 from .config import ConfigError, RunConfig, _parse_variant, dump_config, load_config
 from .data import (
     DataFormatError,
@@ -63,13 +63,14 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_data(cfg: RunConfig):
+def _load_data(cfg: RunConfig, *, fits_proxy: bool = False):
     """Returns (source, target, oracle, num_classes, resolved_data_config).
 
     A synthetic spec with a null seed takes one derived from the
     experiment seed; the resolved spec records it.  Data the run cannot
     use fails here, before any output: a domain smaller than a batch,
-    or, with oracle labels, one the bound audit cannot split.
+    or, for a run that fits the divergence proxy (``train``) with oracle
+    labels, one the proxy cannot split.
     """
     if isinstance(cfg.data, SyntheticSpec):
         spec = cfg.data if cfg.data.seed is not None \
@@ -80,7 +81,7 @@ def _load_data(cfg: RunConfig):
         source, target, oracle, k = load_experiment_data(cfg.data.source, cfg.data.target,
                                                          cfg.data.metadata)
         resolved, names = cfg.data, (cfg.data.source, cfg.data.target)
-    if oracle is not None:  # check_bound splits these rows of each domain
+    if fits_proxy and oracle is not None:  # check_bound splits these rows of each domain
         shared = int(in_classes(source.y, oracle.shared_classes).sum())
         for where, n, what in ((names[0], shared, "source rows in the shared classes"),
                                (names[1], len(target), "target rows")):
@@ -114,7 +115,7 @@ def cmd_generate_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    source, target, oracle, k, resolved_data = _load_data(cfg)
+    source, target, oracle, k, resolved_data = _load_data(cfg, fits_proxy=True)
     arch = cfg.arch.to_arch(source.dim, k)
     out = _out_dir(cfg)
 
@@ -149,10 +150,10 @@ def cmd_bound_trace(args) -> int:
             raise ValueError(f"{args.metrics}: epoch {rec.epoch} has no bound report "
                              "(run was trained without oracle labels)")
         b = rec.bound
-        if b.w_error_l1 > b.rhs_intermediate + INTERMEDIATE_TOL:
-            raise BoundViolationError(
-                f"stored record violates the intermediate inequality at epoch "
-                f"{rec.epoch}: {b.w_error_l1} > {b.rhs_intermediate}")
+        try:
+            check_intermediate(b.w_error_l1, b.rhs_intermediate, rec.epoch)
+        except BoundViolationError as exc:
+            raise BoundViolationError(f"{args.metrics}: stored record: {exc}") from None
         fields = {**vars(b), "epoch": rec.epoch}
         rows.append([fields[name] for name in BOUND_TRACE_COLUMNS])
     if args.out:
@@ -205,9 +206,15 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle = load_model(args.model)
-    data_dir = Path(args.data)
-    target, oracle, k = load_target_data(data_dir / "target.csv",
-                                         data_dir / "metadata.json")
+    metadata = Path(args.data) / "metadata.json"
+    target, oracle, k = load_target_data(Path(args.data) / "target.csv", metadata)
+    if bundle.num_classes != k:
+        raise ValueError(f"{args.model}: num_classes {bundle.num_classes} disagrees "
+                         f"with num_source_classes {k} of {metadata}")
+    width = bundle.features.in_dim or bundle.classifier.in_dim
+    if width != target.dim:
+        raise ValueError(f"{args.model}: input width {width} disagrees "
+                         f"with dim {target.dim} of {metadata}")
     if oracle is None:
         raise ValueError("eval requires oracle labels in the target file")
     accuracy, confusion = evaluate(bundle, target.x, oracle.target_labels, k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import atomic_write, load_json, same_major
+from .metrics import atomic_write, from_plain, load_json, same_major, to_plain
 from .tensor import (
     ACTIVATIONS,
     DimensionError,
@@ -229,40 +229,60 @@ def d_forward(disc: MultiTaskDiscriminator, f: Tensor, lam: float) -> Tensor:
 # Snapshots: compact sort-keyed JSON; floats in nested lists round-trip exactly
 # ---------------------------------------------------------------------------
 
-def _mlp_state(mlp: MLP) -> list[dict]:
-    return [{"w": w.data.tolist(), "b": b.data.tolist(), "act": act}
-            for w, b, act in mlp.layers]
+@dataclass(frozen=True)
+class LayerState:
+    """One layer of a snapshot.  The three ``*State`` classes are the
+    layout of ``model.json``'s bundle, written by :func:`to_plain` and read
+    back, each value checked, by :func:`from_plain`."""
+
+    w: list[list[float]]
+    b: list[float]
+    act: str
 
 
-def _mlp_from_state(state: list[dict]) -> MLP:
-    layers = [(Tensor(np.asarray(layer["w"]), requires_grad=True),
-               Tensor(np.asarray(layer["b"]), requires_grad=True), layer["act"])
-              for layer in state]
-    return MLP(layers)
+@dataclass(frozen=True)
+class DiscriminatorState:
+    shared_trunk: bool
+    trunks: list[list[LayerState]]
+    heads: list[list[LayerState]]
+
+
+@dataclass(frozen=True)
+class BundleState:
+    num_classes: int
+    features: list[LayerState]
+    classifier: list[LayerState]
+    discriminator: DiscriminatorState
+
+
+def _mlp_state(mlp: MLP) -> list[LayerState]:
+    return [LayerState(w.data.tolist(), b.data.tolist(), act) for w, b, act in mlp.layers]
+
+
+def _mlp_from_state(state: list[LayerState]) -> MLP:
+    return MLP([(Tensor(np.asarray(layer.w), requires_grad=True),
+                 Tensor(np.asarray(layer.b), requires_grad=True), layer.act)
+                for layer in state])
 
 
 def bundle_state(bundle: ModelBundle) -> dict:
-    return {
-        "num_classes": bundle.num_classes,
-        "features": _mlp_state(bundle.features),
-        "classifier": _mlp_state(bundle.classifier),
-        "discriminator": {
-            "shared_trunk": bundle.discriminator.shared_trunk,
-            "trunks": [_mlp_state(t) for t in bundle.discriminator.trunks],
-            "heads": [_mlp_state(h) for h in bundle.discriminator.heads],
-        },
-    }
+    disc = bundle.discriminator
+    return to_plain(BundleState(
+        bundle.num_classes, _mlp_state(bundle.features), _mlp_state(bundle.classifier),
+        DiscriminatorState(disc.shared_trunk, [_mlp_state(t) for t in disc.trunks],
+                           [_mlp_state(h) for h in disc.heads])))
 
 
-def bundle_from_state(state: dict) -> ModelBundle:
-    disc_state = state["discriminator"]
-    disc = MultiTaskDiscriminator(
-        [_mlp_from_state(t) for t in disc_state["trunks"]],
-        [_mlp_from_state(h) for h in disc_state["heads"]],
-        bool(disc_state["shared_trunk"]))
-    return ModelBundle(_mlp_from_state(state["features"]),
-                       _mlp_from_state(state["classifier"]),
-                       disc, int(state["num_classes"]))
+def bundle_from_state(state) -> ModelBundle:
+    """The bundle a :func:`bundle_state` dict describes.  A value that does
+    not fit BundleState is a ValueError naming its key path under
+    ``model``, the snapshot's key for the bundle."""
+    s = from_plain(BundleState, state, "model", strict=False)
+    disc = MultiTaskDiscriminator([_mlp_from_state(t) for t in s.discriminator.trunks],
+                                  [_mlp_from_state(h) for h in s.discriminator.heads],
+                                  s.discriminator.shared_trunk)
+    return ModelBundle(_mlp_from_state(s.features), _mlp_from_state(s.classifier),
+                       disc, s.num_classes)
 
 
 def save_model(path, bundle: ModelBundle) -> None:
@@ -279,7 +299,6 @@ def load_model(path) -> ModelBundle:
     if not same_major(snapshot.get("schema"), MODEL_SCHEMA_VERSION):
         raise ValueError(f"{path}: unsupported model schema {snapshot.get('schema')!r}")
     try:
-        return bundle_from_state(snapshot["model"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed model snapshot "
-                         f"({type(exc).__name__}: {exc})") from None
+        return bundle_from_state(snapshot.get("model"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed model snapshot ({exc})") from None

@@ -238,6 +238,41 @@ class TestBoundTrace:
         assert main(["bound-trace", str(metrics)]) == 1
         assert capsys.readouterr().err == f"error: {metrics}:3: bad metrics record: {message}\n"
 
+    @staticmethod
+    def _edit_epoch_1(tmp_path, edit):
+        """A trained run's metrics file with ``edit`` applied to epoch 1's record."""
+        out = tmp_path / "run"
+        main(["train", "--config", str(write_config(tmp_path / "c.yaml")), "--out", str(out)])
+        metrics = out / "metrics.jsonl"
+        lines = metrics.read_text().splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record)
+        metrics.write_text("\n".join(lines) + "\n")
+        return metrics, record
+
+    def test_stored_violation_names_the_file_and_epoch(self, tmp_path, capsys):
+        def above_the_rhs(record):
+            record["bound"]["w_error_l1"] = record["bound"]["rhs_intermediate"] + 1.0
+
+        metrics, record = self._edit_epoch_1(tmp_path, above_the_rhs)
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        assert main(["bound-trace", str(metrics), "--out", str(trace)]) == 1
+        bound = record["bound"]
+        assert capsys.readouterr().err == (
+            f"error: {metrics}: stored record: intermediate inequality violated: "
+            f"{bound['w_error_l1']!r} > {bound['rhs_intermediate']!r} (epoch 1)\n")
+        assert not trace.exists()
+
+    def test_record_without_a_bound_report_names_the_file_and_epoch(self, tmp_path, capsys):
+        metrics, _ = self._edit_epoch_1(tmp_path, lambda record: record.update(bound=None))
+        capsys.readouterr()
+        assert main(["bound-trace", str(metrics)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {metrics}: epoch 1 has no bound report "
+            "(run was trained without oracle labels)\n")
+
 
 class TestAblate:
     def test_deterministic_single_seed_table(self, tmp_path, capsys):
@@ -428,6 +463,59 @@ class TestEval:
         assert main(["eval", "--model", str(model), "--data", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+
+    @staticmethod
+    def _model_and_data(tmp_path, edit=lambda state: None, **synthetic):
+        """A model trained on the default test data with ``edit`` applied to
+        its state, and a data directory generated with ``synthetic`` keys."""
+        out, data_dir = tmp_path / "run", tmp_path / "data"
+        main(["train", "--config", str(write_config(tmp_path / "c.yaml")), "--out", str(out)])
+        gen = write_config(tmp_path / "gen.yaml",
+                           data={"synthetic": {"samples_per_class": 12, "seed": 1, **synthetic}})
+        main(["generate-data", "--config", str(gen), "--out", str(data_dir)])
+        model = out / "model.json"
+        snapshot = json.loads(model.read_text())
+        edit(snapshot["model"])
+        model.write_text(json.dumps(snapshot))
+        return model, data_dir
+
+    def test_class_count_mismatch_names_model_and_metadata(self, tmp_path, capsys):
+        model, data_dir = self._model_and_data(tmp_path, num_source_classes=3,
+                                               shared_classes=[0, 1])
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: num_classes 5 disagrees with num_source_classes 3 "
+            f"of {data_dir / 'metadata.json'}\n")
+
+    def test_input_width_mismatch_names_model_and_metadata(self, tmp_path, capsys):
+        def widen(state):
+            w = state["features"][0]["w"]
+            w.append([0.0] * len(w[0]))
+
+        model, data_dir = self._model_and_data(tmp_path, widen)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: input width 3 disagrees with dim 2 "
+            f"of {data_dir / 'metadata.json'}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s["features"][0].update(w=[[True] * len(r) for r in s["features"][0]["w"]]),
+         "model.features[0].w[0][0]: expected float, got bool"),
+        (lambda s: s.update(num_classes=5.9), "model.num_classes: expected int, got float"),
+        (lambda s: s["discriminator"].update(shared_trunk="no"),
+         "model.discriminator.shared_trunk: expected bool, got str"),
+        (lambda s: s["classifier"][0]["b"].__setitem__(1, float("inf")),
+         "model.classifier[0].b[1]: expected a finite float, got inf"),
+    ], ids=["bool_weights", "float_class_count", "str_trunk_flag", "infinite_weight"])
+    def test_wrong_value_type_names_the_file_and_key_path(self, tmp_path, capsys,
+                                                          edit, message):
+        model, data_dir = self._model_and_data(tmp_path, edit)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: malformed model snapshot ({message})\n")
 
 
 class TestMetadataErrors:
@@ -624,6 +712,28 @@ class TestDataTheRunCannotUse:
         _assert_one_error_line(tmp_path, capsys.readouterr().err,
                                f"{source}: 2 source rows in the shared classes are too few "
                                "for the divergence proxy's train/test split")
+
+    @staticmethod
+    def _too_small_for_the_split(tmp_path):
+        """Synthetic data with 2 target rows: enough for a batch of 1, too
+        few for the divergence proxy's 80/20 split."""
+        return write_config(tmp_path / "c.yaml",
+                            data={"synthetic": {"samples_per_class": 2, "shared_classes": [0],
+                                                "seed": 1}},
+                            schedule={"total_epochs": 1, "warmup_epochs": 1, "batch_size": 1})
+
+    def test_ablate_runs_on_data_too_small_for_the_split(self, tmp_path, capsys):
+        path = self._too_small_for_the_split(tmp_path)
+        assert main(["ablate", "--config", str(path), "--seeds", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "ablation.csv").read_text().splitlines()
+        assert lines[0] == "variant,seeds,mean_accuracy,std_accuracy" and len(lines) == 1 + 6
+
+    def test_generate_data_writes_data_too_small_for_the_split(self, tmp_path):
+        path = self._too_small_for_the_split(tmp_path)
+        assert main(["generate-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "metadata.json", "source.csv", "target.csv"]
 
     def test_synthetic_domain_too_small_for_the_audit_split_names_the_section(
             self, tmp_path, capsys):

@@ -9,8 +9,10 @@ from pdalab.losses import LossBreakdown
 from pdalab.metrics import (
     MetricsRecord,
     MetricsSchemaError,
+    load_json,
     read_metrics,
     to_json_line,
+    write_csv,
     write_metrics,
 )
 
@@ -149,3 +151,25 @@ class TestAtomicWrite:
             write_metrics(path, [sample_record(), self.unserializable()])
         assert path.read_bytes() == good
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestCsvAndJsonFiles:
+    def test_write_csv_writes_floats_at_round_trip_precision(self):
+        import io
+
+        buf = io.StringIO()
+        write_csv(buf, ("name", "n", "x", "y"),
+                  [["a,b", np.int64(3), np.float64(0.1), 1 / 3], ["c", 4, -0.0, 1e-300]])
+        assert buf.getvalue() == ('name,n,x,y\n"a,b",3,0.1,0.3333333333333333\n'
+                                  "c,4,-0.0,1e-300\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": 1, "a": 2}', "duplicate key 'a'"),
+        ("not json", "not a JSON test file (Expecting value: line 1 column 1 (char 0))"),
+    ], ids=["duplicate_key", "not_json"])
+    def test_load_json_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_json(path, "test file")
+        assert str(info.value) == f"{path}: {message}"
