@@ -7,9 +7,10 @@ space strictly subsumes the target class space.  Target labels exist
 only inside the returned oracle context; the target dataset itself is
 unlabeled.
 
-CSV format: header ``x0,...,x{d-1},y,domain``; ``y`` empty for
-unlabeled rows; ``domain`` 0 (target) or 1 (source); UTF-8, LF line
-endings, decimal-point reals written with round-trip precision.
+CSV format: one domain per file; header ``x0,...,x{d-1},y,domain``;
+``y`` empty in every row of an unlabeled file; ``domain`` 0 (target) or
+1 (source) in every row; UTF-8, LF line endings, decimal-point reals
+written with round-trip precision.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .bound import OracleContext, in_classes
 from .metrics import atomic_write, from_plain, load_json, to_plain, write_csv
 
-UNLABELED = -1
 # Default cluster layout: a circle whose radius and phase are calibrated so
 # the shifted target clusters cross source decision boundaries (plain source
 # training is clearly imperfect) while each still sits closest to its own
@@ -41,25 +41,19 @@ class DataFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Columnar sample store; ``y == -1`` marks unlabeled rows."""
+    """One domain's rows: features ``x`` and labels ``y``, None if unlabeled."""
 
     x: np.ndarray
-    y: np.ndarray
-    domain: np.ndarray
+    y: np.ndarray | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        self.domain = np.asarray(self.domain, dtype=np.int64)
         if self.x.ndim != 2:
             raise ValueError("features must be a 2-d array")
-        n = self.x.shape[0]
-        if self.y.shape != (n,) or self.domain.shape != (n,):
-            raise ValueError("feature/label/domain lengths disagree")
-        if not np.isin(self.domain, (0, 1)).all():
-            raise ValueError("domain tags must be 0 (target) or 1 (source)")
-        if ((self.domain == 1) & (self.y == UNLABELED)).any():
-            raise ValueError("source samples must be labeled")
+        if self.y is not None:
+            self.y = np.asarray(self.y, dtype=np.int64)
+            if self.y.shape != (self.x.shape[0],):
+                raise ValueError("feature/label lengths disagree")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -67,10 +61,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def labeled(self) -> bool:
-        return bool((self.y != UNLABELED).all()) and len(self) > 0
 
 
 @dataclass(frozen=True)
@@ -147,33 +137,25 @@ def generate_toy(spec: SyntheticSpec) -> tuple[Dataset, Dataset, OracleContext]:
                        for c in spec.shared_classes])
     tgt_labels = np.repeat(np.asarray(spec.shared_classes), n)
 
-    source = Dataset(src_x, src_y, np.ones(len(src_x), dtype=np.int64))
-    target = Dataset(tgt_x, np.full(len(tgt_x), UNLABELED), np.zeros(len(tgt_x), dtype=np.int64))
-    oracle = OracleContext(spec.shared_classes, tgt_labels)
-    return source, target, oracle
+    return Dataset(src_x, src_y), Dataset(tgt_x), OracleContext(spec.shared_classes, tgt_labels)
 
 
 # ---------------------------------------------------------------------------
 # CSV + metadata files
 # ---------------------------------------------------------------------------
 
-def save_dataset_csv(path, ds: Dataset, labels: np.ndarray | None = None) -> None:
-    """Write a dataset; ``labels`` fills the y column of unlabeled rows.
-
-    Passing oracle labels here stores them on disk for later evaluation
-    without putting them on the in-memory training dataset.
-    """
-    y = ds.y if labels is None else np.asarray(labels, dtype=np.int64)
-    if y.shape != (len(ds),):
-        raise ValueError("one label per row required")
+def save_dataset_csv(path, ds: Dataset, domain: int) -> None:
+    """Write one domain's file (``domain`` 0 target, 1 source); an
+    unlabeled dataset leaves every ``y`` blank."""
+    y = [""] * len(ds) if ds.y is None else ds.y.tolist()
     with atomic_write(path) as fh:
         write_csv(fh, [f"x{i}" for i in range(ds.dim)] + ["y", "domain"],
-                  ([*x, "" if label == UNLABELED else label, domain]
-                   for x, label, domain in zip(ds.x.tolist(), y.tolist(), ds.domain.tolist())))
+                  ([*x, label, domain] for x, label in zip(ds.x.tolist(), y)))
 
 
-def load_csv(path) -> Dataset:
-    """Parse a dataset file; malformed rows raise with their line number."""
+def load_csv(path, domain: int) -> Dataset:
+    """Parse one domain's file (``domain`` 0 target, 1 source), labeled in
+    every row or in none; a malformed row raises with its line number."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -183,27 +165,31 @@ def load_csv(path) -> Dataset:
         width = len(header) - 2
         if width < 1 or header != [f"x{i}" for i in range(width)] + ["y", "domain"]:
             raise DataFormatError(f"{path}: bad header {header!r}")
-        xs, ys, domains = [], [], []
+        xs, ys = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width + 2:
                 raise DataFormatError(f"{path}:{lineno}: expected {width + 2} fields, "
                                       f"got {len(row)}")
             try:
                 xs.append([float(v) for v in row[:width]])
-                ys.append(UNLABELED if row[width] == "" else int(row[width]))
-                domains.append(int(row[width + 1]))
+                ys.append(None if row[width] == "" else int(row[width]))
+                tag = int(row[width + 1])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if tag != domain:
+                raise DataFormatError(f"{path}:{lineno}: domain {tag} in a "
+                                      f"{('target', 'source')[domain]} file (expected {domain})")
+            if (ys[-1] is None) != (ys[0] is None):
+                raise DataFormatError(f"{path}:{ys.index(None) + 2}: "
+                                      "blank label in a partly labeled file "
+                                      "(label every row or none)")
     if not xs:
         raise DataFormatError(f"{path}: no data rows")
     x = np.asarray(xs)
     if not np.isfinite(x).all():  # row i is on line i + 2, below the header
         row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
         raise DataFormatError(f"{path}:{row + 2}: non-finite feature value")
-    try:
-        return Dataset(x, np.asarray(ys), np.asarray(domains))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return Dataset(x, None if ys[0] is None else ys)
 
 
 @dataclass(frozen=True)
@@ -248,19 +234,16 @@ def save_experiment_data(out_dir, source: Dataset, target: Dataset,
     out.mkdir(parents=True, exist_ok=True)
     paths = {"source": out / "source.csv", "target": out / "target.csv",
              "metadata": out / "metadata.json"}
-    save_dataset_csv(paths["source"], source)
-    save_dataset_csv(paths["target"], target, labels=oracle.target_labels)
+    save_dataset_csv(paths["source"], source, 1)
+    save_dataset_csv(paths["target"], Dataset(target.x, oracle.target_labels), 0)
     save_metadata(paths["metadata"], num_source_classes, oracle.shared_classes,
                   source.dim)
     return paths
 
 
 def _load_domain_csv(path, domain: int, meta: Metadata, metadata_path) -> Dataset:
-    """One domain's file, checked for its domain tag and the metadata's dim."""
-    data = load_csv(path)
-    if (data.domain != domain).any():
-        kind = "source" if domain == 1 else "target"
-        raise DataFormatError(f"{path}: expected {kind} rows (domain={domain})")
+    """One domain's file, checked for the metadata's dim."""
+    data = load_csv(path, domain)
     if data.dim != meta.dim:
         raise DataFormatError(f"{metadata_path}: dim {meta.dim} disagrees with "
                               f"the {data.dim} feature columns of {path}")
@@ -269,22 +252,16 @@ def _load_domain_csv(path, domain: int, meta: Metadata, metadata_path) -> Datase
 
 def _load_target(target_path, meta: Metadata, metadata_path
                  ) -> tuple[Dataset, OracleContext | None]:
-    target_raw = _load_domain_csv(target_path, 0, meta, metadata_path)
-    blank = np.flatnonzero(target_raw.y == UNLABELED)
-    if 0 < blank.size < len(target_raw):  # row i is on line i + 2, below the header
-        raise DataFormatError(f"{target_path}:{blank[0] + 2}: blank label in a partly "
-                              f"labeled target file (label every row or none)")
-    oracle = None
-    if target_raw.labeled:
-        shared = meta.shared_classes
-        bad = np.flatnonzero(~in_classes(target_raw.y, shared))
-        if bad.size:
-            raise DataFormatError(f"{target_path}:{bad[0] + 2}: label {target_raw.y[bad[0]]} "
-                                  f"outside the shared classes {sorted(set(shared))} "
-                                  f"of {metadata_path}")
-        oracle = OracleContext(shared, target_raw.y.copy())
-    target = Dataset(target_raw.x, np.full(len(target_raw), UNLABELED), target_raw.domain)
-    return target, oracle
+    target = _load_domain_csv(target_path, 0, meta, metadata_path)
+    if target.y is None:
+        return target, None
+    shared = meta.shared_classes
+    bad = np.flatnonzero(~in_classes(target.y, shared))
+    if bad.size:  # row i of a loaded file is on line i + 2, below the header
+        raise DataFormatError(f"{target_path}:{bad[0] + 2}: label {target.y[bad[0]]} "
+                              f"outside the shared classes {sorted(set(shared))} "
+                              f"of {metadata_path}")
+    return Dataset(target.x), OracleContext(shared, target.y)
 
 
 def load_target_data(target_path, metadata_path
@@ -300,6 +277,8 @@ def load_experiment_data(source_path, target_path, metadata_path
     """Load a source/target pair; target labels move into the oracle context."""
     meta = load_metadata(metadata_path)
     source = _load_domain_csv(source_path, 1, meta, metadata_path)
+    if source.y is None:
+        raise DataFormatError(f"{source_path}: source rows must be labeled")
     k = meta.num_source_classes
     bad = np.flatnonzero((source.y < 0) | (source.y >= k))
     if bad.size:  # row i of a loaded file is on line i + 2, below the header

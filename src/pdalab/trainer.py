@@ -293,6 +293,8 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
     record's ``bound`` is None.  Training itself is the same either way;
     the proxy draws only from the ``divergence`` substream.
     """
+    if source.y is None:
+        raise ValueError("run_experiment needs a labeled source dataset")
     data_rng = substream(seed, "data")
     init_rng = substream(seed, "init")
     div_rng = substream(seed, "divergence")

@@ -612,26 +612,28 @@ class TestCsvErrors:
         assert capsys.readouterr().err == f"error: {source}:5: non-finite feature value\n"
 
 
-def _csv_train_config(tmp_path, target_rows=None):
-    """A training config on generated CSVs; ``target_rows`` edits target.csv's data rows."""
+def _csv_train_config(tmp_path, target_rows=None, source_rows=None):
+    """A training config on generated CSVs; ``target_rows`` and ``source_rows``
+    edit the data rows of target.csv and source.csv."""
     data_dir = tmp_path / "data"
     main(["generate-data", "--config", str(write_config(tmp_path / "gen.yaml")),
           "--out", str(data_dir)])
-    target = data_dir / "target.csv"
-    if target_rows is not None:
-        header, *rows = target.read_text().splitlines()
-        target.write_text("\n".join([header] + target_rows(rows)) + "\n")
+    for name, edit in (("target.csv", target_rows), ("source.csv", source_rows)):
+        if edit is not None:
+            header, *rows = (data_dir / name).read_text().splitlines()
+            (data_dir / name).write_text("\n".join([header] + edit(rows)) + "\n")
     return write_config(
         tmp_path / "train.yaml",
-        data={"csv": {"source": str(data_dir / "source.csv"), "target": str(target),
-                      "metadata": str(data_dir / "metadata.json")}})
+        data={"csv": {name: str(data_dir / f"{name}.{ext}") for name, ext in
+                      (("source", "csv"), ("target", "csv"), ("metadata", "json"))}})
 
 
-def _blank_labels(rows, which):
+def _blank_labels(rows, which, label=""):
+    """``rows`` with the ``y`` of each row ``i`` where ``which(i)`` set to ``label``."""
     out = []
     for i, row in enumerate(rows):
         *x, y, domain = row.split(",")
-        out.append(",".join(x + ["" if which(i) else y, domain]))
+        out.append(",".join(x + [label if which(i) else y, domain]))
     return out
 
 
@@ -649,6 +651,26 @@ class TestTargetLabels:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         assert "final target accuracy n/a" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("target", lambda rows: _blank_labels(rows, lambda i: True, "-1"),
+         "2: label -1 outside the shared classes [0, 1, 2] of {metadata}"),
+        ("source", lambda rows: _blank_labels(rows, lambda i: i == 3, "-1"),
+         "5: label -1 outside [0, 5)"),
+        ("target", lambda rows: rows[:2] + [rows[2][:-1] + "1"] + rows[3:],
+         "4: domain 1 in a target file (expected 0)"),
+        ("source", lambda rows: _blank_labels(rows, lambda i: i in (3, 7)),
+         "5: blank label in a partly labeled file (label every row or none)"),
+    ], ids=["target_all_minus_one", "source_minus_one", "target_row_tagged_source",
+            "partly_labeled_source"])
+    def test_bad_label_column_is_one_error_line_at_its_row(self, tmp_path, capsys, name,
+                                                           edit, message):
+        cfg = _csv_train_config(tmp_path, **{f"{name}_rows": edit})
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        data_dir = tmp_path / "data"
+        _assert_one_error_line(tmp_path, capsys.readouterr().err, f"{data_dir / name}.csv:"
+                               + message.format(metadata=data_dir / "metadata.json"))
 
     def test_reused_out_keeps_only_its_own_files(self, tmp_path):
         out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from pdalab.data import (
     Dataset,
     Metadata,
     SyntheticSpec,
-    UNLABELED,
     batch_iterator,
     generate_toy,
     load_csv,
@@ -28,8 +28,7 @@ class TestGenerateToy:
         assert sorted(set(source.y.tolist())) == [0, 1, 2, 3, 4]
         assert oracle.shared_classes == (0, 1, 2)
         assert np.isin(oracle.target_labels, (0, 1, 2)).all()
-        assert not target.labeled
-        assert (target.y == UNLABELED).all()
+        assert target.y is None
 
     def test_zero_shift_zero_std_targets_on_means(self):
         spec = SyntheticSpec(cluster_std=0.0, target_rotation=0.0,
@@ -77,47 +76,50 @@ class TestGenerateToy:
 class TestCsvRoundTrip:
     def test_basic_round_trip(self, tmp_path):
         path = tmp_path / "two_rows.csv"
-        path.write_text("x0,x1,y,domain\n0.25,-1.5,3,1\n0.1,2.0,,0\n")
-        ds = load_csv(path)
-        assert len(ds) == 2
-        assert ds.y.tolist() == [3, UNLABELED]
-        assert ds.domain.tolist() == [1, 0]
+        path.write_text("x0,x1,y,domain\n0.25,-1.5,3,1\n0.1,2.0,0,1\n")
+        ds = load_csv(path, 1)
+        assert ds.x.tolist() == [[0.25, -1.5], [0.1, 2.0]]
+        assert ds.y.tolist() == [3, 0]
+        path.write_text("x0,x1,y,domain\n0.25,-1.5,,0\n0.1,2.0,,0\n")
+        assert load_csv(path, 0).y is None
 
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        ds = Dataset(rng.normal(size=(50, 3)) * 1e3,
-                     rng.integers(0, 4, size=50),
-                     np.ones(50, dtype=np.int64))
+        ds = Dataset(rng.normal(size=(50, 3)) * 1e3, rng.integers(0, 4, size=50))
         path = tmp_path / "ds.csv"
-        save_dataset_csv(path, ds)
-        back = load_csv(path)
+        save_dataset_csv(path, ds, 1)
+        back = load_csv(path, 1)
         assert np.array_equal(ds.x, back.x)
         assert np.array_equal(ds.y, back.y)
-        assert np.array_equal(ds.domain, back.domain)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1,y,domain\n1.0,2.0,0,1\nnot_a_number,2.0,0,1\n")
         with pytest.raises(DataFormatError, match=":3:"):
-            load_csv(path)
+            load_csv(path, 1)
 
     def test_inconsistent_width_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1,y,domain\n1.0,2.0,0,1\n1.0,0,1\n")
         with pytest.raises(DataFormatError, match=":3:"):
-            load_csv(path)
+            load_csv(path, 1)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,y,domain\n1.0,2.0,0,1\n")
         with pytest.raises(DataFormatError, match="header"):
-            load_csv(path)
+            load_csv(path, 1)
 
-    def test_unlabeled_source_rejected(self, tmp_path):
+    @pytest.mark.parametrize("domain, rows, line, message", [
+        (1, ["1.0,2,1", "2.0,2,0"], 3, "domain 0 in a source file (expected 1)"),
+        (0, ["1.0,,0", "2.0,1,0"], 2, "blank label in a partly labeled file"),
+    ], ids=["source_row_tagged_target", "labeled_after_a_blank"])
+    def test_one_domain_labeled_in_every_row_or_none(self, tmp_path, domain, rows, line,
+                                                     message):
         path = tmp_path / "bad.csv"
-        path.write_text("x0,y,domain\n1.0,,1\n")
-        with pytest.raises(DataFormatError):
-            load_csv(path)
+        path.write_text("\n".join(["x0,y,domain"] + rows) + "\n")
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:{line}: {message}")):
+            load_csv(path, domain)
 
 
 class TestExperimentIo:
@@ -133,7 +135,7 @@ class TestExperimentIo:
         assert np.array_equal(src2.x, source.x)
         assert np.array_equal(src2.y, source.y)
         assert np.array_equal(tgt2.x, target.x)
-        assert (tgt2.y == UNLABELED).all()
+        assert tgt2.y is None
         assert oracle2 is not None
         assert np.array_equal(oracle2.target_labels, oracle.target_labels)
         assert oracle2.shared_classes == oracle.shared_classes
@@ -147,11 +149,20 @@ class TestExperimentIo:
         with pytest.raises(DataFormatError, match=f"source.csv:5: label {label} "):
             load_experiment_data(paths["source"], paths["target"], paths["metadata"])
 
+    def test_unlabeled_source_rejected(self, tmp_path):
+        spec = SyntheticSpec(seed=6, samples_per_class=5)
+        source, target, oracle = generate_toy(spec)
+        paths = save_experiment_data(tmp_path, source, target, oracle, 5)
+        save_dataset_csv(paths["source"], Dataset(source.x), 1)
+        message = f"{paths['source']}: source rows must be labeled"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_experiment_data(paths["source"], paths["target"], paths["metadata"])
+
     def test_unlabeled_target_yields_no_oracle(self, tmp_path):
         spec = SyntheticSpec(seed=6, samples_per_class=5)
         source, target, oracle = generate_toy(spec)
         paths = save_experiment_data(tmp_path, source, target, oracle, 5)
-        save_dataset_csv(paths["target"], target)  # overwrite without labels
+        save_dataset_csv(paths["target"], target, 0)  # overwrite without labels
         _, _, oracle2, _ = load_experiment_data(paths["source"], paths["target"],
                                                 paths["metadata"])
         assert oracle2 is None

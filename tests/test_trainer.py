@@ -6,7 +6,7 @@ import pytest
 
 from pdalab import tensor as T
 from pdalab.bound import BoundReport
-from pdalab.data import Dataset, SyntheticSpec, UNLABELED, generate_toy, steps_per_epoch
+from pdalab.data import Dataset, SyntheticSpec, generate_toy, steps_per_epoch
 from pdalab.losses import assign_pseudo_labels
 from pdalab.metrics import to_json_line
 from pdalab.nets import ArchSpec, init_bundle
@@ -160,8 +160,8 @@ class TestTrainEpoch:
     def test_source_only_matches_hand_unrolled_step(self):
         # One source and one target point, batch 1, no hidden layers: the
         # update must equal the hand-derived softmax cross-entropy step.
-        source = Dataset(np.array([[0.5, -1.0]]), np.array([2]), np.array([1]))
-        target = Dataset(np.array([[1.0, 1.0]]), np.array([UNLABELED]), np.array([0]))
+        source = Dataset(np.array([[0.5, -1.0]]), np.array([2]))
+        target = Dataset(np.array([[1.0, 1.0]]))
         arch = ArchSpec(in_dim=2, num_classes=3, hidden=())
         sched = Schedule(eta0=0.1, total_epochs=1, warmup_epochs=0, batch_size=1)
         bundle = init_bundle(arch, np.random.default_rng(5))
@@ -408,6 +408,12 @@ class TestRunExperiment:
         assert res.confusion is None
         assert all(r.bound is None and r.target_accuracy is None for r in res.records)
         assert all(len(r.class_weights) == 5 for r in res.records)
+
+    def test_unlabeled_source_rejected(self):
+        source, target, oracle = tiny_problem(seed=10)
+        with pytest.raises(ValueError, match="^run_experiment needs a labeled source dataset$"):
+            run_experiment(Dataset(source.x), target, oracle, ArchSpec(in_dim=2, num_classes=5),
+                           PRESETS["source_only"], small_sched(total_epochs=1), 0)
 
     def test_source_only_metrics_have_zero_adversarial_loss(self):
         source, target, oracle = tiny_problem(seed=11)
