@@ -56,11 +56,10 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, not yet created."""
     if cfg.out_dir is None:
         raise ConfigError("an output directory is required (config out_dir or --out)")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(cfg.out_dir)
 
 
 def _load_data(cfg: RunConfig, *, fits_proxy: bool = False):
@@ -118,13 +117,13 @@ def cmd_train(args) -> int:
     source, target, oracle, k, resolved_data = _load_data(cfg, fits_proxy=True)
     arch = cfg.arch.to_arch(source.dim, k)
     out = _out_dir(cfg)
+    result = run_experiment(source, target, oracle, arch, cfg.flags(),
+                            cfg.schedule, cfg.seed)
 
+    out.mkdir(parents=True, exist_ok=True)  # only a run that completes writes
     effective = replace(cfg, data=resolved_data, out_dir=str(out))
     with atomic_write(out / "effective_config.yaml") as fh:
         fh.write(dump_config(effective))
-
-    result = run_experiment(source, target, oracle, arch, cfg.flags(),
-                            cfg.schedule, cfg.seed)
     write_metrics(out / "metrics.jsonl", result.records)
     save_model(out / "model.json", result.bundle)
     if result.confusion is not None:
@@ -173,8 +172,9 @@ def _ablate_one(cfg: RunConfig) -> float:
     skips the reported terms, which the ablation table does not hold.
     """
     source, target, oracle, k, _ = _load_data(cfg)
-    if oracle is None:
-        raise ConfigError("ablate requires oracle target labels for accuracy")
+    if oracle is None:  # synthetic data always has them
+        raise ConfigError(f"data.csv.target: {cfg.data.target} has no oracle labels "
+                          "(every y is blank); ablate needs them for accuracy")
     arch = cfg.arch.to_arch(source.dim, k)
     result = run_experiment(source, target, oracle, arch, cfg.flags(),
                             cfg.schedule, cfg.seed, full_audit=False)
@@ -206,8 +206,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle = load_model(args.model)
-    metadata = Path(args.data) / "metadata.json"
-    target, oracle, k = load_target_data(Path(args.data) / "target.csv", metadata)
+    metadata, target_path = Path(args.data) / "metadata.json", Path(args.data) / "target.csv"
+    target, oracle, k = load_target_data(target_path, metadata)
     if bundle.num_classes != k:
         raise ValueError(f"{args.model}: num_classes {bundle.num_classes} disagrees "
                          f"with num_source_classes {k} of {metadata}")
@@ -216,7 +216,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.model}: input width {width} disagrees "
                          f"with dim {target.dim} of {metadata}")
     if oracle is None:
-        raise ValueError("eval requires oracle labels in the target file")
+        raise ValueError(f"{target_path}: no oracle labels (every y is blank); "
+                         "eval needs them")
     accuracy, confusion = evaluate(bundle, target.x, oracle.target_labels, k)
     print(f"target accuracy: {accuracy:.4f}")
     print("confusion matrix (rows true, columns predicted):")

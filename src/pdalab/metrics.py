@@ -185,6 +185,11 @@ class MetricsRecord:
     losses: LossBreakdown | None
     bound: BoundReport | None
 
+    def __post_init__(self):
+        if self.bound is not None and self.bound.epoch != self.epoch:
+            raise ValueError(f"bound.epoch {self.bound.epoch} disagrees with "
+                             f"epoch {self.epoch}")
+
     def to_dict(self) -> dict:
         return {"schema": SCHEMA_VERSION, **to_plain(self)}
 
@@ -208,6 +213,8 @@ def write_metrics(path, records: list[MetricsRecord]) -> None:
 
 
 def read_metrics(path) -> list[MetricsRecord]:
+    """A run's records, which hold epochs 0, 1, ... in order; an empty file,
+    or a record out of that order, is a ValueError naming the file."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -221,4 +228,9 @@ def read_metrics(path) -> list[MetricsRecord]:
                 raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad metrics record: {exc}") from None
+            if records[-1].epoch != len(records) - 1:
+                raise ValueError(f"{path}:{lineno}: epoch {records[-1].epoch} out of "
+                                 f"order (expected epoch {len(records) - 1})")
+    if not records:
+        raise ValueError(f"{path}: no metrics records")
     return records

@@ -114,6 +114,19 @@ class TestTrain:
         records = read_metrics(out / "metrics.jsonl")
         assert records[-1].target_accuracy is not None
 
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        import pdalab.cli
+
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("non-finite values produced by 'linear'")
+
+        monkeypatch.setattr(pdalab.cli, "run_experiment", diverge)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: non-finite values produced by 'linear'\n"
+        assert not out.exists()
+
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         path.write_text("schedule:\n  lr: 0.1\n")
@@ -264,6 +277,28 @@ class TestBoundTrace:
             f"error: {metrics}: stored record: intermediate inequality violated: "
             f"{bound['w_error_l1']!r} > {bound['rhs_intermediate']!r} (epoch 1)\n")
         assert not trace.exists()
+
+    def test_bound_epoch_other_than_the_record_names_the_line(self, tmp_path, capsys):
+        metrics, _ = self._edit_epoch_1(tmp_path, lambda record: record["bound"].update(epoch=9))
+        capsys.readouterr()
+        assert main(["bound-trace", str(metrics)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {metrics}:2: bad metrics record: bound.epoch 9 disagrees with epoch 1\n")
+
+    def test_records_out_of_epoch_order_name_the_line(self, tmp_path, capsys):
+        metrics, _ = self._edit_epoch_1(tmp_path, lambda record: None)
+        lines = metrics.read_text().splitlines()
+        metrics.write_text("\n".join(lines[i] for i in (0, 2, 1, 1)) + "\n")
+        capsys.readouterr()
+        assert main(["bound-trace", str(metrics)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {metrics}:2: epoch 2 out of order (expected epoch 1)\n")
+
+    def test_empty_file_names_the_file(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text("")
+        assert main(["bound-trace", str(metrics)]) == 1
+        assert capsys.readouterr() == ("", f"error: {metrics}: no metrics records\n")
 
     def test_record_without_a_bound_report_names_the_file_and_epoch(self, tmp_path, capsys):
         metrics, _ = self._edit_epoch_1(tmp_path, lambda record: record.update(bound=None))
@@ -671,6 +706,26 @@ class TestTargetLabels:
         data_dir = tmp_path / "data"
         _assert_one_error_line(tmp_path, capsys.readouterr().err, f"{data_dir / name}.csv:"
                                + message.format(metadata=data_dir / "metadata.json"))
+
+    def test_eval_without_oracle_labels_names_the_target_file(self, tmp_path, capsys):
+        cfg = _csv_train_config(tmp_path, lambda rows: _blank_labels(rows, lambda i: True))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(out / "model.json"),
+                     "--data", str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'data' / 'target.csv'}: no oracle labels "
+            "(every y is blank); eval needs them\n")
+
+    def test_ablate_without_oracle_labels_names_the_target_key(self, tmp_path, capfd):
+        cfg = _csv_train_config(tmp_path, lambda rows: _blank_labels(rows, lambda i: True))
+        capfd.readouterr()
+        assert main(["ablate", "--config", str(cfg), "--seeds", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capfd.readouterr().err,
+                               f"data.csv.target: {tmp_path / 'data' / 'target.csv'} has no "
+                               "oracle labels (every y is blank); ablate needs them for accuracy")
 
     def test_reused_out_keeps_only_its_own_files(self, tmp_path):
         out = tmp_path / "run"

@@ -86,7 +86,7 @@ class TestSchema:
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
-        path.write_text(to_json_line(sample_record()) + "\nnot json\n")
+        path.write_text(to_json_line(sample_record(0)) + "\nnot json\n")
         with pytest.raises(ValueError, match=":2:"):
             read_metrics(path)
 
@@ -95,7 +95,7 @@ class TestSchema:
         d = sample_record().to_dict()
         d[field] = value
         path = tmp_path / "metrics.jsonl"
-        path.write_text(to_json_line(sample_record()) + "\n" + json.dumps(d) + "\n")
+        path.write_text(to_json_line(sample_record(0)) + "\n" + json.dumps(d) + "\n")
         with pytest.raises(ValueError, match=f"{path}:2: bad metrics record: .*mapping"):
             read_metrics(path)
 
@@ -109,7 +109,7 @@ class TestSchema:
         path = tmp_path / "metrics.jsonl"
         d = sample_record().to_dict()
         d["schema"] = "x.0"
-        path.write_text(to_json_line(sample_record()) + "\n" + json.dumps(d) + "\n")
+        path.write_text(to_json_line(sample_record(0)) + "\n" + json.dumps(d) + "\n")
         with pytest.raises(MetricsSchemaError) as info:
             read_metrics(path)
         assert str(info.value) == f"{path}:2: unsupported metrics schema 'x.0'"
