@@ -659,8 +659,9 @@ def _csv_train_config(tmp_path, target_rows=None, source_rows=None):
             (data_dir / name).write_text("\n".join([header] + edit(rows)) + "\n")
     return write_config(
         tmp_path / "train.yaml",
-        data={"csv": {name: str(data_dir / f"{name}.{ext}") for name, ext in
-                      (("source", "csv"), ("target", "csv"), ("metadata", "json"))}})
+        data={"csv": {"source": str(data_dir / "source.csv"),
+                      "target": str(data_dir / "target.csv"),
+                      "metadata": str(data_dir / "metadata.json")}})
 
 
 def _blank_labels(rows, which, label=""):
