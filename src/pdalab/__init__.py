@@ -5,36 +5,4 @@ method and audits the estimation error of the class transferable
 probability against its exactly computable bound.
 """
 
-from .bound import BoundReport, OracleContext, check_bound
-from .data import Dataset, SyntheticSpec, generate_toy
-from .losses import LossBreakdown
-from .nets import ArchSpec, ModelBundle, init_bundle
-from .trainer import (
-    ABLATION_VARIANTS,
-    PRESETS,
-    Schedule,
-    VariantFlags,
-    evaluate,
-    run_experiment,
-)
-
-__all__ = [
-    "ABLATION_VARIANTS",
-    "ArchSpec",
-    "BoundReport",
-    "Dataset",
-    "LossBreakdown",
-    "ModelBundle",
-    "OracleContext",
-    "PRESETS",
-    "Schedule",
-    "SyntheticSpec",
-    "VariantFlags",
-    "check_bound",
-    "evaluate",
-    "generate_toy",
-    "init_bundle",
-    "run_experiment",
-]
-
 __version__ = "0.1.0"

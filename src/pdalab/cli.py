@@ -20,16 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .bound import BoundViolationError, check_intermediate, in_classes, proxy_test_rows
-from .config import ConfigError, RunConfig, _parse_variant, dump_config, load_config
+from .config import RunConfig, _parse_variant, dump_config, load_config
 from .data import (
-    DataFormatError,
     SyntheticSpec,
     generate_toy,
     load_experiment_data,
     load_target_data,
     save_experiment_data,
 )
-from .metrics import MetricsSchemaError, atomic_write, read_metrics, write_csv, write_metrics
+from .metrics import atomic_write, read_metrics, write_csv, write_metrics
 from .nets import load_model, save_model
 from .rngstreams import substream_seed
 from .trainer import ABLATION_VARIANTS, evaluate, run_experiment
@@ -58,7 +57,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def _out_dir(cfg: RunConfig) -> Path:
     """The output directory, not yet created."""
     if cfg.out_dir is None:
-        raise ConfigError("an output directory is required (config out_dir or --out)")
+        raise ValueError("an output directory is required (config out_dir or --out)")
     return Path(cfg.out_dir)
 
 
@@ -87,11 +86,11 @@ def _load_data(cfg: RunConfig, *, fits_proxy: bool = False):
             try:
                 proxy_test_rows(n, what)
             except ValueError as exc:
-                raise DataFormatError(f"{where}: {exc}") from None
+                raise ValueError(f"{where}: {exc}") from None
     rows, domain = min((len(source), "source"), (len(target), "target"))
     if cfg.schedule.batch_size > rows:
-        raise ConfigError(f"schedule.batch_size: {cfg.schedule.batch_size} exceeds "
-                          f"the {rows} rows of the {domain} domain")
+        raise ValueError(f"schedule.batch_size: {cfg.schedule.batch_size} exceeds "
+                         f"the {rows} rows of the {domain} domain")
     return source, target, oracle, k, resolved
 
 
@@ -103,7 +102,7 @@ def _write_confusion(path, confusion: np.ndarray) -> None:
 def cmd_generate_data(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if not isinstance(cfg.data, SyntheticSpec):
-        raise ConfigError("generate-data requires a synthetic data section")
+        raise ValueError("generate-data requires a synthetic data section")
     source, target, oracle, k, _ = _load_data(cfg)
     out = _out_dir(cfg)
     paths = save_experiment_data(out, source, target, oracle, k)
@@ -173,8 +172,8 @@ def _ablate_one(cfg: RunConfig) -> float:
     """
     source, target, oracle, k, _ = _load_data(cfg)
     if oracle is None:  # synthetic data always has them
-        raise ConfigError(f"data.csv.target: {cfg.data.target} has no oracle labels "
-                          "(every y is blank); ablate needs them for accuracy")
+        raise ValueError(f"data.csv.target: {cfg.data.target} has no oracle labels "
+                         "(every y is blank); ablate needs them for accuracy")
     arch = cfg.arch.to_arch(source.dim, k)
     result = run_experiment(source, target, oracle, arch, cfg.flags(),
                             cfg.schedule, cfg.seed, full_audit=False)
@@ -290,8 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, MetricsSchemaError, BoundViolationError,
-            ValueError, FloatingPointError, OSError) as exc:
+    except (ValueError, BoundViolationError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,10 +22,6 @@ from .nets import ArchSpec
 from .trainer import NAMED_VARIANTS, Schedule, VariantFlags
 
 
-class ConfigError(ValueError):
-    """The configuration is malformed or fails validation."""
-
-
 @dataclass(frozen=True)
 class CsvDataConfig:
     source: str
@@ -43,17 +39,17 @@ class ArchConfig:
             return ArchSpec(in_dim=in_dim, num_classes=num_classes,
                             hidden=self.hidden, disc_hidden=self.disc_hidden)
         except ValueError as exc:
-            raise ConfigError(f"arch: {exc}") from None
+            raise ValueError(f"arch: {exc}") from None
 
 
 def _parse_variant(value, where: str) -> str | VariantFlags:
     if isinstance(value, dict):
         return from_plain(VariantFlags, value, where)
     if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a preset name or a flag mapping")
+        raise ValueError(f"{where}: expected a preset name or a flag mapping")
     if value not in NAMED_VARIANTS:
-        raise ConfigError(f"{where}: unknown name {value!r}; "
-                          f"known: {sorted(NAMED_VARIANTS)}")
+        raise ValueError(f"{where}: unknown name {value!r}; "
+                         f"known: {sorted(NAMED_VARIANTS)}")
     return value
 
 
@@ -68,7 +64,7 @@ class _DataSection:
 def _parse_data(value, where: str) -> SyntheticSpec | CsvDataConfig:
     section = from_plain(_DataSection, value, where)
     if section.synthetic is not None and section.csv is not None:
-        raise ConfigError(f"{where}: specify either synthetic or csv, not both")
+        raise ValueError(f"{where}: specify either synthetic or csv, not both")
     return section.csv or section.synthetic or SyntheticSpec()
 
 
@@ -95,11 +91,8 @@ class RunConfig:
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
         """Read a config; a null document is the all-defaults config."""
-        try:
-            return from_plain(RunConfig, {} if raw is None else raw,
-                              variant=_parse_variant, data=_parse_data)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return from_plain(RunConfig, {} if raw is None else raw,
+                          variant=_parse_variant, data=_parse_data)
 
 
 class _DuplicateKeyError(yaml.MarkedYAMLError):
@@ -133,23 +126,23 @@ def load_config(path) -> RunConfig:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         kind = "" if isinstance(exc, _DuplicateKeyError) else "invalid YAML: "
-        raise ConfigError(f"{path}:{mark.line + 1}:{mark.column + 1}: "
-                          f"{kind}{exc.problem}") from None
+        raise ValueError(f"{path}:{mark.line + 1}:{mark.column + 1}: "
+                         f"{kind}{exc.problem}") from None
     except yaml.reader.ReaderError as exc:  # a character YAML does not allow
         line = text.count("\n", 0, exc.position) + 1
         col = exc.position - text.rfind("\n", 0, exc.position)
-        raise ConfigError(f"{path}:{line}:{col}: invalid YAML: "
-                          f"unacceptable character #x{exc.character:04x}") from None
+        raise ValueError(f"{path}:{line}:{col}: invalid YAML: "
+                         f"unacceptable character #x{exc.character:04x}") from None
     try:
         return RunConfig.from_dict(raw)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -35,10 +35,6 @@ DEFAULT_MEAN_RADIUS = 1.7
 DEFAULT_MEAN_PHASE = 0.4 * math.pi
 
 
-class DataFormatError(ValueError):
-    """A dataset file does not conform to the expected format."""
-
-
 @dataclass
 class Dataset:
     """One domain's rows: features ``x`` and labels ``y``, None if unlabeled."""
@@ -161,34 +157,34 @@ def load_csv(path, domain: int) -> Dataset:
         try:
             header = next(reader)
         except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+            raise ValueError(f"{path}: empty file") from None
         width = len(header) - 2
         if width < 1 or header != [f"x{i}" for i in range(width)] + ["y", "domain"]:
-            raise DataFormatError(f"{path}: bad header {header!r}")
+            raise ValueError(f"{path}: bad header {header!r}")
         xs, ys = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width + 2:
-                raise DataFormatError(f"{path}:{lineno}: expected {width + 2} fields, "
-                                      f"got {len(row)}")
+                raise ValueError(f"{path}:{lineno}: expected {width + 2} fields, "
+                                 f"got {len(row)}")
             try:
                 xs.append([float(v) for v in row[:width]])
                 ys.append(None if row[width] == "" else int(row[width]))
                 tag = int(row[width + 1])
             except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if tag != domain:
-                raise DataFormatError(f"{path}:{lineno}: domain {tag} in a "
-                                      f"{('target', 'source')[domain]} file (expected {domain})")
+                raise ValueError(f"{path}:{lineno}: domain {tag} in a "
+                                 f"{('target', 'source')[domain]} file (expected {domain})")
             if (ys[-1] is None) != (ys[0] is None):
-                raise DataFormatError(f"{path}:{ys.index(None) + 2}: "
-                                      "blank label in a partly labeled file "
-                                      "(label every row or none)")
+                raise ValueError(f"{path}:{ys.index(None) + 2}: "
+                                 "blank label in a partly labeled file "
+                                 "(label every row or none)")
     if not xs:
-        raise DataFormatError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     x = np.asarray(xs)
     if not np.isfinite(x).all():  # row i is on line i + 2, below the header
         row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
-        raise DataFormatError(f"{path}:{row + 2}: non-finite feature value")
+        raise ValueError(f"{path}:{row + 2}: non-finite feature value")
     return Dataset(x, None if ys[0] is None else ys)
 
 
@@ -224,7 +220,7 @@ def load_metadata(path) -> Metadata:
     try:
         return from_plain(Metadata, raw, strict=False)
     except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_experiment_data(out_dir, source: Dataset, target: Dataset,
@@ -245,8 +241,8 @@ def _load_domain_csv(path, domain: int, meta: Metadata, metadata_path) -> Datase
     """One domain's file, checked for the metadata's dim."""
     data = load_csv(path, domain)
     if data.dim != meta.dim:
-        raise DataFormatError(f"{metadata_path}: dim {meta.dim} disagrees with "
-                              f"the {data.dim} feature columns of {path}")
+        raise ValueError(f"{metadata_path}: dim {meta.dim} disagrees with "
+                         f"the {data.dim} feature columns of {path}")
     return data
 
 
@@ -258,9 +254,9 @@ def _load_target(target_path, meta: Metadata, metadata_path
     shared = meta.shared_classes
     bad = np.flatnonzero(~in_classes(target.y, shared))
     if bad.size:  # row i of a loaded file is on line i + 2, below the header
-        raise DataFormatError(f"{target_path}:{bad[0] + 2}: label {target.y[bad[0]]} "
-                              f"outside the shared classes {sorted(set(shared))} "
-                              f"of {metadata_path}")
+        raise ValueError(f"{target_path}:{bad[0] + 2}: label {target.y[bad[0]]} "
+                         f"outside the shared classes {sorted(set(shared))} "
+                         f"of {metadata_path}")
     return Dataset(target.x), OracleContext(shared, target.y)
 
 
@@ -278,12 +274,12 @@ def load_experiment_data(source_path, target_path, metadata_path
     meta = load_metadata(metadata_path)
     source = _load_domain_csv(source_path, 1, meta, metadata_path)
     if source.y is None:
-        raise DataFormatError(f"{source_path}: source rows must be labeled")
+        raise ValueError(f"{source_path}: source rows must be labeled")
     k = meta.num_source_classes
     bad = np.flatnonzero((source.y < 0) | (source.y >= k))
     if bad.size:  # row i of a loaded file is on line i + 2, below the header
-        raise DataFormatError(f"{source_path}:{bad[0] + 2}: label {source.y[bad[0]]} "
-                              f"outside [0, {k})")
+        raise ValueError(f"{source_path}:{bad[0] + 2}: label {source.y[bad[0]]} "
+                         f"outside [0, {k})")
     target, oracle = _load_target(target_path, meta, metadata_path)
     return source, target, oracle, k
 

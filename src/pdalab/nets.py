@@ -18,7 +18,6 @@ import numpy as np
 from .metrics import atomic_write, from_plain, load_json, same_major, to_plain
 from .tensor import (
     ACTIVATIONS,
-    DimensionError,
     Tensor,
     grad_reverse,
     linear,
@@ -36,12 +35,12 @@ class MLP:
     def __init__(self, layers: list[tuple[Tensor, Tensor, str]]):
         for w, b, act in layers:
             if w.data.ndim != 2 or b.data.ndim != 1 or w.shape[1] != b.shape[0]:
-                raise DimensionError("layer weight/bias shapes inconsistent")
+                raise ValueError("layer weight/bias shapes inconsistent")
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         for (w1, _, _), (w2, _, _) in zip(layers, layers[1:]):
             if w1.shape[1] != w2.shape[0]:
-                raise DimensionError("consecutive layer dimensions do not chain")
+                raise ValueError("consecutive layer dimensions do not chain")
         self.layers = layers
 
     @property
@@ -83,13 +82,13 @@ class MultiTaskDiscriminator:
             raise ValueError("private-trunk discriminator requires one trunk per head")
         for head in heads:
             if head.out_dim != 1:
-                raise DimensionError("each discriminator head must emit one logit")
+                raise ValueError("each discriminator head must emit one logit")
         chains = [h.layers for h in heads]
         if not shared_trunk:
             chains = [t.layers + chain for t, chain in zip(trunks, chains)]
         shapes = {tuple((w.shape, act) for w, _, act in chain) for chain in chains}
         if len(shapes) != 1:
-            raise DimensionError("discriminator heads must share one architecture")
+            raise ValueError("discriminator heads must share one architecture")
         self.layers = [(Tensor(np.stack([w.data for w, _, _ in depth]), requires_grad=True),
                         Tensor(np.stack([b.data for _, b, _ in depth]), requires_grad=True),
                         depth[0][2])
@@ -142,10 +141,10 @@ class ModelBundle:
 
     def __post_init__(self):
         if self.classifier.out_dim != self.num_classes:
-            raise DimensionError("classifier output width must equal the class count")
+            raise ValueError("classifier output width must equal the class count")
         feat_dim = self.features.out_dim
         if feat_dim is not None and self.classifier.in_dim != feat_dim:
-            raise DimensionError("classifier input width must match the feature width")
+            raise ValueError("classifier input width must match the feature width")
 
     def parameters(self) -> list[Tensor]:
         return (self.features.parameters() + self.classifier.parameters()
@@ -210,14 +209,14 @@ def f_forward(features: MLP, x) -> Tensor:
     """Feature extractor pass; accepts a Tensor or a raw [m, d] array."""
     xt = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     if features.in_dim is not None and xt.shape[1] != features.in_dim:
-        raise DimensionError(f"input width {xt.shape[1]} != extractor width {features.in_dim}")
+        raise ValueError(f"input width {xt.shape[1]} != extractor width {features.in_dim}")
     return features.forward(xt)
 
 
 def g_forward(classifier: MLP, f: Tensor) -> Tensor:
     """Class predictions on the simplex (softmax over the class logits)."""
     if f.shape[1] != classifier.in_dim:
-        raise DimensionError(f"feature width {f.shape[1]} != classifier width {classifier.in_dim}")
+        raise ValueError(f"feature width {f.shape[1]} != classifier width {classifier.in_dim}")
     return softmax_rows(classifier.forward(f))
 
 

@@ -26,14 +26,6 @@ LOG_FLOOR = 1e-12
 ACTIVATIONS = ("relu", "none")
 
 
-class DimensionError(ValueError):
-    """Operand shapes are incompatible with the requested primitive."""
-
-
-class TapeError(RuntimeError):
-    """backward() was asked to differentiate a tensor not on the active tape."""
-
-
 class Tensor:
     """A dense float64 array, optionally tracked for differentiation.
 
@@ -162,7 +154,7 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return  # constant loss: all gradients are zero
     if loss._tape_pos is None or loss._tape_pos[0] != _tape.generation:
-        raise TapeError("loss is not on the active tape (tape was reset?)")
+        raise RuntimeError("loss is not on the active tape (tape was reset?)")
 
     nodes = _tape.nodes[: loss._tape_pos[1] + 1]
     _check_sweep(loss.data.item(), nodes, grads=False)
@@ -198,9 +190,9 @@ def zero_grad(tensors: Iterable[Tensor]) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul requires 2-d operands")
+        raise ValueError("matmul requires 2-d operands")
     if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+        raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
 
     def bw(g):
@@ -222,7 +214,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
             or x_data.shape[-1] != w_data.shape[-2] \
             or (x_data.ndim == 3 and x_data.shape[0] != w_data.shape[0]) \
             or b_data.shape != w_data.shape[:-2] + w_data.shape[-1:]:
-        raise DimensionError(f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
+        raise ValueError(f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {act!r}")
     pre = x_data @ w_data + b_data[..., None, :]
@@ -259,7 +251,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
 def add(*terms: Tensor) -> Tensor:
     """Elementwise sum of same-shaped tensors, left to right, in one node."""
     if any(t.shape != terms[0].shape for t in terms):
-        raise DimensionError(f"add shapes differ: {[t.shape for t in terms]}")
+        raise ValueError(f"add shapes differ: {[t.shape for t in terms]}")
     out = terms[0].data
     for t in terms[1:]:
         out = out + t.data
@@ -272,7 +264,7 @@ def add(*terms: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
+        raise ValueError(f"mul shapes differ: {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
 
     def bw(g):
@@ -284,7 +276,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def mean(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
-        raise DimensionError("mean of an empty tensor")
+        raise ValueError("mean of an empty tensor")
 
     def bw(g):
         return [(a, np.broadcast_to(g / n, a.shape).copy())]
@@ -295,7 +287,7 @@ def mean(a: Tensor) -> Tensor:
 def softmax_rows(logits: Tensor) -> Tensor:
     """Row-wise exp-normalize, stabilized by per-row max subtraction."""
     if logits.data.ndim != 2:
-        raise DimensionError("softmax_rows requires a 2-d tensor")
+        raise ValueError("softmax_rows requires a 2-d tensor")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
@@ -310,11 +302,11 @@ def cross_entropy_mean(pred: Tensor, labels, class_weights) -> Tensor:
     """Mean over rows of ``class_weights[y] * -log pred[y]`` for simplex rows and
     one class label per row; ``pred`` is floored at ``LOG_FLOOR`` before the log."""
     if pred.data.ndim != 2 or pred.shape[0] == 0:
-        raise DimensionError("cross_entropy_mean requires a nonempty 2-d tensor")
+        raise ValueError("cross_entropy_mean requires a nonempty 2-d tensor")
     m, k = pred.shape
     labels = np.asarray(labels)
     if labels.shape != (m,):
-        raise DimensionError("one label per prediction row required")
+        raise ValueError("one label per prediction row required")
     if labels.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
     if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k:
@@ -341,7 +333,7 @@ def weighted_bce(logits: Tensor, targets, weights) -> Tensor:
     terms exact for d in {0, 1}.  The gradient is ``weights * (sigmoid(z) - d) / m``."""
     z = logits.data
     if z.ndim != 2 or z.shape[0] == 0:
-        raise DimensionError("weighted_bce requires a nonempty 2-d tensor")
+        raise ValueError("weighted_bce requires a nonempty 2-d tensor")
     d = np.asarray(targets, dtype=np.float64)
     if d.ndim == 1 and d.shape[0] == z.shape[0]:
         d = d[:, None]
@@ -354,15 +346,15 @@ def weighted_bce(logits: Tensor, targets, weights) -> Tensor:
 
     weighted = (np.maximum(z, 0.0) - d * z + np.log1p(e)) * weights
     if weighted.shape != z.shape:
-        raise DimensionError(f"targets {d.shape} and weights {np.shape(weights)} "
-                             f"do not broadcast to {z.shape}")
+        raise ValueError(f"targets {d.shape} and weights {np.shape(weights)} "
+                         f"do not broadcast to {z.shape}")
     return _record("weighted_bce", (logits,), np.asarray(np.add.reduce(weighted, None)) * s, bw)
 
 
 def entropy_mean(pred: Tensor, scale: float) -> Tensor:
     """``scale`` times the mean Shannon entropy (natural log) of simplex rows."""
     if pred.data.ndim != 2 or pred.shape[0] == 0:
-        raise DimensionError("entropy_mean requires a nonempty 2-d tensor")
+        raise ValueError("entropy_mean requires a nonempty 2-d tensor")
     p, m, s = pred.data, pred.shape[0], float(scale)
     log_p = np.log(np.maximum(p, LOG_FLOOR))
 
@@ -387,9 +379,9 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2:
-        raise DimensionError("slice_rows requires a 2-d tensor")
+        raise ValueError("slice_rows requires a 2-d tensor")
     if not (0 <= start <= stop <= a.shape[0]):
-        raise DimensionError(f"row slice [{start}:{stop}] out of bounds for {a.shape}")
+        raise ValueError(f"row slice [{start}:{stop}] out of bounds for {a.shape}")
 
     def bw(g):
         full = np.zeros(a.shape)
@@ -402,7 +394,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 def stack_to_cols(a: Tensor) -> Tensor:
     """A [K, m, 1] stack of single-column outputs as one [m, K] matrix."""
     if a.data.ndim != 3 or a.shape[2] != 1:
-        raise DimensionError(f"stack_to_cols requires a [K, m, 1] stack, got {a.shape}")
+        raise ValueError(f"stack_to_cols requires a [K, m, 1] stack, got {a.shape}")
 
     def bw(g):
         return [(a, g.T.copy()[:, :, None])]

@@ -15,7 +15,6 @@ from pdalab.nets import (
     init_bundle,
 )
 from pdalab.tensor import (
-    DimensionError,
     Tensor,
     add,
     backward,
@@ -80,7 +79,7 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         bundle = init_bundle(toy_arch(), np.random.default_rng(10))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="^input width 4 != extractor width 2$"):
             f_forward(bundle.features, np.zeros((3, 4)))
 
     def test_lambda_zero_stops_gradient_at_features(self):
@@ -147,7 +146,8 @@ class TestSharedTrunkEquivalence:
         a = init_bundle(arch, np.random.default_rng(0)).discriminator
         b = init_bundle(ArchSpec(in_dim=2, num_classes=2, hidden=(16, 8)),
                         np.random.default_rng(0)).discriminator
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError,
+                           match="^discriminator heads must share one architecture$"):
             MultiTaskDiscriminator(a.trunks, [a.heads[0], b.heads[0]], shared_trunk=True)
 
 
