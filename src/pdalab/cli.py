@@ -46,7 +46,10 @@ def _configure_logging() -> None:
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ValueError as exc:
+            raise ValueError(f"--seed: {exc}") from None
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "variant", None) is not None:

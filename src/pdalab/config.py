@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .data import SyntheticSpec
-from .metrics import from_plain, to_plain
-from .nets import ArchSpec
+from .metrics import from_plain, read_text, to_plain
+from .nets import ArchConfig
 from .trainer import NAMED_VARIANTS, Schedule, VariantFlags
 
 
@@ -27,19 +27,6 @@ class CsvDataConfig:
     source: str
     target: str
     metadata: str
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    hidden: tuple[int, ...] = (16, 16)
-    disc_hidden: tuple[int, ...] = ()
-
-    def to_arch(self, in_dim: int, num_classes: int) -> ArchSpec:
-        try:
-            return ArchSpec(in_dim=in_dim, num_classes=num_classes,
-                            hidden=self.hidden, disc_hidden=self.disc_hidden)
-        except ValueError as exc:
-            raise ValueError(f"arch: {exc}") from None
 
 
 def _parse_variant(value, where: str) -> str | VariantFlags:
@@ -76,6 +63,10 @@ class RunConfig:
     data: SyntheticSpec | CsvDataConfig = field(default_factory=SyntheticSpec)
     arch: ArchConfig = field(default_factory=ArchConfig)
     schedule: Schedule = field(default_factory=Schedule)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def flags(self) -> VariantFlags:
         if isinstance(self.variant, VariantFlags):
@@ -121,12 +112,7 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 def load_config(path) -> RunConfig:
     """Read a config file; every error is one line naming the file, and a
     YAML error or a repeated key also its line and column."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    text = read_text(path)
     try:
         raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:

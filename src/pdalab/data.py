@@ -16,6 +16,7 @@ written with round-trip precision.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .bound import OracleContext, in_classes
-from .metrics import atomic_write, from_plain, load_json, to_plain, write_csv
+from .metrics import atomic_write, from_plain, load_json, read_text, to_plain, write_csv
 
 # Default cluster layout: a circle whose radius and phase are calibrated so
 # the shifted target clusters cross source decision boundaries (plain source
@@ -95,6 +96,8 @@ class SyntheticSpec:
                 raise ValueError("one cluster mean of length dim per source class required")
         elif self.dim != 2:
             raise ValueError("explicit cluster_means are required when dim != 2")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def resolved_means(self) -> np.ndarray:
         if self.cluster_means is not None:
@@ -152,33 +155,35 @@ def save_dataset_csv(path, ds: Dataset, domain: int) -> None:
 def load_csv(path, domain: int) -> Dataset:
     """Parse one domain's file (``domain`` 0 target, 1 source), labeled in
     every row or in none; a malformed row raises with its line number."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    width = len(header) - 2
+    if width < 1 or header != [f"x{i}" for i in range(width)] + ["y", "domain"]:
+        raise ValueError(f"{path}: bad header {header!r}")
+    xs, ys = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width + 2:
+            raise ValueError(f"{path}:{lineno}: expected {width + 2} fields, "
+                             f"got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        width = len(header) - 2
-        if width < 1 or header != [f"x{i}" for i in range(width)] + ["y", "domain"]:
-            raise ValueError(f"{path}: bad header {header!r}")
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width + 2:
-                raise ValueError(f"{path}:{lineno}: expected {width + 2} fields, "
-                                 f"got {len(row)}")
-            try:
-                xs.append([float(v) for v in row[:width]])
-                ys.append(None if row[width] == "" else int(row[width]))
-                tag = int(row[width + 1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if tag != domain:
-                raise ValueError(f"{path}:{lineno}: domain {tag} in a "
-                                 f"{('target', 'source')[domain]} file (expected {domain})")
-            if (ys[-1] is None) != (ys[0] is None):
-                raise ValueError(f"{path}:{ys.index(None) + 2}: "
-                                 "blank label in a partly labeled file "
-                                 "(label every row or none)")
+            xs.append([float(v) for v in row[:width]])
+            ys.append(None if row[width] == "" else np.int64(row[width]))
+            tag = int(row[width + 1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        except OverflowError:
+            raise ValueError(f"{path}:{lineno}: label {row[width]} "
+                             "beyond the int64 range") from None
+        if tag != domain:
+            raise ValueError(f"{path}:{lineno}: domain {tag} in a "
+                             f"{('target', 'source')[domain]} file (expected {domain})")
+        if (ys[-1] is None) != (ys[0] is None):
+            raise ValueError(f"{path}:{ys.index(None) + 2}: "
+                             "blank label in a partly labeled file "
+                             "(label every row or none)")
     if not xs:
         raise ValueError(f"{path}: no data rows")
     x = np.asarray(xs)

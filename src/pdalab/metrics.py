@@ -7,8 +7,9 @@ lossless.  Wall-clock timing is deliberately not serialized: metrics
 files must be byte-identical across reruns of the same (config, seed).
 
 :func:`to_plain` and :func:`from_plain` are the one serializer and the
-one reader of every document pdalab reads or writes; :func:`load_json`
-reads a JSON file, where :func:`unique_keys` rejects a repeated key;
+one reader of every document pdalab reads or writes; :func:`read_text`
+reads every input file, and :func:`load_json` a JSON one, where
+:func:`unique_keys` rejects a repeated key;
 :func:`atomic_write` writes every output file and :func:`write_csv` every
 CSV table.
 """
@@ -16,6 +17,7 @@ CSV table.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -51,16 +53,26 @@ def unique_keys(pairs) -> dict:
     return obj
 
 
+def read_text(path) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a ValueError
+    naming it.  Line endings are kept as they are."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_json(path, what: str):
-    """The JSON document in ``path``; a repeated key, or text that is not
-    JSON or not UTF-8 (``not a JSON <what>``), is a ValueError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=unique_keys)
-        except DuplicateKeyError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{path}: not a JSON {what} ({exc})") from None
+    """The JSON document in ``path``; text that is not UTF-8 (see
+    :func:`read_text`), a repeated key, or text that is not JSON
+    (``not a JSON <what>``) is a ValueError naming it."""
+    text = read_text(path)
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except DuplicateKeyError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON {what} ({exc})") from None
 
 
 def to_plain(value):
@@ -216,21 +228,21 @@ def read_metrics(path) -> list[MetricsRecord]:
     """A run's records, which hold epochs 0, 1, ... in order; an empty file,
     or a record out of that order, is a ValueError naming the file."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(MetricsRecord.from_dict(
-                    json.loads(line, object_pairs_hook=unique_keys)))
-            except MetricsSchemaError as exc:
-                raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad metrics record: {exc}") from None
-            if records[-1].epoch != len(records) - 1:
-                raise ValueError(f"{path}:{lineno}: epoch {records[-1].epoch} out of "
-                                 f"order (expected epoch {len(records) - 1})")
+    # Split as a text-mode file splits: at LF, CRLF or CR.
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(MetricsRecord.from_dict(
+                json.loads(line, object_pairs_hook=unique_keys)))
+        except MetricsSchemaError as exc:
+            raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad metrics record: {exc}") from None
+        if records[-1].epoch != len(records) - 1:
+            raise ValueError(f"{path}:{lineno}: epoch {records[-1].epoch} out of "
+                             f"order (expected epoch {len(records) - 1})")
     if not records:
         raise ValueError(f"{path}: no metrics records")
     return records

@@ -152,19 +152,33 @@ class ModelBundle:
 
 
 @dataclass(frozen=True)
-class ArchSpec:
-    """Widths of the three networks; heads and sharing are chosen at build time."""
+class ArchConfig:
+    """Hidden widths of the feature extractor and the discriminator trunk:
+    the ``arch`` section of a run config."""
 
-    in_dim: int
-    num_classes: int
     hidden: tuple[int, ...] = (16, 16)
     disc_hidden: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.num_classes < 1:
-            raise ValueError("in_dim and num_classes must be positive")
         if any(h < 1 for h in self.hidden) or any(h < 1 for h in self.disc_hidden):
             raise ValueError("hidden widths must be positive")
+
+    def to_arch(self, in_dim: int, num_classes: int) -> "ArchSpec":
+        return ArchSpec(in_dim=in_dim, num_classes=num_classes,
+                        hidden=self.hidden, disc_hidden=self.disc_hidden)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ArchSpec(ArchConfig):
+    """Widths of the three networks; heads and sharing are chosen at build time."""
+
+    in_dim: int
+    num_classes: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.in_dim < 1 or self.num_classes < 1:
+            raise ValueError("in_dim and num_classes must be positive")
 
     @property
     def feature_dim(self) -> int:

@@ -697,8 +697,12 @@ class TestTargetLabels:
          "4: domain 1 in a target file (expected 0)"),
         ("source", lambda rows: _blank_labels(rows, lambda i: i in (3, 7)),
          "5: blank label in a partly labeled file (label every row or none)"),
+        ("source", lambda rows: _blank_labels(rows, lambda i: i == 0, "99999999999999999999"),
+         "2: label 99999999999999999999 beyond the int64 range"),
+        ("target", lambda rows: _blank_labels(rows, lambda i: i == 1, "-99999999999999999999"),
+         "3: label -99999999999999999999 beyond the int64 range"),
     ], ids=["target_all_minus_one", "source_minus_one", "target_row_tagged_source",
-            "partly_labeled_source"])
+            "partly_labeled_source", "source_label_beyond_int64", "target_label_beyond_int64"])
     def test_bad_label_column_is_one_error_line_at_its_row(self, tmp_path, capsys, name,
                                                            edit, message):
         cfg = _csv_train_config(tmp_path, **{f"{name}_rows": edit})
@@ -836,3 +840,88 @@ class TestDataTheRunCannotUse:
                      "--out", str(tmp_path / "o")]) == 1
         _assert_one_error_line(tmp_path, capfd.readouterr().err,
                                f"{source}:5: non-finite feature value")
+
+
+class TestInputThatIsNotUtf8:
+    """Every input file is decoded by one reader, whose error names the file."""
+
+    @staticmethod
+    def _insert_ff(path, at):
+        data = path.read_bytes()
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        return (f"{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+                f"in position {at}: invalid start byte)")
+
+    @pytest.mark.parametrize("name", ["source.csv", "target.csv", "metadata.json"])
+    def test_dataset_file_fails_train(self, tmp_path, capsys, name):
+        cfg = _csv_train_config(tmp_path)
+        message = self._insert_ff(tmp_path / "data" / name, 20)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err, message)
+
+    def test_metrics_file_fails_bound_trace(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--out", str(run)]) == 0
+        message = self._insert_ff(run / "metrics.jsonl", 30)
+        capsys.readouterr()
+        assert main(["bound-trace", str(run / "metrics.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_model_file_fails_eval(self, tmp_path, capsys):
+        run, data = tmp_path / "run", tmp_path / "data"
+        cfg = write_config(tmp_path / "c.yaml")
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["generate-data", "--config", str(cfg), "--out", str(data)]) == 0
+        message = self._insert_ff(run / "model.json", 30)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(run / "model.json"), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_crlf_files_keep_their_error_line_numbers(self, tmp_path, capsys):
+        cfg = _csv_train_config(tmp_path, source_rows=lambda rows: rows[:3] + [
+            rows[3].replace(rows[3].split(",")[0], "nan", 1)] + rows[4:])
+        source = tmp_path / "data" / "source.csv"
+        source.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err,
+                               f"{source}:5: non-finite feature value")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--out", str(run)]) == 0
+        metrics = run / "metrics.jsonl"
+        lines = metrics.read_text().splitlines()
+        metrics.write_bytes(("\r\n".join([lines[0], lines[2]]) + "\r\n").encode())
+        capsys.readouterr()
+        assert main(["bound-trace", str(metrics)]) == 1
+        assert capsys.readouterr().err == (f"error: {metrics}:2: epoch 2 out of order "
+                                           "(expected epoch 1)\n")
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("overrides, args, message", [
+        ({"seed": -1}, [], "{cfg}: seed must be nonnegative, got -1"),
+        ({"data": {"synthetic": {"seed": -5}}}, [],
+         "{cfg}: data.synthetic: seed must be nonnegative, got -5"),
+        ({}, ["--seed", "-3"], "--seed: seed must be nonnegative, got -3"),
+    ], ids=["config_seed", "data_seed", "seed_flag"])
+    def test_negative_seed_names_its_key(self, tmp_path, capsys, overrides, args, message):
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err, message.format(cfg=cfg))
+
+
+class TestArchWidths:
+    @pytest.mark.parametrize("command", ["generate-data", "train", "ablate"])
+    def test_zero_width_fails_before_any_data_work(self, tmp_path, capfd, monkeypatch,
+                                                   command):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data work began")
+        monkeypatch.setattr("pdalab.cli._load_data", no_data)
+        cfg = write_config(tmp_path / "c.yaml", arch={"hidden": [0]})
+        args = ["--seeds", "1"] if command == "ablate" else []
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 1
+        _assert_one_error_line(tmp_path, capfd.readouterr().err,
+                               f"{cfg}: arch: hidden widths must be positive")

@@ -1,6 +1,6 @@
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -15,7 +15,6 @@ from pdalab.config import (
     load_config,
 )
 from pdalab.data import SyntheticSpec
-from pdalab.nets import ArchSpec
 from pdalab.trainer import PRESETS, Schedule, VariantFlags
 
 
@@ -80,11 +79,21 @@ class TestParsing:
         assert all(type(v) is float for v in data.target_shift)
 
     def test_defaults_match_the_specs(self):
-        cfg = RunConfig.from_dict({})
-        assert cfg.data == SyntheticSpec()
-        arch = ArchSpec(in_dim=1, num_classes=1)
-        assert [(f.name, getattr(cfg.arch, f.name)) for f in fields(ArchConfig)] == \
-            [("hidden", arch.hidden), ("disc_hidden", arch.disc_hidden)]
+        assert RunConfig.from_dict({}).data == SyntheticSpec()
+
+    @pytest.mark.parametrize("arch", [{"hidden": [0]}, {"disc_hidden": [4, 0]}])
+    def test_zero_width_rejected_at_its_section(self, arch):
+        with pytest.raises(ValueError, match="^arch: hidden widths must be positive$"):
+            RunConfig.from_dict({"arch": arch})
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"data": {"synthetic": {"seed": -5}}},
+         "data.synthetic: seed must be nonnegative, got -5"),
+    ], ids=["config_seed", "data_seed"])
+    def test_negative_seed_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_dict(raw)
 
 
 # Values that used to train silently wrong or end in a traceback.

@@ -263,6 +263,86 @@ class TestTrainEpoch:
         assert done == total  # progress reaches exactly 1 at the final step
 
 
+def _relu_margin(bundle, x):
+    """Distance from the relu kink of the nearest pre-activation, in the
+    extractor and in every discriminator trunk."""
+    margins = []
+
+    def walk(layers, h):
+        for w, b, act in layers:
+            h = h @ w.data + b.data
+            if act == "relu":
+                margins.append(np.abs(h).min())
+                h = np.maximum(h, 0.0)
+        return h
+
+    f = walk(bundle.features.layers, x)
+    for trunk in bundle.discriminator.trunks:
+        walk(trunk.layers, f)
+    return min(margins)
+
+
+class TestStepGradient:
+    """The gradient one training step hands the optimizer against central
+    differences of that step's whole objective, for every ablation row and
+    ``san``.  With the adversarial ramp at -1, gradient reversal is plain
+    descent, so the step descends the objective it reports; the class
+    weights, pseudo-labels and instance (and so entropy) weights stay at
+    their unperturbed values, as they are constants to the tape."""
+
+    @pytest.mark.parametrize("flags", [*ABLATION_VARIANTS.values(), PRESETS["san"]],
+                             ids=[*ABLATION_VARIANTS, "san"])
+    def test_step_gradient_matches_central_differences(self, monkeypatch, flags):
+        import pdalab.trainer
+        from pdalab.losses import adversarial_loss
+
+        m, k, h = 4, 3, 1e-5
+        rng = np.random.default_rng(0)
+        while True:  # a draw whose relus sit clear of the kink, as in criterion 1
+            bundle = init_bundle(ArchSpec(in_dim=2, num_classes=k, hidden=(4,),
+                                          disc_hidden=(3,)), rng,
+                                 num_heads=1 if flags.adversary == "single" else k,
+                                 shared_trunk=flags.shared_trunk)
+            source = Dataset(rng.normal(size=(m, 2)), rng.integers(0, k, size=m))
+            target = Dataset(rng.normal(size=(m, 2)))
+            if _relu_margin(bundle, np.vstack([source.x, target.x])) > 1e-3:
+                break
+        class_weights = rng.dirichlet(np.ones(k))
+        pseudo = rng.integers(0, k, size=m) if flags.self_training else None
+
+        held = {}
+
+        def held_adversarial_loss(logits, inst, *args, **kwargs):
+            inst = held.setdefault("inst", np.array(inst))  # the unperturbed weights
+            return adversarial_loss(logits, inst, *args, **kwargs)
+
+        monkeypatch.setattr(pdalab.trainer, "adv_ramp", lambda p: -1.0)
+        monkeypatch.setattr(pdalab.trainer, "adversarial_loss", held_adversarial_loss)
+        opt = MomentumSGD(bundle.parameters(), momentum=0.0)
+
+        def step():  # one full-batch step
+            train_epoch(bundle, opt, source, target, class_weights, pseudo, flags,
+                        Schedule(batch_size=m), 0, 1, np.random.default_rng(0))
+
+        theta = opt.flat.copy()
+        step()
+        grad = opt.velocity.copy()  # without momentum, the gradient it was given
+        opt.flat[:] = theta
+
+        totals = []
+        monkeypatch.setattr(pdalab.trainer, "backward", lambda loss: totals.append(loss.item()))
+        fd = np.zeros_like(theta)
+        for i in range(theta.size):
+            for x in (theta[i] + h, theta[i] - h):
+                opt.flat[i] = x
+                step()
+            opt.flat[i] = theta[i]
+            fd[i] = (totals[-2] - totals[-1]) / (2.0 * h)
+        assert np.array_equal(opt.flat, theta)  # no step moved the parameters
+        err = np.max(np.abs(grad - fd) / np.maximum.reduce([abs(grad), abs(fd), np.ones_like(fd)]))
+        assert err < 1e-4
+
+
 class TestStepCost:
     @pytest.mark.parametrize("variant, disc_hidden", [("san_pp", ()), ("san", (16,))])
     def test_nodes_and_finiteness_checks_per_step(self, monkeypatch, variant, disc_hidden):
