@@ -163,7 +163,7 @@ class ArchConfig:
         if any(h < 1 for h in self.hidden) or any(h < 1 for h in self.disc_hidden):
             raise ValueError("hidden widths must be positive")
 
-    def to_arch(self, in_dim: int, num_classes: int) -> "ArchSpec":
+    def to_arch(self, in_dim: int, num_classes: int) -> ArchSpec:
         return ArchSpec(in_dim=in_dim, num_classes=num_classes,
                         hidden=self.hidden, disc_hidden=self.disc_hidden)
 

@@ -86,15 +86,6 @@ class TestParsing:
         with pytest.raises(ValueError, match="^arch: hidden widths must be positive$"):
             RunConfig.from_dict({"arch": arch})
 
-    @pytest.mark.parametrize("raw, message", [
-        ({"seed": -1}, "seed must be nonnegative, got -1"),
-        ({"data": {"synthetic": {"seed": -5}}},
-         "data.synthetic: seed must be nonnegative, got -5"),
-    ], ids=["config_seed", "data_seed"])
-    def test_negative_seed_rejected(self, raw, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            RunConfig.from_dict(raw)
-
 
 # Values that used to train silently wrong or end in a traceback.
 MISTYPED = [
