@@ -31,7 +31,7 @@ from .data import (
 from .metrics import atomic_write, read_metrics, write_csv, write_metrics
 from .nets import load_model, save_model
 from .rngstreams import substream_seed
-from .trainer import ABLATION_VARIANTS, evaluate, run_experiment
+from .trainer import ABLATION_VARIANTS, evaluate, network_flags, run_experiment
 
 # Column order of the bound-trace table; fixed format contract.
 BOUND_TRACE_COLUMNS = ("epoch", "w_error_l1", "delta_bar", "e_type1",
@@ -186,10 +186,13 @@ def _ablate_one(cfg: RunConfig) -> float:
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     seeds = [cfg.seed + i for i in range(args.seeds)]
-    jobs = [replace(cfg, variant=name, seed=seed)
-            for name in ABLATION_VARIANTS for seed in seeds]
+    keys = [(seed, network_flags(flags, cfg.arch))
+            for flags in ABLATION_VARIANTS.values() for seed in seeds]
+    runs = list(dict.fromkeys(keys))  # rows that train one network share its run
+    jobs = [replace(cfg, variant=flags, seed=seed) for seed, flags in runs]
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(_ablate_one, jobs))
+        by_run = dict(zip(runs, pool.map(_ablate_one, jobs)))
+    results = [by_run[key] for key in keys]
 
     rows = []
     print(f"{'variant':30s} {'mean':>8s} {'std':>8s}")

@@ -28,7 +28,7 @@ from .losses import (
     supervised_loss,
 )
 from .metrics import MetricsRecord
-from .nets import ArchSpec, ModelBundle, d_forward, f_forward, g_forward, init_bundle
+from .nets import ArchConfig, ArchSpec, ModelBundle, d_forward, f_forward, g_forward, init_bundle
 from .rngstreams import substream
 from .selection import class_transferable_probability
 from .tensor import Tensor, backward, no_grad, reset_tape, slice_rows
@@ -58,6 +58,13 @@ class VariantFlags:
         if self.adversary == "none" and (self.instance_sel or self.class_sel
                                          or self.entropy_min):
             raise ValueError("selection/entropy gates require an adversary")
+
+
+def network_flags(flags: VariantFlags, arch: ArchConfig) -> VariantFlags:
+    """The flags of the network ``flags`` trains under ``arch``: private
+    trunks with no layers draw nothing at init and pass features through
+    unchanged, so they train the shared-trunk network."""
+    return flags if arch.disc_hidden else replace(flags, shared_trunk=True)
 
 
 PRESETS: dict[str, VariantFlags] = {
