@@ -61,7 +61,10 @@ def _out_dir(cfg: RunConfig) -> Path:
     """The output directory, not yet created."""
     if cfg.out_dir is None:
         raise ValueError("an output directory is required (config out_dir or --out)")
-    return Path(cfg.out_dir)
+    out = Path(cfg.out_dir)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"{out}: not a directory")
+    return out
 
 
 def _load_data(cfg: RunConfig, *, fits_proxy: bool = False):
@@ -97,6 +100,18 @@ def _load_data(cfg: RunConfig, *, fits_proxy: bool = False):
     return source, target, oracle, k, resolved
 
 
+def _train(cfg: RunConfig, source, target, oracle, k: int, full_audit: bool = True):
+    """``run_experiment`` on loaded data; a value gone non-finite names the data."""
+    arch = cfg.arch.to_arch(source.dim, k)
+    try:
+        return run_experiment(source, target, oracle, arch, cfg.flags(), cfg.schedule,
+                              cfg.seed, full_audit=full_audit)
+    except FloatingPointError as exc:
+        data = "data.synthetic" if isinstance(cfg.data, SyntheticSpec) \
+            else f"{cfg.data.source}, {cfg.data.target}"
+        raise FloatingPointError(f"{data}: {exc}") from None
+
+
 def _write_confusion(path, confusion: np.ndarray) -> None:
     with atomic_write(path) as fh:
         write_csv(fh, [f"pred_{j}" for j in range(confusion.shape[1])], confusion.tolist())
@@ -106,8 +121,8 @@ def cmd_generate_data(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if not isinstance(cfg.data, SyntheticSpec):
         raise ValueError("generate-data requires a synthetic data section")
-    source, target, oracle, k, _ = _load_data(cfg)
     out = _out_dir(cfg)
+    source, target, oracle, k, _ = _load_data(cfg)
     paths = save_experiment_data(out, source, target, oracle, k)
     print(f"wrote {paths['source']} ({len(source)} rows), "
           f"{paths['target']} ({len(target)} rows), {paths['metadata']}")
@@ -116,11 +131,9 @@ def cmd_generate_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    source, target, oracle, k, resolved_data = _load_data(cfg, fits_proxy=True)
-    arch = cfg.arch.to_arch(source.dim, k)
     out = _out_dir(cfg)
-    result = run_experiment(source, target, oracle, arch, cfg.flags(),
-                            cfg.schedule, cfg.seed)
+    source, target, oracle, k, resolved_data = _load_data(cfg, fits_proxy=True)
+    result = _train(cfg, source, target, oracle, k)
 
     out.mkdir(parents=True, exist_ok=True)  # only a run that completes writes
     effective = replace(cfg, data=resolved_data, out_dir=str(out))
@@ -177,18 +190,22 @@ def _ablate_one(cfg: RunConfig) -> float:
     if oracle is None:  # synthetic data always has them
         raise ValueError(f"data.csv.target: {cfg.data.target} has no oracle labels "
                          "(every y is blank); ablate needs them for accuracy")
-    arch = cfg.arch.to_arch(source.dim, k)
-    result = run_experiment(source, target, oracle, arch, cfg.flags(),
-                            cfg.schedule, cfg.seed, full_audit=False)
-    return result.records[-1].target_accuracy
+    return _train(cfg, source, target, oracle, k, full_audit=False).records[-1].target_accuracy
 
 
 def cmd_ablate(args) -> int:
+    """The ablation table: each row's final target accuracy over the seeds.
+
+    A (row, seed) job's run key is the seed and the flags of the network
+    the row trains (:func:`network_flags`).  Each distinct key runs once on
+    the pool, and every row with that key reads its accuracy.
+    """
     cfg = _apply_overrides(load_config(args.config), args)
+    out = _out_dir(cfg) if args.out else None
     seeds = [cfg.seed + i for i in range(args.seeds)]
     keys = [(seed, network_flags(flags, cfg.arch))
             for flags in ABLATION_VARIANTS.values() for seed in seeds]
-    runs = list(dict.fromkeys(keys))  # rows that train one network share its run
+    runs = list(dict.fromkeys(keys))
     jobs = [replace(cfg, variant=flags, seed=seed) for seed, flags in runs]
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
         by_run = dict(zip(runs, pool.map(_ablate_one, jobs)))
@@ -200,8 +217,7 @@ def cmd_ablate(args) -> int:
         accs = np.array(results[i * len(seeds):(i + 1) * len(seeds)])
         rows.append([name, len(seeds), float(accs.mean()), float(accs.std())])
         print(f"{name:30s} {accs.mean():8.4f} {accs.std():8.4f}")
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         with atomic_write(out / "ablation.csv") as fh:
             write_csv(fh, ["variant", "seeds", "mean_accuracy", "std_accuracy"], rows)

@@ -227,48 +227,51 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     domains = np.concatenate([np.ones(b), np.zeros(b)])
     fixed_inst = np.ones((2 * b, 1)) if flags.adversary == "single" else _uniform_rows(2 * b, k)
     breakdowns = []
-    for src_idx, tgt_idx in batch_iterator(len(source), len(target),
-                                           sched.batch_size, rng):
-        p = steps_done / total_steps
-        lr = lr_at(p, sched)
-        lam = adv_ramp(p)
+    try:
+        for src_idx, tgt_idx in batch_iterator(len(source), len(target),
+                                               sched.batch_size, rng):
+            p = steps_done / total_steps
+            lr = lr_at(p, sched)
+            lam = adv_ramp(p)
 
-        x_all = np.vstack([source.x[src_idx], target.x[tgt_idx]])
-        y_src = source.y[src_idx]
+            x_all = np.vstack([source.x[src_idx], target.x[tgt_idx]])
+            y_src = source.y[src_idx]
 
-        reset_tape()
-        opt.zero_grad()
-        f = f_forward(bundle.features, Tensor(x_all))
-        preds = g_forward(bundle.classifier, f)
-        preds_src = slice_rows(preds, 0, b)
-        preds_tgt = slice_rows(preds, b, 2 * b)
+            reset_tape()
+            opt.zero_grad()
+            f = f_forward(bundle.features, Tensor(x_all))
+            preds = g_forward(bundle.classifier, f)
+            preds_src = slice_rows(preds, 0, b)
+            preds_tgt = slice_rows(preds, b, 2 * b)
 
-        l_sup = supervised_loss(preds_src, y_src, w_eff)
-        l_self = Tensor(0.0) if pseudo is None else \
-            self_training_loss(preds_tgt, pseudo[tgt_idx], w_eff)
+            l_sup = supervised_loss(preds_src, y_src, w_eff)
+            l_self = Tensor(0.0) if pseudo is None else \
+                self_training_loss(preds_tgt, pseudo[tgt_idx], w_eff)
 
-        l_adv = None
-        if flags.adversary != "none":
-            domain_logits = d_forward(bundle.discriminator, f, lam)
-            # Detached: instance weights are constants, and never written to.
-            inst = preds.data if flags.instance_sel else fixed_inst
-            l_adv = adversarial_loss(domain_logits, inst, domains, w_eff,
-                                     use_class_sel=flags.class_sel,
-                                     use_entropy_w=flags.entropy_min)
+            l_adv = None
+            if flags.adversary != "none":
+                domain_logits = d_forward(bundle.discriminator, f, lam)
+                # Detached: instance weights are constants, and never written to.
+                inst = preds.data if flags.instance_sel else fixed_inst
+                l_adv = adversarial_loss(domain_logits, inst, domains, w_eff,
+                                         use_class_sel=flags.class_sel,
+                                         use_entropy_w=flags.entropy_min)
 
-        regs = ()
-        if flags.entropy_min:
-            regs = (T.entropy_mean(preds_tgt, ENTROPY_MIN_COEF),)
+            regs = ()
+            if flags.entropy_min:
+                regs = (T.entropy_mean(preds_tgt, ENTROPY_MIN_COEF),)
 
-        breakdown, total = compose_objective(l_sup, l_self, l_adv, regs)
-        backward(total)
-        opt.step(lr)
-        steps_done += 1
-        breakdowns.append(breakdown)
-        if steps_done % sched.log_interval == 0:
-            logger.debug("step %d/%d lr=%.5g lam=%.4g sup=%.4g self=%.4g adv=%.4g",
-                         steps_done, total_steps, lr, lam, breakdown.l_sup,
-                         breakdown.l_self, breakdown.l_adv)
+            breakdown, total = compose_objective(l_sup, l_self, l_adv, regs)
+            backward(total)
+            opt.step(lr)
+            steps_done += 1
+            breakdowns.append(breakdown)
+            if steps_done % sched.log_interval == 0:
+                logger.debug("step %d/%d lr=%.5g lam=%.4g sup=%.4g self=%.4g adv=%.4g",
+                             steps_done, total_steps, lr, lam, breakdown.l_sup,
+                             breakdown.l_self, breakdown.l_adv)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"step {steps_done + 1}: {exc}") from None
     return breakdowns, steps_done
 
 
@@ -287,6 +290,7 @@ class ExperimentResult:
     epoch_seconds: list[float]  # wall clock per trained epoch, audit included
 
 
+@np.errstate(all="ignore")  # a value gone non-finite raises FloatingPointError, unwarned
 def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | None,
                    arch: ArchSpec, flags: VariantFlags, sched: Schedule,
                    seed: int, full_audit: bool = True) -> ExperimentResult:
@@ -342,24 +346,29 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
                                bound=bound)
         return record, preds_t, w
 
-    record, preds_t, w = snapshot(0)
-    records = [record]
-    epoch_seconds = []
-    steps_done = 0
-    for e in range(sched.total_epochs):
-        t0 = time.perf_counter()
-        warm = e < sched.warmup_epochs
-        eff_flags = flags if not warm else replace(flags, class_sel=False,
-                                                   entropy_min=False)
-        pseudo = assign_pseudo_labels(preds_t) if flags.self_training and not warm else None
-        breakdowns, steps_done = train_epoch(
-            bundle, opt, source, target, w, pseudo, eff_flags, sched,
-            steps_done, total_steps, data_rng)
-        record, preds_t, w = snapshot(e + 1, losses=_mean_breakdown(breakdowns))
-        epoch_seconds.append(time.perf_counter() - t0)
+    records, epoch_seconds, steps_done = [], [], 0
+    where = "epoch 0 snapshot"
+    try:
+        record, preds_t, w = snapshot(0)
         records.append(record)
-        logger.info("epoch %d/%d acc=%s obj=%.5g", e + 1, sched.total_epochs,
-                    record.target_accuracy, record.losses.objective)
+        for e in range(sched.total_epochs):
+            t0 = time.perf_counter()
+            where = f"epoch {e + 1}"
+            warm = e < sched.warmup_epochs
+            eff_flags = flags if not warm else replace(flags, class_sel=False,
+                                                       entropy_min=False)
+            pseudo = assign_pseudo_labels(preds_t) if flags.self_training and not warm else None
+            breakdowns, steps_done = train_epoch(
+                bundle, opt, source, target, w, pseudo, eff_flags, sched,
+                steps_done, total_steps, data_rng)
+            where += " snapshot"
+            record, preds_t, w = snapshot(e + 1, losses=_mean_breakdown(breakdowns))
+            epoch_seconds.append(time.perf_counter() - t0)
+            records.append(record)
+            logger.info("epoch %d/%d acc=%s obj=%.5g", e + 1, sched.total_epochs,
+                        record.target_accuracy, record.losses.objective)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{where}: {exc}") from None
 
     confusion = None
     if oracle is not None:  # the last snapshot's predictions are the final model's

@@ -9,7 +9,7 @@ import yaml
 from pdalab.cli import BOUND_TRACE_COLUMNS, main
 from pdalab.config import load_config
 from pdalab.metrics import read_metrics
-from pdalab.trainer import NAMED_VARIANTS
+from pdalab.trainer import ABLATION_VARIANTS, NAMED_VARIANTS
 
 
 def write_config(path, **overrides):
@@ -124,7 +124,8 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", str(write_config(tmp_path / "c.yaml")),
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: non-finite values produced by 'linear'\n"
+        assert capsys.readouterr().err == \
+            "error: data.synthetic: non-finite values produced by 'linear'\n"
         assert not out.exists()
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
@@ -344,8 +345,10 @@ class TestAblate:
             f"error: argument {flag}: must be at least 1, got {value}\n")
         assert not (tmp_path / "o").exists()
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        cfg = write_config(tmp_path / "c.yaml",
+    @pytest.mark.parametrize("disc_hidden", [[], [4]],
+                             ids=["disc_hidden_empty", "disc_hidden_4"])
+    def test_workers_do_not_change_results(self, tmp_path, disc_hidden):
+        cfg = write_config(tmp_path / "c.yaml", arch={"disc_hidden": disc_hidden},
                            schedule={"total_epochs": 1, "warmup_epochs": 1,
                                      "batch_size": 8, "eta0": 0.05})
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -355,6 +358,60 @@ class TestAblate:
                      "--workers", "2", "--out", str(out_b)]) == 0
         assert (out_a / "ablation.csv").read_text() == \
             (out_b / "ablation.csv").read_text()
+
+
+class _InProcessPool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs every job in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return list(map(fn, jobs))
+
+
+class TestRunKeys:
+    """With no discriminator trunk layers, a private trunk trains the shared
+    network, so ``ablate`` runs that row once with ``san_pp``; with trunk
+    layers the two stay separate runs."""
+
+    @pytest.mark.parametrize("disc_hidden, same", [([], True), ([4], False)],
+                             ids=["disc_hidden_empty", "disc_hidden_4"])
+    def test_private_trunk_row_records_equal_san_pp_only_without_trunk_layers(
+            self, tmp_path, disc_hidden, same):
+        cfg = write_config(tmp_path / "c.yaml", arch={"disc_hidden": disc_hidden})
+        records = []
+        for variant in ("instance_class_self_private", "san_pp"):
+            out = tmp_path / variant
+            assert main(["train", "--config", str(cfg), "--variant", variant,
+                         "--out", str(out)]) == 0
+            records.append((out / "metrics.jsonl").read_bytes())
+        assert (records[0] == records[1]) is same
+
+    @pytest.mark.parametrize("disc_hidden, per_seed", [([], 5), ([4], 6)],
+                             ids=["disc_hidden_empty", "disc_hidden_4"])
+    def test_ablate_runs_each_distinct_network_once_per_seed(self, tmp_path, monkeypatch,
+                                                             disc_hidden, per_seed):
+        import pdalab.cli
+
+        seeds, real = [], pdalab.cli._ablate_one
+        monkeypatch.setattr(pdalab.cli, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(pdalab.cli, "_ablate_one",
+                            lambda job: seeds.append(job.seed) or real(job))
+        cfg = write_config(tmp_path / "c.yaml", arch={"disc_hidden": disc_hidden},
+                           schedule={"total_epochs": 1, "warmup_epochs": 1,
+                                     "batch_size": 8, "eta0": 0.05})
+        assert main(["ablate", "--config", str(cfg), "--seeds", "2",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert sorted(seeds) == [0] * per_seed + [1] * per_seed
+        table = (tmp_path / "o" / "ablation.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in table[1:]] == list(ABLATION_VARIANTS)
 
 
 class TestAblateAudit:
@@ -925,3 +982,50 @@ class TestArchWidths:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 1
         _assert_one_error_line(tmp_path, capfd.readouterr().err,
                                f"{cfg}: arch: hidden widths must be positive")
+
+
+class TestOverflow:
+    """An overflow in training is one error line naming the data and where in
+    the run it happened, with no warning text (pytest turns a RuntimeWarning
+    into an error) and no output directory."""
+
+    def test_huge_feature_names_the_csv_files_and_the_snapshot(self, tmp_path, capsys):
+        def huge_first_feature(rows):
+            return [",".join(["1e308", *rows[0].split(",")[1:]]), *rows[1:]]
+
+        cfg = _csv_train_config(tmp_path, source_rows=huge_first_feature)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        data = tmp_path / "data"
+        _assert_one_error_line(tmp_path, capsys.readouterr().err,
+                               f"{data / 'source.csv'}, {data / 'target.csv'}: epoch 0 "
+                               "snapshot: non-finite values produced by 'linear'")
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_huge_learning_rate_names_the_data_epoch_and_step(self, tmp_path, capfd,
+                                                              command):
+        cfg = write_config(tmp_path / "c.yaml",
+                           schedule={"total_epochs": 3, "warmup_epochs": 1,
+                                     "batch_size": 8, "eta0": 1.0e+300})
+        args = ["--seeds", "1", "--workers", "2"] if command == "ablate" else []
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        _assert_one_error_line(tmp_path, err, "data.synthetic: epoch 1: step 2: "
+                               "non-finite values produced by 'linear'")
+
+
+class TestOutIsAFile:
+    @pytest.mark.parametrize("command", ["generate-data", "train", "ablate"])
+    def test_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data work began")
+        monkeypatch.setattr("pdalab.cli._load_data", no_data)
+        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", no_data)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        args = ["--seeds", "1"] if command == "ablate" else []
+        assert main([command, "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--out", str(afile), *args]) == 1
+        assert capsys.readouterr() == ("", f"error: {afile}: not a directory\n")
+        assert afile.read_text() == "kept\n"
