@@ -302,7 +302,9 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
     False keeps that assertion and the accuracy but skips the reported
     terms: no source-domain forward and no divergence proxy, and every
     record's ``bound`` is None.  Training itself is the same either way;
-    the proxy draws only from the ``divergence`` substream.
+    the proxy draws only from the ``divergence`` substream.  A value gone
+    non-finite is a FloatingPointError naming the epoch and step, or the
+    epoch's snapshot.
     """
     if source.y is None:
         raise ValueError("run_experiment needs a labeled source dataset")

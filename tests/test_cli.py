@@ -1018,10 +1018,10 @@ class TestOverflow:
 class TestOutIsAFile:
     @pytest.mark.parametrize("command", ["generate-data", "train", "ablate"])
     def test_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):
-        def no_data(*args, **kwargs):
-            raise AssertionError("data work began")
-        monkeypatch.setattr("pdalab.cli._load_data", no_data)
-        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", no_data)
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began")
+        monkeypatch.setattr("pdalab.cli._load_data", no_work)
+        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", no_work)
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         args = ["--seeds", "1"] if command == "ablate" else []
