@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import BoundViolationError, check_intermediate, in_classes, proxy_test_rows
+from .bound import BoundViolationError, check_intermediate
 from .config import RunConfig, _parse_variant, dump_config, load_config
 from .data import (
     SyntheticSpec,
@@ -67,32 +67,22 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_data(cfg: RunConfig, *, fits_proxy: bool = False):
+def _load_data(cfg: RunConfig):
     """Returns (source, target, oracle, num_classes, resolved_data_config).
 
     A synthetic spec with a null seed takes one derived from the
-    experiment seed; the resolved spec records it.  Data the run cannot
-    use fails here, before any output: a domain smaller than a batch,
-    or, for a run that fits the divergence proxy (``train``) with oracle
-    labels, one the proxy cannot split.
+    experiment seed; the resolved spec records it.  A domain smaller than
+    a batch fails here, before any output.
     """
     if isinstance(cfg.data, SyntheticSpec):
         spec = cfg.data if cfg.data.seed is not None \
             else replace(cfg.data, seed=substream_seed(cfg.seed, "datagen"))
         source, target, oracle = generate_toy(spec)
-        k, resolved, names = spec.num_source_classes, spec, ("data.synthetic",) * 2
+        k, resolved = spec.num_source_classes, spec
     else:
         source, target, oracle, k = load_experiment_data(cfg.data.source, cfg.data.target,
                                                          cfg.data.metadata)
-        resolved, names = cfg.data, (cfg.data.source, cfg.data.target)
-    if fits_proxy and oracle is not None:  # check_bound splits these rows of each domain
-        shared = int(in_classes(source.y, oracle.shared_classes).sum())
-        for where, n, what in ((names[0], shared, "source rows in the shared classes"),
-                               (names[1], len(target), "target rows")):
-            try:
-                proxy_test_rows(n, what)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+        resolved = cfg.data
     rows, domain = min((len(source), "source"), (len(target), "target"))
     if cfg.schedule.batch_size > rows:
         raise ValueError(f"schedule.batch_size: {cfg.schedule.batch_size} exceeds "
@@ -101,15 +91,16 @@ def _load_data(cfg: RunConfig, *, fits_proxy: bool = False):
 
 
 def _train(cfg: RunConfig, source, target, oracle, k: int, full_audit: bool = True):
-    """``run_experiment`` on loaded data; a value gone non-finite names the data."""
+    """``run_experiment`` on loaded data; data the run cannot use, or a value
+    gone non-finite, is an error of the same type naming the data."""
     arch = cfg.arch.to_arch(source.dim, k)
     try:
         return run_experiment(source, target, oracle, arch, cfg.flags(), cfg.schedule,
                               cfg.seed, full_audit=full_audit)
-    except FloatingPointError as exc:
+    except (ValueError, FloatingPointError) as exc:
         data = "data.synthetic" if isinstance(cfg.data, SyntheticSpec) \
             else f"{cfg.data.source}, {cfg.data.target}"
-        raise FloatingPointError(f"{data}: {exc}") from None
+        raise type(exc)(f"{data}: {exc}") from None
 
 
 def _write_confusion(path, confusion: np.ndarray) -> None:
@@ -132,10 +123,9 @@ def cmd_generate_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out = _out_dir(cfg)
-    source, target, oracle, k, resolved_data = _load_data(cfg, fits_proxy=True)
+    source, target, oracle, k, resolved_data = _load_data(cfg)
     result = _train(cfg, source, target, oracle, k)
 
-    out.mkdir(parents=True, exist_ok=True)  # only a run that completes writes
     effective = replace(cfg, data=resolved_data, out_dir=str(out))
     with atomic_write(out / "effective_config.yaml") as fh:
         fh.write(dump_config(effective))
@@ -171,7 +161,6 @@ def cmd_bound_trace(args) -> int:
         fields = {**vars(b), "epoch": rec.epoch}
         rows.append([fields[name] for name in BOUND_TRACE_COLUMNS])
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(args.out) as fh:
             write_csv(fh, BOUND_TRACE_COLUMNS, rows)
         print(f"wrote {args.out} ({len(rows)} epochs)")
@@ -218,7 +207,6 @@ def cmd_ablate(args) -> int:
         rows.append([name, len(seeds), float(accs.mean()), float(accs.std())])
         print(f"{name:30s} {accs.mean():8.4f} {accs.std():8.4f}")
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         with atomic_write(out / "ablation.csv") as fh:
             write_csv(fh, ["variant", "seeds", "mean_accuracy", "std_accuracy"], rows)
         print(f"wrote {out / 'ablation.csv'}")
@@ -245,7 +233,6 @@ def cmd_eval(args) -> int:
     for row in confusion:
         print("  " + " ".join(f"{int(v):4d}" for v in row))
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         _write_confusion(args.out, confusion)
         print(f"wrote {args.out}")
     return 0

@@ -232,7 +232,6 @@ def save_experiment_data(out_dir, source: Dataset, target: Dataset,
                          oracle: OracleContext, num_source_classes: int) -> dict:
     """Write source.csv / target.csv / metadata.json; returns the paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {"source": out / "source.csv", "target": out / "target.csv",
              "metadata": out / "metadata.json"}
     save_dataset_csv(paths["source"], source, 1)

@@ -165,11 +165,13 @@ def same_major(version, supported: str) -> bool:
 def atomic_write(path):
     """A text handle (UTF-8, LF) whose contents replace ``path`` on success.
 
-    The data goes to a temporary file in the same directory, renamed over
-    ``path`` once the block completes; if the block fails, the temporary
-    file is removed and ``path`` keeps its earlier contents, if any.
+    The directory of ``path`` is created if missing.  The data goes to a
+    temporary file in that directory, renamed over ``path`` once the block
+    completes; if the block fails, the temporary file is removed and
+    ``path`` keeps its earlier contents, if any.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .bound import OracleContext, check_bound, in_classes, intermediate_terms
+from .bound import OracleContext, check_bound, in_classes, intermediate_terms, proxy_test_rows
 from .data import Dataset, batch_iterator, steps_per_epoch
 from .losses import (
     LossBreakdown,
@@ -302,9 +302,10 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
     False keeps that assertion and the accuracy but skips the reported
     terms: no source-domain forward and no divergence proxy, and every
     record's ``bound`` is None.  Training itself is the same either way;
-    the proxy draws only from the ``divergence`` substream.  A value gone
-    non-finite is a FloatingPointError naming the epoch and step, or the
-    epoch's snapshot.
+    the proxy draws only from the ``divergence`` substream.  With the full
+    audit, a domain too small for the proxy's train/test split is a
+    ValueError before any training step.  A value gone non-finite is a
+    FloatingPointError naming the epoch and step, or the epoch's snapshot.
     """
     if source.y is None:
         raise ValueError("run_experiment needs a labeled source dataset")
@@ -322,6 +323,8 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
     if oracle is not None and full_audit:  # only these source rows reach the report
         shared = in_classes(source.y, oracle.shared_classes)
         x_src, y_src = source.x[shared], source.y[shared]
+        proxy_test_rows(len(x_src), "source rows in the shared classes")
+        proxy_test_rows(len(target), "target rows")
 
     def features_and_preds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f = extract_features(bundle, x)

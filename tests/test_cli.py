@@ -849,8 +849,9 @@ class TestDataTheRunCannotUse:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         _assert_one_error_line(tmp_path, capsys.readouterr().err,
-                               f"{source}: 2 source rows in the shared classes are too few "
-                               "for the divergence proxy's train/test split")
+                               f"{source}, {tmp_path / 'data' / 'target.csv'}: 2 source rows "
+                               "in the shared classes are too few for the divergence "
+                               "proxy's train/test split")
 
     @staticmethod
     def _too_small_for_the_split(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdalab import tensor as T
-from pdalab.bound import BoundReport
+from pdalab.bound import BoundReport, OracleContext
 from pdalab.data import Dataset, SyntheticSpec, generate_toy, steps_per_epoch
 from pdalab.losses import assign_pseudo_labels
 from pdalab.metrics import to_json_line
@@ -479,6 +479,36 @@ class TestRunExperiment:
                    for r in lite.records)
         assert [replace(r, bound=None) for r in full.records] == lite.records
         assert np.array_equal(full.confusion, lite.confusion)
+
+    @pytest.mark.parametrize("source_shared, target_rows, message", [
+        (2, 36, "2 source rows in the shared classes are too few"),
+        (36, 2, "2 target rows are too few"),
+    ], ids=["source", "target"])
+    def test_data_too_small_for_the_proxy_split_fails_before_training(
+            self, monkeypatch, source_shared, target_rows, message):
+        import pdalab.bound
+        import pdalab.trainer
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began")
+
+        source, target, oracle = tiny_problem()
+        # Keep the outlier-class source rows, and source_shared shared-class ones.
+        keep = np.flatnonzero(source.y >= 3).tolist() + np.flatnonzero(source.y < 3)[
+            :source_shared].tolist()
+        source = Dataset(source.x[keep], source.y[keep])
+        target = Dataset(target.x[:target_rows])
+        oracle = OracleContext(oracle.shared_classes, oracle.target_labels[:target_rows])
+        args = (source, target, oracle, ArchSpec(in_dim=2, num_classes=5), PRESETS["san_pp"],
+                small_sched(total_epochs=1, batch_size=2), 0)
+        monkeypatch.setattr(pdalab.trainer, "train_epoch", no_work)
+        monkeypatch.setattr(pdalab.bound, "estimate_hdh_divergence", no_work)
+        with pytest.raises(ValueError, match=f"^{message} for the divergence proxy's "
+                                             "train/test split$"):
+            run_experiment(*args)
+        monkeypatch.undo()
+        lite = run_experiment(*args, full_audit=False)
+        assert [r.epoch for r in lite.records] == [0, 1]
 
     def test_no_oracle_skips_oracle_fields(self):
         source, target, _ = tiny_problem(seed=10)
