@@ -111,7 +111,7 @@ def _write_confusion(path, confusion: np.ndarray) -> None:
 def cmd_generate_data(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if not isinstance(cfg.data, SyntheticSpec):
-        raise ValueError("generate-data requires a synthetic data section")
+        raise ValueError(f"{args.config}: data: generate-data requires a synthetic data section")
     out = _out_dir(cfg)
     source, target, oracle, k, _ = _load_data(cfg)
     paths = save_experiment_data(out, source, target, oracle, k)
@@ -183,20 +183,22 @@ def _ablate_one(cfg: RunConfig) -> float:
 
 
 def cmd_ablate(args) -> int:
-    """The ablation table: each row's final target accuracy over the seeds.
+    """The ablation table: each row's final target accuracy over the seeds,
+    also written to ``ablation.csv`` in the output directory if one is set.
 
     A (row, seed) job's run key is the seed and the flags of the network
     the row trains (:func:`network_flags`).  Each distinct key runs once on
-    the pool, and every row with that key reads its accuracy.
+    a pool of at most one worker per run, and every row with that key reads
+    its accuracy.
     """
     cfg = _apply_overrides(load_config(args.config), args)
-    out = _out_dir(cfg) if args.out else None
+    out = None if cfg.out_dir is None else _out_dir(cfg)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     keys = [(seed, network_flags(flags, cfg.arch))
             for flags in ABLATION_VARIANTS.values() for seed in seeds]
     runs = list(dict.fromkeys(keys))
     jobs = [replace(cfg, variant=flags, seed=seed) for seed, flags in runs]
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(args.workers, len(runs))) as pool:
         by_run = dict(zip(runs, pool.map(_ablate_one, jobs)))
     results = [by_run[key] for key in keys]
 
@@ -228,12 +230,13 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{target_path}: no oracle labels (every y is blank); "
                          "eval needs them")
     accuracy, confusion = evaluate(bundle, target.x, oracle.target_labels, k)
+    if args.out:  # a path it cannot write fails before the report
+        _write_confusion(args.out, confusion)
     print(f"target accuracy: {accuracy:.4f}")
     print("confusion matrix (rows true, columns predicted):")
     for row in confusion:
         print("  " + " ".join(f"{int(v):4d}" for v in row))
     if args.out:
-        _write_confusion(args.out, confusion)
         print(f"wrote {args.out}")
     return 0
 

@@ -165,12 +165,15 @@ def same_major(version, supported: str) -> bool:
 def atomic_write(path):
     """A text handle (UTF-8, LF) whose contents replace ``path`` on success.
 
-    The directory of ``path`` is created if missing.  The data goes to a
+    A ``path`` that is a directory is a ValueError, raised before anything
+    is written; a missing parent directory is created.  The data goes to a
     temporary file in that directory, renamed over ``path`` once the block
     completes; if the block fails, the temporary file is removed and
     ``path`` keeps its earlier contents, if any.
     """
     path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"{path}: is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -360,6 +360,34 @@ class TestAblate:
             (out_b / "ablation.csv").read_text()
 
 
+    def test_writes_into_the_configured_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", _InProcessPool)
+        out = tmp_path / "od_out"
+        cfg = write_config(tmp_path / "c.yaml", out_dir=str(out),
+                           schedule={"total_epochs": 1, "warmup_epochs": 1,
+                                     "batch_size": 8, "eta0": 0.05})
+        assert main(["ablate", "--config", str(cfg), "--seeds", "1"]) == 0
+        table = (out / "ablation.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in table[1:]] == list(ABLATION_VARIANTS)
+        assert capsys.readouterr().out.endswith(f"wrote {out / 'ablation.csv'}\n")
+
+    @pytest.mark.parametrize("workers, seeds, size", [("8", "1", 5), ("2", "1", 2),
+                                                      ("8", "2", 8)])
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch, workers,
+                                                seeds, size):
+        sizes = []
+
+        class RecordingPool(_InProcessPool):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("pdalab.cli._ablate_one", lambda job: 0.5)
+        assert main(["ablate", "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--seeds", seeds, "--workers", workers]) == 0
+        assert sizes == [size]
+
+
 class _InProcessPool:
     """A stand-in for ``ProcessPoolExecutor`` that runs every job in this process."""
 
@@ -1030,3 +1058,112 @@ class TestOutIsAFile:
                      "--out", str(afile), *args]) == 1
         assert capsys.readouterr() == ("", f"error: {afile}: not a directory\n")
         assert afile.read_text() == "kept\n"
+
+
+class TestOutIsADirectory:
+    @pytest.mark.parametrize("command", ["bound-trace", "eval"])
+    def test_is_one_error_line_and_no_output(self, tmp_path, capsys, command):
+        run, data = tmp_path / "run", tmp_path / "data"
+        cfg = write_config(tmp_path / "c.yaml")
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["generate-data", "--config", str(cfg), "--out", str(data)]) == 0
+        argv = {"bound-trace": ["bound-trace", str(run / "metrics.jsonl")],
+                "eval": ["eval", "--model", str(run / "model.json"), "--data", str(data)]}
+        directory = tmp_path / "d"
+        directory.mkdir()
+        capsys.readouterr()
+        assert main(argv[command] + ["--out", str(directory)]) == 1
+        assert capsys.readouterr() == ("", f"error: {directory}: is a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "d", "data", "run"]
+        assert not any(directory.iterdir())
+
+
+def _bad_config(message, command="train", **overrides):
+    def setup(tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        return [command, "--config", str(cfg)], f"{cfg}: {message}"
+    return setup
+
+
+def _bad_source_csv(text, message):
+    def setup(tmp_path):
+        cfg = _csv_train_config(tmp_path)
+        source = tmp_path / "data" / "source.csv"
+        source.write_text(text(source.read_text()))
+        return ["train", "--config", str(cfg)], f"{source}: {message}"
+    return setup
+
+
+def _bad_model(edit, message):
+    def setup(tmp_path):
+        model, data = TestEval._model_and_data(tmp_path, edit)
+        return (["eval", "--model", str(model), "--data", str(data)],
+                f"{model}: malformed model snapshot ({message})")
+    return setup
+
+
+def _widen_first_head(state):
+    layer = state["discriminator"]["heads"][0][0]
+    layer.update(w=[row + [0.0] for row in layer["w"]], b=layer["b"] + [0.0])
+
+
+_SYNTHETIC = {"samples_per_class": 12, "seed": 1}
+_SCHEDULE = {"total_epochs": 3, "warmup_epochs": 1, "batch_size": 8, "eta0": 0.05}
+_MALFORMED = {
+    "samples_per_class_0": _bad_config(
+        "data.synthetic: samples_per_class must be positive",
+        data={"synthetic": {**_SYNTHETIC, "samples_per_class": 0}}),
+    "cluster_std_negative": _bad_config(
+        "data.synthetic: cluster_std must be nonnegative",
+        data={"synthetic": {**_SYNTHETIC, "cluster_std": -1}}),
+    "target_shift_short": _bad_config(
+        "data.synthetic: target_shift length must equal dim",
+        data={"synthetic": {**_SYNTHETIC, "target_shift": [1]}}),
+    "cluster_means_one": _bad_config(
+        "data.synthetic: one cluster mean of length dim per source class required",
+        data={"synthetic": {**_SYNTHETIC, "cluster_means": [[0, 0]]}}),
+    "dim_3_without_means": _bad_config(
+        "data.synthetic: explicit cluster_means are required when dim != 2",
+        data={"synthetic": {**_SYNTHETIC, "dim": 3, "target_shift": [0, 0, 0]}}),
+    "eta0_0": _bad_config("schedule: eta0 must be positive; alpha, beta nonnegative",
+                          schedule={**_SCHEDULE, "eta0": 0}),
+    "total_epochs_negative": _bad_config("schedule: epoch counts must be nonnegative",
+                                         schedule={**_SCHEDULE, "total_epochs": -1}),
+    "batch_size_0": _bad_config("schedule: batch_size and log_interval must be positive",
+                                schedule={**_SCHEDULE, "batch_size": 0}),
+    "variant_int": _bad_config("variant: expected a preset name or a flag mapping",
+                               variant=5),
+    "generate_data_on_csv": _bad_config(
+        "data: generate-data requires a synthetic data section", "generate-data",
+        data={"csv": {"source": "s.csv", "target": "t.csv", "metadata": "m.json"}}),
+    "empty_source_csv": _bad_source_csv(lambda text: "", "empty file"),
+    "header_only_source_csv": _bad_source_csv(lambda text: text.splitlines()[0] + "\n",
+                                              "no data rows"),
+    "model_bias_too_long": _bad_model(lambda s: s["features"][0]["b"].append(0.0),
+                                      "layer weight/bias shapes inconsistent"),
+    "model_layers_do_not_chain": _bad_model(
+        lambda s: s["features"][1].update(w=s["features"][1]["w"][:-1]),
+        "consecutive layer dimensions do not chain"),
+    "model_two_logit_head": _bad_model(_widen_first_head,
+                                       "each discriminator head must emit one logit"),
+    "model_private_with_one_trunk": _bad_model(
+        lambda s: s["discriminator"].update(shared_trunk=False),
+        "private-trunk discriminator requires one trunk per head"),
+    "model_num_classes_4": _bad_model(
+        lambda s: s.update(num_classes=4),
+        "classifier output width must equal the class count"),
+    "model_no_heads": _bad_model(lambda s: s["discriminator"].update(heads=[]),
+                                 "discriminator needs at least one head"),
+}
+
+
+@pytest.mark.parametrize("setup", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, capfd, setup):
+    """Exit 1 and exactly ``error: <path>: …`` on stderr: no traceback, no
+    warning text, nothing on stdout and no output file or directory."""
+    argv, expected = setup(tmp_path)
+    capfd.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    _assert_one_error_line(tmp_path, err, expected)

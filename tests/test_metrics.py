@@ -9,6 +9,7 @@ from pdalab.losses import LossBreakdown
 from pdalab.metrics import (
     MetricsRecord,
     MetricsSchemaError,
+    atomic_write,
     load_json,
     read_metrics,
     to_json_line,
@@ -152,6 +153,22 @@ class TestAtomicWrite:
         assert path.read_bytes() == good
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_creates_the_missing_directories_of_the_file(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        with atomic_write(path) as fh:
+            fh.write("x\n")
+        assert path.read_text() == "x\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
+
+    def test_a_directory_is_rejected_before_anything_is_written(self, tmp_path):
+        target = tmp_path / "d"
+        target.mkdir()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(target))}: is a directory$"):
+            with atomic_write(target) as fh:
+                fh.write("x\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+        assert not any(target.iterdir())
+
 
 class TestCsvAndJsonFiles:
     def test_write_csv_writes_floats_at_round_trip_precision(self):
@@ -173,3 +190,4 @@ class TestCsvAndJsonFiles:
         with pytest.raises(ValueError) as info:
             load_json(path, "test file")
         assert str(info.value) == f"{path}: {message}"
+
