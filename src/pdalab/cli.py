@@ -28,8 +28,8 @@ from .data import (
     load_target_data,
     save_experiment_data,
 )
-from .metrics import atomic_write, read_metrics, write_csv, write_metrics
-from .nets import load_model, save_model
+from .metrics import csv_text, metrics_text, read_metrics, write_files
+from .nets import load_model, model_text
 from .rngstreams import substream_seed
 from .trainer import ABLATION_VARIANTS, evaluate, network_flags, run_experiment
 
@@ -103,9 +103,8 @@ def _train(cfg: RunConfig, source, target, oracle, k: int, full_audit: bool = Tr
         raise type(exc)(f"{data}: {exc}") from None
 
 
-def _write_confusion(path, confusion: np.ndarray) -> None:
-    with atomic_write(path) as fh:
-        write_csv(fh, [f"pred_{j}" for j in range(confusion.shape[1])], confusion.tolist())
+def _confusion_text(confusion: np.ndarray) -> str:
+    return csv_text([f"pred_{j}" for j in range(confusion.shape[1])], confusion.tolist())
 
 
 def cmd_generate_data(args) -> int:
@@ -127,17 +126,14 @@ def cmd_train(args) -> int:
     result = _train(cfg, source, target, oracle, k)
 
     effective = replace(cfg, data=resolved_data, out_dir=str(out))
-    with atomic_write(out / "effective_config.yaml") as fh:
-        fh.write(dump_config(effective))
-    write_metrics(out / "metrics.jsonl", result.records)
-    save_model(out / "model.json", result.bundle)
-    if result.confusion is not None:
-        _write_confusion(out / "confusion.csv", result.confusion)
-    else:  # a reused --out keeps no earlier run's matrix
-        (out / "confusion.csv").unlink(missing_ok=True)
-    with atomic_write(out / "run_log.txt") as fh:
-        fh.write(f"epochs: {len(result.records) - 1}\n")
-        fh.write(f"total_train_seconds: {sum(result.epoch_seconds):.3f}\n")
+    write_files({out / "effective_config.yaml": dump_config(effective),
+                 out / "metrics.jsonl": metrics_text(result.records),
+                 out / "model.json": model_text(result.bundle),
+                 # None removes an earlier run's matrix from a reused --out
+                 out / "confusion.csv": None if result.confusion is None
+                     else _confusion_text(result.confusion),
+                 out / "run_log.txt": f"epochs: {len(result.records) - 1}\n"
+                     f"total_train_seconds: {sum(result.epoch_seconds):.3f}\n"})
 
     final = result.records[-1]
     acc = "n/a" if final.target_accuracy is None else f"{final.target_accuracy:.4f}"
@@ -161,11 +157,10 @@ def cmd_bound_trace(args) -> int:
         fields = {**vars(b), "epoch": rec.epoch}
         rows.append([fields[name] for name in BOUND_TRACE_COLUMNS])
     if args.out:
-        with atomic_write(args.out) as fh:
-            write_csv(fh, BOUND_TRACE_COLUMNS, rows)
+        write_files({args.out: csv_text(BOUND_TRACE_COLUMNS, rows)})
         print(f"wrote {args.out} ({len(rows)} epochs)")
     else:
-        write_csv(sys.stdout, BOUND_TRACE_COLUMNS, rows)
+        sys.stdout.write(csv_text(BOUND_TRACE_COLUMNS, rows))
     return 0
 
 
@@ -200,18 +195,17 @@ def cmd_ablate(args) -> int:
     jobs = [replace(cfg, variant=flags, seed=seed) for seed, flags in runs]
     with ProcessPoolExecutor(max_workers=min(args.workers, len(runs))) as pool:
         by_run = dict(zip(runs, pool.map(_ablate_one, jobs)))
-    results = [by_run[key] for key in keys]
+    results = np.reshape([by_run[key] for key in keys], (-1, len(seeds)))
 
-    rows = []
-    print(f"{'variant':30s} {'mean':>8s} {'std':>8s}")
-    for i, name in enumerate(ABLATION_VARIANTS):
-        accs = np.array(results[i * len(seeds):(i + 1) * len(seeds)])
-        rows.append([name, len(seeds), float(accs.mean()), float(accs.std())])
-        print(f"{name:30s} {accs.mean():8.4f} {accs.std():8.4f}")
-    if out is not None:
-        with atomic_write(out / "ablation.csv") as fh:
-            write_csv(fh, ["variant", "seeds", "mean_accuracy", "std_accuracy"], rows)
-        print(f"wrote {out / 'ablation.csv'}")
+    rows = [[name, len(seeds), float(accs.mean()), float(accs.std())]
+            for name, accs in zip(ABLATION_VARIANTS, results)]
+    report = [f"{'variant':30s} {'mean':>8s} {'std':>8s}",
+              *(f"{name:30s} {mean:8.4f} {std:8.4f}" for name, _, mean, std in rows)]
+    if out is not None:  # the report follows the write
+        write_files({out / "ablation.csv": csv_text(
+            ["variant", "seeds", "mean_accuracy", "std_accuracy"], rows)})
+        report.append(f"wrote {out / 'ablation.csv'}")
+    print("\n".join(report))
     return 0
 
 
@@ -231,7 +225,7 @@ def cmd_eval(args) -> int:
                          "eval needs them")
     accuracy, confusion = evaluate(bundle, target.x, oracle.target_labels, k)
     if args.out:  # a path it cannot write fails before the report
-        _write_confusion(args.out, confusion)
+        write_files({args.out: _confusion_text(confusion)})
     print(f"target accuracy: {accuracy:.4f}")
     print("confusion matrix (rows true, columns predicted):")
     for row in confusion:

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .bound import OracleContext, in_classes
-from .metrics import atomic_write, from_plain, load_json, read_text, to_plain, write_csv
+from .metrics import csv_text, from_plain, load_json, read_text, to_plain, write_files
 
 # Default cluster layout: a circle whose radius and phase are calibrated so
 # the shifted target clusters cross source decision boundaries (plain source
@@ -143,13 +143,12 @@ def generate_toy(spec: SyntheticSpec) -> tuple[Dataset, Dataset, OracleContext]:
 # CSV + metadata files
 # ---------------------------------------------------------------------------
 
-def save_dataset_csv(path, ds: Dataset, domain: int) -> None:
-    """Write one domain's file (``domain`` 0 target, 1 source); an
-    unlabeled dataset leaves every ``y`` blank."""
+def dataset_csv_text(ds: Dataset, domain: int) -> str:
+    """One domain's file (``domain`` 0 target, 1 source); an unlabeled
+    dataset leaves every ``y`` blank."""
     y = [""] * len(ds) if ds.y is None else ds.y.tolist()
-    with atomic_write(path) as fh:
-        write_csv(fh, [f"x{i}" for i in range(ds.dim)] + ["y", "domain"],
-                  ([*x, label, domain] for x, label in zip(ds.x.tolist(), y)))
+    return csv_text([f"x{i}" for i in range(ds.dim)] + ["y", "domain"],
+                    ([*x, label, domain] for x, label in zip(ds.x.tolist(), y)))
 
 
 def load_csv(path, domain: int) -> Dataset:
@@ -211,12 +210,10 @@ class Metadata:
                              f"in [0, {k}), got {list(self.shared_classes)}")
 
 
-def save_metadata(path, num_source_classes: int, shared_classes, dim: int) -> None:
+def metadata_text(num_source_classes: int, shared_classes, dim: int) -> str:
     shared = tuple(int(c) for c in sorted(set(shared_classes)))
     meta = Metadata(int(num_source_classes), shared, int(dim))
-    with atomic_write(path) as fh:
-        json.dump(to_plain(meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return json.dumps(to_plain(meta), indent=2, sort_keys=True) + "\n"
 
 
 def load_metadata(path) -> Metadata:
@@ -234,10 +231,10 @@ def save_experiment_data(out_dir, source: Dataset, target: Dataset,
     out = Path(out_dir)
     paths = {"source": out / "source.csv", "target": out / "target.csv",
              "metadata": out / "metadata.json"}
-    save_dataset_csv(paths["source"], source, 1)
-    save_dataset_csv(paths["target"], Dataset(target.x, oracle.target_labels), 0)
-    save_metadata(paths["metadata"], num_source_classes, oracle.shared_classes,
-                  source.dim)
+    write_files({paths["source"]: dataset_csv_text(source, 1),
+                 paths["target"]: dataset_csv_text(Dataset(target.x, oracle.target_labels), 0),
+                 paths["metadata"]: metadata_text(num_source_classes, oracle.shared_classes,
+                                                  source.dim)})
     return paths
 
 

@@ -10,8 +10,8 @@ files must be byte-identical across reruns of the same (config, seed).
 one reader of every document pdalab reads or writes; :func:`read_text`
 reads every input file, and :func:`load_json` a JSON one, where
 :func:`unique_keys` rejects a repeated key;
-:func:`atomic_write` writes every output file and :func:`write_csv` every
-CSV table.
+:func:`write_files` writes every command's output files as one set and
+:func:`csv_text` serializes every CSV table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import math
 import os
 import types
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -161,37 +160,50 @@ def same_major(version, supported: str) -> bool:
     return str(version).split(".")[0] == supported.split(".")[0]
 
 
-@contextmanager
-def atomic_write(path):
-    """A text handle (UTF-8, LF) whose contents replace ``path`` on success.
+def write_files(files: dict) -> None:
+    """Commit ``files``, a dict from path to text, as one set; a None text
+    removes its path.
 
-    A ``path`` that is a directory is a ValueError, raised before anything
-    is written; a missing parent directory is created.  The data goes to a
-    temporary file in that directory, renamed over ``path`` once the block
-    completes; if the block fails, the temporary file is removed and
-    ``path`` keeps its earlier contents, if any.
+    A path that is a directory is a ValueError, raised before anything is
+    written; missing parent directories are created.  Each text (UTF-8, LF)
+    is staged as a temporary file beside its path, and only when all are
+    staged are they renamed into place and the None paths removed.  If
+    staging fails, every temporary is removed and every path keeps its
+    earlier contents, if any.  POSIX renames one file at a time, so a
+    failure between two renames can still leave a mixed set.
     """
-    path = Path(path)
-    if path.is_dir():
-        raise ValueError(f"{path}: is a directory")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    files = {Path(p): text for p, text in files.items()}
+    for path in files:
+        if path.is_dir():
+            raise ValueError(f"{path}: is a directory")
+    staged = {}
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        for path, text in files.items():
+            if text is not None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                with open(staged[path], "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
         raise
+    for path, text in files.items():
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            os.replace(staged[path], path)
 
 
-def write_csv(fh, header, rows) -> None:
-    """``header`` then ``rows`` as CSV on ``fh``, LF-terminated; a float is
-    written with round-trip precision (its repr), any other value by ``str``."""
-    writer = csv.writer(fh, lineterminator="\n")
+def csv_text(header, rows) -> str:
+    """``header`` then ``rows`` as CSV, LF-terminated; a float is written
+    with round-trip precision (its repr), any other value by ``str``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
                      for row in rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -222,11 +234,12 @@ def to_json_line(record: MetricsRecord) -> str:
     return json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def metrics_text(records: list[MetricsRecord]) -> str:
+    return "".join(to_json_line(rec) + "\n" for rec in records)
+
+
 def write_metrics(path, records: list[MetricsRecord]) -> None:
-    with atomic_write(path) as fh:
-        for rec in records:
-            fh.write(to_json_line(rec))
-            fh.write("\n")
+    write_files({path: metrics_text(records)})
 
 
 def read_metrics(path) -> list[MetricsRecord]:

@@ -5,7 +5,7 @@ The discriminator owns one logistic head per source class; each head
 emits the logit of the probability that a sample is from the source
 domain, conditioned on that class's alignment task.  With ``shared_trunk``
 off, every head owns a private copy of the trunk instead.  A bundle's
-snapshot is ``model.json``: :func:`save_model` and :func:`load_model`.
+snapshot is ``model.json``: :func:`model_text` and :func:`load_model`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import atomic_write, from_plain, load_json, same_major, to_plain
+from .metrics import from_plain, load_json, same_major, to_plain
 from .tensor import (
     ACTIVATIONS,
     Tensor,
@@ -298,14 +298,13 @@ def bundle_from_state(state) -> ModelBundle:
                        disc, s.num_classes)
 
 
-def save_model(path, bundle: ModelBundle) -> None:
-    with atomic_write(path) as fh:
-        fh.write(json.dumps({"schema": MODEL_SCHEMA_VERSION, "model": bundle_state(bundle)},
-                            sort_keys=True, separators=(",", ":")) + "\n")
+def model_text(bundle: ModelBundle) -> str:
+    return json.dumps({"schema": MODEL_SCHEMA_VERSION, "model": bundle_state(bundle)},
+                      sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_model(path) -> ModelBundle:
-    """The bundle a :func:`save_model` file holds; errors are ValueErrors naming ``path``."""
+    """The bundle a :func:`model_text` file holds; errors are ValueErrors naming ``path``."""
     snapshot = load_json(path, "model snapshot")
     if not isinstance(snapshot, dict):
         raise ValueError(f"{path}: expected a JSON object")

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 from dataclasses import replace
@@ -1076,6 +1077,122 @@ class TestOutIsADirectory:
         assert capsys.readouterr() == ("", f"error: {directory}: is a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "d", "data", "run"]
         assert not any(directory.iterdir())
+
+
+def _trained(tmp_path):
+    """A model and its metrics in ``run``, and a dataset in ``data``."""
+    cfg = write_config(tmp_path / "c.yaml")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert main(["generate-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    return tmp_path / "run", tmp_path / "data"
+
+
+def _set_generate_data(tmp_path):
+    return (["generate-data", "--config", str(write_config(tmp_path / "c.yaml"))],
+            ["source.csv", "target.csv", "metadata.json"])
+
+
+def _set_train(tmp_path):
+    return (["train", "--config", str(write_config(tmp_path / "c.yaml"))],
+            ["effective_config.yaml", "metrics.jsonl", "model.json", "confusion.csv",
+             "run_log.txt"])
+
+
+def _set_ablate(tmp_path):
+    return (["ablate", "--config", str(write_config(tmp_path / "c.yaml")), "--seeds", "1"],
+            ["ablation.csv"])
+
+
+def _set_eval(tmp_path):
+    run, data = _trained(tmp_path)
+    return (["eval", "--model", str(run / "model.json"), "--data", str(data), "--out",
+             str(tmp_path / "o" / "confusion.csv")], ["confusion.csv"])
+
+
+def _set_bound_trace(tmp_path):
+    run, _ = _trained(tmp_path)
+    return (["bound-trace", str(run / "metrics.jsonl"), "--out",
+             str(tmp_path / "o" / "trace.csv")], ["trace.csv"])
+
+
+# Each command's argv, writing into ``o``, and the files of its output set.
+_OUTPUT_SETS = {"generate-data": _set_generate_data, "train": _set_train,
+                "ablate": _set_ablate, "eval": _set_eval, "bound-trace": _set_bound_trace}
+
+
+def _argv(tmp_path, command):
+    argv, names = _OUTPUT_SETS[command](tmp_path)
+    return (argv if "--out" in argv else argv + ["--out", str(tmp_path / "o")]), names
+
+
+def _snapshot(root):
+    """Each path under ``root``: a file's bytes and inode (a file renamed into
+    place is a new inode), or None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else (p.read_bytes(), p.stat().st_ino)
+            for p in root.rglob("*")}
+
+
+class TestOutputSets:
+    """A command's files commit as one set: a failure before the commit
+    leaves an earlier run's files as they were, adds none and prints nothing
+    but one error line."""
+
+    @pytest.mark.parametrize("command, name", [("train", "metrics.jsonl"),
+                                               ("ablate", "ablation.csv"),
+                                               ("generate-data", "metadata.json")])
+    def test_a_blocked_file_in_a_new_out_leaves_only_the_block(self, tmp_path, capfd,
+                                                               command, name):
+        argv, _ = _argv(tmp_path, command)
+        blocked = tmp_path / "o" / name
+        blocked.mkdir(parents=True)
+        capfd.readouterr()
+        assert main(argv) == 1
+        assert capfd.readouterr() == ("", f"error: {blocked}: is a directory\n")
+        assert list((tmp_path / "o").rglob("*")) == [blocked]
+
+    @pytest.mark.parametrize("command", _OUTPUT_SETS)
+    def test_a_directory_at_any_file_of_the_set_changes_nothing(self, tmp_path, capfd,
+                                                                command):
+        argv, names = _argv(tmp_path, command)
+        out = tmp_path / "o"
+        assert main(argv) == 0
+        for name in names:
+            earlier = (out / name).read_bytes()
+            (out / name).unlink()
+            (out / name).mkdir()
+            before = _snapshot(out)
+            capfd.readouterr()
+            assert main(argv) == 1
+            assert capfd.readouterr() == ("", f"error: {out / name}: is a directory\n")
+            assert _snapshot(out) == before
+            (out / name).rmdir()
+            (out / name).write_bytes(earlier)
+
+    @pytest.mark.parametrize("command", _OUTPUT_SETS)
+    def test_a_failed_write_of_any_temporary_changes_nothing(self, tmp_path, capfd,
+                                                             monkeypatch, command):
+        argv, names = _argv(tmp_path, command)
+        out = tmp_path / "o"
+        assert main(argv) == 0
+        before = _snapshot(out)
+        for n in range(len(names)):
+            opened = []
+
+            def fail_at_n(file, *args, **kwargs):
+                opened.append(file)
+                fh = open(file, *args, **kwargs)
+                if len(opened) == n + 1:
+                    fh.write("part")
+                    fh.close()
+                    raise OSError(errno.ENOSPC, "No space left on device", str(file))
+                return fh
+
+            monkeypatch.setattr("pdalab.metrics.open", fail_at_n, raising=False)
+            capfd.readouterr()
+            assert main(argv) == 1
+            assert capfd.readouterr() == (
+                "", f"error: [Errno 28] No space left on device: '{opened[n]}'\n")
+            assert _snapshot(out) == before
 
 
 def _bad_config(message, command="train", **overrides):

@@ -9,14 +9,15 @@ from pdalab.data import (
     Metadata,
     SyntheticSpec,
     batch_iterator,
+    dataset_csv_text,
     generate_toy,
     load_csv,
     load_experiment_data,
     load_metadata,
-    save_dataset_csv,
     save_experiment_data,
     steps_per_epoch,
 )
+from pdalab.metrics import write_files
 
 
 class TestGenerateToy:
@@ -86,7 +87,7 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(size=(50, 3)) * 1e3, rng.integers(0, 4, size=50))
         path = tmp_path / "ds.csv"
-        save_dataset_csv(path, ds, 1)
+        write_files({path: dataset_csv_text(ds, 1)})
         back = load_csv(path, 1)
         assert np.array_equal(ds.x, back.x)
         assert np.array_equal(ds.y, back.y)
@@ -153,7 +154,7 @@ class TestExperimentIo:
         spec = SyntheticSpec(seed=6, samples_per_class=5)
         source, target, oracle = generate_toy(spec)
         paths = save_experiment_data(tmp_path, source, target, oracle, 5)
-        save_dataset_csv(paths["source"], Dataset(source.x), 1)
+        write_files({paths["source"]: dataset_csv_text(Dataset(source.x), 1)})
         message = f"{paths['source']}: source rows must be labeled"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_experiment_data(paths["source"], paths["target"], paths["metadata"])
@@ -162,7 +163,7 @@ class TestExperimentIo:
         spec = SyntheticSpec(seed=6, samples_per_class=5)
         source, target, oracle = generate_toy(spec)
         paths = save_experiment_data(tmp_path, source, target, oracle, 5)
-        save_dataset_csv(paths["target"], target, 0)  # overwrite without labels
+        write_files({paths["target"]: dataset_csv_text(target, 0)})  # overwrite without labels
         _, _, oracle2, _ = load_experiment_data(paths["source"], paths["target"],
                                                 paths["metadata"])
         assert oracle2 is None

@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 
@@ -9,11 +10,11 @@ from pdalab.losses import LossBreakdown
 from pdalab.metrics import (
     MetricsRecord,
     MetricsSchemaError,
-    atomic_write,
+    csv_text,
     load_json,
     read_metrics,
     to_json_line,
-    write_csv,
+    write_files,
     write_metrics,
 )
 
@@ -155,8 +156,7 @@ class TestAtomicWrite:
 
     def test_creates_the_missing_directories_of_the_file(self, tmp_path):
         path = tmp_path / "a" / "b" / "out.txt"
-        with atomic_write(path) as fh:
-            fh.write("x\n")
+        write_files({path: "x\n"})
         assert path.read_text() == "x\n"
         assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
 
@@ -164,21 +164,63 @@ class TestAtomicWrite:
         target = tmp_path / "d"
         target.mkdir()
         with pytest.raises(ValueError, match=f"^{re.escape(str(target))}: is a directory$"):
-            with atomic_write(target) as fh:
-                fh.write("x\n")
+            write_files({target: "x\n"})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
         assert not any(target.iterdir())
 
 
-class TestCsvAndJsonFiles:
-    def test_write_csv_writes_floats_at_round_trip_precision(self):
-        import io
+class TestWriteFiles:
+    @staticmethod
+    def earlier(tmp_path):
+        """Three files of an earlier set, and their bytes and inodes (a file
+        renamed into place is a new inode)."""
+        paths = [tmp_path / name for name in ("a.txt", "b.txt", "c.txt")]
+        write_files({p: f"earlier {p.name}\n" for p in paths})
+        return paths, {p: (p.read_bytes(), p.stat().st_ino) for p in tmp_path.iterdir()}
 
-        buf = io.StringIO()
-        write_csv(buf, ("name", "n", "x", "y"),
-                  [["a,b", np.int64(3), np.float64(0.1), 1 / 3], ["c", 4, -0.0, 1e-300]])
-        assert buf.getvalue() == ('name,n,x,y\n"a,b",3,0.1,0.3333333333333333\n'
-                                  "c,4,-0.0,1e-300\n")
+    def test_commits_every_text_and_removes_every_none_path(self, tmp_path):
+        (a, b, c), _ = self.earlier(tmp_path)
+        write_files({a: "new\r\n", b: None, c: "é\n", tmp_path / "gone": None})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "c.txt"]
+        assert a.read_bytes() == b"new\r\n" and c.read_bytes() == "é\n".encode()
+
+    def test_a_directory_anywhere_in_the_set_is_rejected_before_any_write(self, tmp_path):
+        (a, b, c), before = self.earlier(tmp_path)
+        b.unlink()
+        b.mkdir()
+        before[b] = None
+        with pytest.raises(ValueError, match=f"^{re.escape(str(b))}: is a directory$"):
+            write_files({a: "new\n", c: None, b: "new\n"})
+        assert {p: None if p.is_dir() else (p.read_bytes(), p.stat().st_ino)
+                for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_a_failure_while_staging_leaves_every_path_as_it_was(self, tmp_path,
+                                                                 monkeypatch, n):
+        (a, b, c), before = self.earlier(tmp_path)
+        opened = []
+
+        def fail_at_n(file, *args, **kwargs):
+            opened.append(file)
+            fh = open(file, *args, **kwargs)
+            if len(opened) == n + 1:
+                fh.write("part")
+                fh.close()
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+            return fh
+
+        monkeypatch.setattr("pdalab.metrics.open", fail_at_n, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_files({a: "new\n", b: None, c: "new\n", tmp_path / "d.txt": "new\n"})
+        assert {p: (p.read_bytes(), p.stat().st_ino) for p in tmp_path.iterdir()} == before
+
+
+class TestCsvAndJsonFiles:
+    def test_csv_text_writes_floats_at_round_trip_precision(self):
+        text = csv_text(("name", "n", "x", "y"),
+                        [["a,b", np.int64(3), np.float64(0.1), 1 / 3], ["c", 4, -0.0, 1e-300]])
+        assert text == ('name,n,x,y\n"a,b",3,0.1,0.3333333333333333\n'
+                        "c,4,-0.0,1e-300\n")
 
     @pytest.mark.parametrize("text, message", [
         ('{"a": 1, "a": 2}', "duplicate key 'a'"),
