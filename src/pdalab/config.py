@@ -125,6 +125,8 @@ def load_config(path) -> RunConfig:
         col = exc.position - text.rfind("\n", 0, exc.position)
         raise ValueError(f"{path}:{line}:{col}: invalid YAML: "
                          f"unacceptable character #x{exc.character:04x}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: nesting too deep") from None
     try:
         return RunConfig.from_dict(raw)
     except ValueError as exc:

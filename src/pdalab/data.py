@@ -79,6 +79,8 @@ class SyntheticSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be positive, got {self.dim}")
         shared = tuple(sorted(set(int(c) for c in self.shared_classes)))
         object.__setattr__(self, "shared_classes", shared)
         if not shared or min(shared) < 0 or max(shared) >= self.num_source_classes:

@@ -53,23 +53,27 @@ def unique_keys(pairs) -> dict:
 
 
 def read_text(path) -> str:
-    """The text of an input file; bytes that are not UTF-8 are a ValueError
-    naming it.  Line endings are kept as they are."""
+    """The text of an input file; a file it cannot read, or bytes that are
+    not UTF-8, is a ValueError naming it.  Line endings are kept as they are."""
     try:
         return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def load_json(path, what: str):
-    """The JSON document in ``path``; text that is not UTF-8 (see
-    :func:`read_text`), a repeated key, or text that is not JSON
+    """The JSON document in ``path``; a file :func:`read_text` rejects, a
+    repeated key, nesting too deep to parse, or text that is not JSON
     (``not a JSON <what>``) is a ValueError naming it."""
     text = read_text(path)
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except DuplicateKeyError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: nesting too deep") from None
     except ValueError as exc:
         raise ValueError(f"{path}: not a JSON {what} ({exc})") from None
 
@@ -256,6 +260,8 @@ def read_metrics(path) -> list[MetricsRecord]:
                 json.loads(line, object_pairs_hook=unique_keys)))
         except MetricsSchemaError as exc:
             raise MetricsSchemaError(f"{path}:{lineno}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}:{lineno}: nesting too deep") from None
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad metrics record: {exc}") from None
         if records[-1].epoch != len(records) - 1:

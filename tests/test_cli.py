@@ -2,6 +2,7 @@ import errno
 import json
 import multiprocessing
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1224,7 +1225,35 @@ def _widen_first_head(state):
     layer.update(w=[row + [0.0] for row in layer["w"]], b=layer["b"] + [0.0])
 
 
+def _inputs(tmp_path):
+    """Each kind of input file, and an argv that reads it."""
+    cfg, run, data = _csv_train_config(tmp_path), tmp_path / "run", tmp_path / "data"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    train = ["train", "--config", str(cfg)]
+    return {"config": (cfg, train), "source_csv": (data / "source.csv", train),
+            "metadata": (data / "metadata.json", train),
+            "model": (run / "model.json", ["eval", "--model", str(run / "model.json"),
+                                           "--data", str(data)]),
+            "metrics": (run / "metrics.jsonl", ["bound-trace", str(run / "metrics.jsonl")])}
+
+
+def _bad_input(kind, content, message):
+    """The ``kind`` input file replaced by ``content``: text, None for no
+    file, or a function that makes something else at the path."""
+    def setup(tmp_path):
+        path, argv = _inputs(tmp_path)[kind]
+        path.unlink()
+        if callable(content):
+            content(path)
+        elif content is not None:
+            path.write_text(content)
+        return argv, f"{path}{message}"
+    return setup
+
+
+_DEEP_JSON = '{"a":' * 3000 + "1" + "}" * 3000
 _SYNTHETIC = {"samples_per_class": 12, "seed": 1}
+_DIM_0 = {**_SYNTHETIC, "dim": 0, "target_shift": [], "cluster_means": [[] for _ in range(5)]}
 _SCHEDULE = {"total_epochs": 3, "warmup_epochs": 1, "batch_size": 8, "eta0": 0.05}
 _MALFORMED = {
     "samples_per_class_0": _bad_config(
@@ -1271,6 +1300,20 @@ _MALFORMED = {
         "classifier output width must equal the class count"),
     "model_no_heads": _bad_model(lambda s: s["discriminator"].update(heads=[]),
                                  "discriminator needs at least one head"),
+    "dim_0": _bad_config("data.synthetic: dim must be positive, got 0",
+                         data={"synthetic": _DIM_0}),
+    "dim_0_generate_data": _bad_config("data.synthetic: dim must be positive, got 0",
+                                       "generate-data", data={"synthetic": _DIM_0}),
+    **{f"{kind}_missing": _bad_input(kind, None, ": No such file or directory")
+       for kind in ("config", "source_csv", "metadata", "model", "metrics")},
+    "config_is_a_directory": _bad_input("config", Path.mkdir, ": Is a directory"),
+    "metrics_is_a_directory": _bad_input("metrics", Path.mkdir, ": Is a directory"),
+    "config_nested_too_deep": _bad_input("config", "seed:\n" + "- " * 3000 + "1\n",
+                                         ": nesting too deep"),
+    "metadata_nested_too_deep": _bad_input("metadata", _DEEP_JSON, ": nesting too deep"),
+    "model_nested_too_deep": _bad_input("model", _DEEP_JSON, ": nesting too deep"),
+    "metrics_nested_too_deep": _bad_input("metrics", "[" * 100_000 + "]" * 100_000,
+                                          ":1: nesting too deep"),
 }
 
 

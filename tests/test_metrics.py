@@ -1,10 +1,13 @@
+import ast
 import errno
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdalab
 from pdalab.bound import BoundReport
 from pdalab.losses import LossBreakdown
 from pdalab.metrics import (
@@ -213,6 +216,36 @@ class TestWriteFiles:
         with pytest.raises(OSError, match="No space left on device"):
             write_files({a: "new\n", b: None, c: "new\n", tmp_path / "d.txt": "new\n"})
         assert {p: (p.read_bytes(), p.stat().st_ino) for p in tmp_path.iterdir()} == before
+
+    def test_is_the_only_code_that_writes_files(self):
+        found = {}
+        for path in sorted(Path(pdalab.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if path.name == "metrics.py":
+                (writer,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                             and node.name == "write_files"]
+                assert _file_writes(writer)
+                tree.body.remove(writer)
+            found[path.name] = _file_writes(tree)
+        assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+_PATH_WRITES = {"unlink", "mkdir", "rmdir", "touch", "rename", "write_text", "write_bytes"}
+_OS_WRITES = {"replace", "rename", "remove", "unlink", "mkdir", "makedirs", "rmdir", "open"}
+
+
+def _file_writes(tree) -> list[str]:
+    """``line: call`` for each call in ``tree`` that can write to the file
+    system: ``open``, a writing Path method, or a writing ``os`` or any
+    ``shutil`` function."""
+    calls = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        attr, module = getattr(func, "attr", None), getattr(getattr(func, "value", None), "id", None)
+        if (isinstance(func, ast.Name) and func.id == "open" or attr in _PATH_WRITES
+                or module == "os" and attr in _OS_WRITES or module == "shutil"):
+            calls.append(f"{node.lineno}: {ast.unparse(func)}")
+    return calls
 
 
 class TestCsvAndJsonFiles:
