@@ -201,7 +201,7 @@ def cmd_ablate(args) -> int:
             for name, accs in zip(ABLATION_VARIANTS, results)]
     report = [f"{'variant':30s} {'mean':>8s} {'std':>8s}",
               *(f"{name:30s} {mean:8.4f} {std:8.4f}" for name, _, mean, std in rows)]
-    if out is not None:  # the report follows the write
+    if out is not None:  # nothing is printed before the table is written
         write_files({out / "ablation.csv": csv_text(
             ["variant", "seeds", "mean_accuracy", "std_accuracy"], rows)})
         report.append(f"wrote {out / 'ablation.csv'}")
