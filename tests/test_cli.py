@@ -1089,19 +1089,20 @@ def _trained(tmp_path):
 
 
 def _set_generate_data(tmp_path):
-    return (["generate-data", "--config", str(write_config(tmp_path / "c.yaml"))],
-            ["source.csv", "target.csv", "metadata.json"])
+    return (["generate-data", "--config", str(write_config(tmp_path / "c.yaml")),
+             "--out", str(tmp_path / "o")], ["source.csv", "target.csv", "metadata.json"])
 
 
 def _set_train(tmp_path):
-    return (["train", "--config", str(write_config(tmp_path / "c.yaml"))],
+    return (["train", "--config", str(write_config(tmp_path / "c.yaml")),
+             "--out", str(tmp_path / "o")],
             ["effective_config.yaml", "metrics.jsonl", "model.json", "confusion.csv",
              "run_log.txt"])
 
 
 def _set_ablate(tmp_path):
-    return (["ablate", "--config", str(write_config(tmp_path / "c.yaml")), "--seeds", "1"],
-            ["ablation.csv"])
+    return (["ablate", "--config", str(write_config(tmp_path / "c.yaml")), "--seeds", "1",
+             "--out", str(tmp_path / "o")], ["ablation.csv"])
 
 
 def _set_eval(tmp_path):
@@ -1121,11 +1122,6 @@ _OUTPUT_SETS = {"generate-data": _set_generate_data, "train": _set_train,
                 "ablate": _set_ablate, "eval": _set_eval, "bound-trace": _set_bound_trace}
 
 
-def _argv(tmp_path, command):
-    argv, names = _OUTPUT_SETS[command](tmp_path)
-    return (argv if "--out" in argv else argv + ["--out", str(tmp_path / "o")]), names
-
-
 def _snapshot(root):
     """Each path under ``root``: a file's bytes and inode (a file renamed into
     place is a new inode), or None for a directory."""
@@ -1143,7 +1139,7 @@ class TestOutputSets:
                                                ("generate-data", "metadata.json")])
     def test_a_blocked_file_in_a_new_out_leaves_only_the_block(self, tmp_path, capfd,
                                                                command, name):
-        argv, _ = _argv(tmp_path, command)
+        argv, _ = _OUTPUT_SETS[command](tmp_path)
         blocked = tmp_path / "o" / name
         blocked.mkdir(parents=True)
         capfd.readouterr()
@@ -1154,7 +1150,7 @@ class TestOutputSets:
     @pytest.mark.parametrize("command", _OUTPUT_SETS)
     def test_a_directory_at_any_file_of_the_set_changes_nothing(self, tmp_path, capfd,
                                                                 command):
-        argv, names = _argv(tmp_path, command)
+        argv, names = _OUTPUT_SETS[command](tmp_path)
         out = tmp_path / "o"
         assert main(argv) == 0
         for name in names:
@@ -1172,7 +1168,7 @@ class TestOutputSets:
     @pytest.mark.parametrize("command", _OUTPUT_SETS)
     def test_a_failed_write_of_any_temporary_changes_nothing(self, tmp_path, capfd,
                                                              monkeypatch, command):
-        argv, names = _argv(tmp_path, command)
+        argv, names = _OUTPUT_SETS[command](tmp_path)
         out = tmp_path / "o"
         assert main(argv) == 0
         before = _snapshot(out)
