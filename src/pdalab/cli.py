@@ -31,7 +31,7 @@ from .data import (
 from .metrics import csv_text, metrics_text, read_metrics, write_files
 from .nets import load_model, model_text
 from .rngstreams import substream_seed
-from .trainer import ABLATION_VARIANTS, evaluate, network_flags, run_experiment
+from .trainer import ABLATION_VARIANTS, evaluate, network_flags, run_experiment, run_experiments
 
 # Column order of the bound-trace table; fixed format contract.
 BOUND_TRACE_COLUMNS = ("epoch", "w_error_l1", "delta_bar", "e_type1",
@@ -90,13 +90,15 @@ def _load_data(cfg: RunConfig):
     return source, target, oracle, k, resolved
 
 
-def _train(cfg: RunConfig, source, target, oracle, k: int, full_audit: bool = True):
-    """``run_experiment`` on loaded data; data the run cannot use, or a value
-    gone non-finite, is an error of the same type naming the data."""
+def _train(cfg: RunConfig, source, target, oracle, k: int, chunk=None):
+    """``run_experiment`` on loaded data, or ``run_experiments`` without the bound
+    report for a ``chunk`` of flags that share cfg's seed and network; data the
+    runs cannot use, or a value gone non-finite, is an error naming the data."""
     arch = cfg.arch.to_arch(source.dim, k)
     try:
-        return run_experiment(source, target, oracle, arch, cfg.flags(), cfg.schedule,
-                              cfg.seed, full_audit=full_audit)
+        if chunk is None:
+            return run_experiment(source, target, oracle, arch, cfg.flags(), cfg.schedule, cfg.seed)
+        return run_experiments(source, target, oracle, arch, chunk, cfg.schedule, cfg.seed, False)
     except (ValueError, FloatingPointError) as exc:
         data = "data.synthetic" if isinstance(cfg.data, SyntheticSpec) \
             else f"{cfg.data.source}, {cfg.data.target}"
@@ -164,17 +166,30 @@ def cmd_bound_trace(args) -> int:
     return 0
 
 
-def _ablate_one(cfg: RunConfig) -> float:
-    """Final target accuracy of one ablation run; runs in a pool worker.
-
-    The run asserts the bound's intermediate inequality every epoch but
-    skips the reported terms, which the ablation table does not hold.
+def _ablate_one(jobs: list[RunConfig]) -> list[float]:
+    """Final target accuracy of each run of one chunk, which trains as one
+    stacked program in a pool worker.  Each run asserts the bound's
+    intermediate inequality every epoch but skips the reported terms, which
+    the ablation table does not hold.
     """
+    cfg = jobs[0]
     source, target, oracle, k, _ = _load_data(cfg)
     if oracle is None:  # synthetic data always has them
         raise ValueError(f"data.csv.target: {cfg.data.target} has no oracle labels "
                          "(every y is blank); ablate needs them for accuracy")
-    return _train(cfg, source, target, oracle, k, full_audit=False).records[-1].target_accuracy
+    return [result.records[-1].target_accuracy for result in
+            _train(cfg, source, target, oracle, k, chunk=[job.flags() for job in jobs])]
+
+
+def _chunks(groups: list[list], n: int) -> list[list]:
+    """``groups`` cut, in order, into ``n`` >= len(groups) chunks, each within a
+    group: each chunk past the first of every group goes to the group with the
+    largest chunks, and a group's chunks differ in size by at most one."""
+    counts = [1] * len(groups)
+    for _ in range(n - len(groups)):
+        counts[max(range(len(groups)), key=lambda i: -(-len(groups[i]) // counts[i]))] += 1
+    return [[group[i] for i in part] for group, count in zip(groups, counts)
+            for part in np.array_split(range(len(group)), count)]
 
 
 def cmd_ablate(args) -> int:
@@ -182,9 +197,10 @@ def cmd_ablate(args) -> int:
     also written to ``ablation.csv`` in the output directory if one is set.
 
     A (row, seed) job's run key is the seed and the flags of the network
-    the row trains (:func:`network_flags`).  Each distinct key runs once on
-    a pool of at most one worker per run, and every row with that key reads
-    its accuracy.
+    the row trains (:func:`network_flags`).  Each distinct key runs once, and
+    every row with that key reads its accuracy.  The runs of one seed and
+    network shape form a group; the groups are cut into ``max(groups,
+    min(workers, runs))`` chunks, each one stacked program on a pool worker.
     """
     cfg = _apply_overrides(load_config(args.config), args)
     out = None if cfg.out_dir is None else _out_dir(cfg)
@@ -192,9 +208,13 @@ def cmd_ablate(args) -> int:
     keys = [(seed, network_flags(flags, cfg.arch))
             for flags in ABLATION_VARIANTS.values() for seed in seeds]
     runs = list(dict.fromkeys(keys))
-    jobs = [replace(cfg, variant=flags, seed=seed) for seed, flags in runs]
-    with ProcessPoolExecutor(max_workers=min(args.workers, len(runs))) as pool:
-        by_run = dict(zip(runs, pool.map(_ablate_one, jobs)))
+    shapes = dict.fromkeys((seed, flags.shared_trunk) for seed, flags in runs)
+    groups = [[run for run in runs if (run[0], run[1].shared_trunk) == key] for key in shapes]
+    chunks = _chunks(groups, max(len(groups), min(args.workers, len(runs))))
+    jobs = [[replace(cfg, variant=flags, seed=seed) for seed, flags in chunk] for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=min(args.workers, len(chunks))) as pool:
+        by_run = dict(zip([run for chunk in chunks for run in chunk],
+                          [acc for accs in pool.map(_ablate_one, jobs) for acc in accs]))
     results = np.reshape([by_run[key] for key in keys], (-1, len(seeds)))
 
     rows = [[name, len(seeds), float(accs.mean()), float(accs.std())]

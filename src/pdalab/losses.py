@@ -34,64 +34,67 @@ class LossBreakdown:
     objective: float
 
 
-def supervised_loss(preds: Tensor, labels, class_weights) -> Tensor:
-    """Mean over the batch of w_y * cross_entropy(pred, y)."""
+def supervised_loss(preds: Tensor, labels, class_weights, on=None) -> Tensor:
+    """Mean over the batch of w_y * cross_entropy(pred, y), per slice of a stack."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("supervised loss over an empty batch")
-    return T.cross_entropy_mean(preds, labels, class_weights)
+    return T.cross_entropy_mean(preds, labels, class_weights, on)
 
 
 def assign_pseudo_labels(preds) -> np.ndarray:
     """Hard pseudo-label per row (argmax, ties to the lowest index)."""
     p = np.asarray(preds, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValueError("prediction matrix must be 2-d")
-    return p.argmax(axis=1)
+    if p.ndim not in (2, 3):
+        raise ValueError("prediction matrix must be 2-d (or a stack of them)")
+    return p.argmax(axis=-1)
 
 
-def self_training_loss(preds: Tensor, pseudo_hard, class_weights) -> Tensor:
+def self_training_loss(preds: Tensor, pseudo_hard, class_weights, on=None) -> Tensor:
     """Mean of w_pseudo * cross_entropy(pred, pseudo)."""
-    return supervised_loss(preds, pseudo_hard, class_weights)
+    return supervised_loss(preds, pseudo_hard, class_weights, on)
 
 
 def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
-                     use_class_sel: bool, use_entropy_w: bool) -> Tensor:
+                     use_class_sel: bool, use_entropy_w, on=None) -> Tensor:
     """Sum over heads of the weighted binary cross-entropy to the domain tag.
 
     ``domain_logits[i, k]`` is head k's source logit for sample i;
     ``class_preds[i, k]`` is the (detached) instance weight assigning
-    sample i to head k's alignment task.
+    sample i to head k's alignment task.  Over a stack, the class weights
+    are per slice, and ``use_entropy_w`` may be a bool per slice.
     """
     y_hat = np.asarray(class_preds, dtype=np.float64)
     d = np.asarray(domains, dtype=np.float64)
-    m, k = domain_logits.shape
-    if y_hat.shape != (m, k) or d.shape != (m,):
+    m, k = domain_logits.shape[-2:]
+    if y_hat.shape[-2:] != (m, k) or d.shape != (m,):
         raise ValueError("misaligned adversarial batch")
     if ((d != 0.0) & (d != 1.0)).any():
         raise ValueError("domain tags must be 0 (target) or 1 (source)")
-    weight = y_hat.copy()
+    weight = y_hat
     if use_class_sel:
         w = np.asarray(class_weights, dtype=np.float64)
-        if w.shape != (k,):
+        if w.shape[-1:] != (k,):
             raise ValueError("class weight per head required")
-        weight *= w
-    if use_entropy_w:
-        weight *= entropy_weights(y_hat)[:, None]
-    return T.weighted_bce(domain_logits, d, weight)
+        weight = weight * w[..., None, :]
+    if np.any(use_entropy_w):  # a slice without it is weighted by exactly 1.0
+        on_rows = np.reshape(use_entropy_w, np.shape(use_entropy_w) + (1,))
+        weight = weight * np.where(on_rows, entropy_weights(y_hat), 1.0)[..., None]
+    return T.weighted_bce(domain_logits, d, weight, on)
 
 
 def compose_objective(l_sup: Tensor, l_self: Tensor, l_adv: Tensor | None,
                       regularizers: tuple[Tensor, ...] = ()) -> tuple[LossBreakdown, Tensor]:
-    """Reported breakdown plus the tensor a single descent step minimizes.
+    """Reported breakdown plus the tensor a single descent step minimizes;
+    for terms with one value per slice, a list of breakdowns, one per slice.
 
     The adversarial term enters the minimized total with a plus sign;
     gradient reversal inside the discriminator forward makes that one
     step descend for the discriminator and ascend for the extractor.
     """
-    sup_v = l_sup.item()
-    self_v = l_self.item()
-    adv_v = 0.0 if l_adv is None else l_adv.item()
-    breakdown = LossBreakdown(sup_v, self_v, adv_v, sup_v + self_v - adv_v)
+    adv = np.zeros(l_sup.shape) if l_adv is None else l_adv.data
+    breakdowns = [LossBreakdown(sup_v, self_v, adv_v, sup_v + self_v - adv_v)
+                  for sup_v, self_v, adv_v in zip(*(np.ravel(t).tolist() for t in
+                                                    (l_sup.data, l_self.data, adv)))]
     terms = (l_sup, l_self) + (() if l_adv is None else (l_adv,)) + tuple(regularizers)
-    return breakdown, T.add(*terms)
+    return breakdowns if l_sup.data.ndim else breakdowns[0], T.add(*terms)

@@ -10,6 +10,7 @@ snapshot is ``model.json``: :func:`model_text` and :func:`load_model`.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -30,26 +31,26 @@ MODEL_SCHEMA_VERSION = "1.0"
 
 
 class MLP:
-    """Chain of (weight, bias, activation) layers."""
+    """Chain of (weight, bias, activation) layers, or of [S, d, h] stacks of them."""
 
     def __init__(self, layers: list[tuple[Tensor, Tensor, str]]):
         for w, b, act in layers:
-            if w.data.ndim != 2 or b.data.ndim != 1 or w.shape[1] != b.shape[0]:
+            if w.data.ndim not in (2, 3) or b.shape != w.shape[:-2] + w.shape[-1:]:
                 raise ValueError("layer weight/bias shapes inconsistent")
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         for (w1, _, _), (w2, _, _) in zip(layers, layers[1:]):
-            if w1.shape[1] != w2.shape[0]:
+            if w1.shape[-1] != w2.shape[-2]:
                 raise ValueError("consecutive layer dimensions do not chain")
         self.layers = layers
 
     @property
     def in_dim(self) -> int | None:
-        return self.layers[0][0].shape[0] if self.layers else None
+        return self.layers[0][0].shape[-2] if self.layers else None
 
     @property
     def out_dim(self) -> int | None:
-        return self.layers[-1][0].shape[1] if self.layers else None
+        return self.layers[-1][0].shape[-1] if self.layers else None
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -112,10 +113,10 @@ class MultiTaskDiscriminator:
 
     @property
     def num_heads(self) -> int:
-        return self.layers[0][0].shape[0]
+        return self.layers[0][0].shape[-3]
 
     def forward(self, features: Tensor, lam: float) -> Tensor:
-        """Per-head source-domain logits, shape [m, num_heads].
+        """Per-head source-domain logits, shape [m, num_heads] or [S, m, num_heads].
 
         Features pass through gradient reversal scaled by ``lam`` before
         the trunk, so one descent step trains the discriminator while
@@ -219,18 +220,31 @@ def init_bundle(arch: ArchSpec, rng: np.random.Generator, *,
     return ModelBundle(features, classifier, disc, arch.num_classes)
 
 
+def map_bundle(bundle: ModelBundle, fn) -> ModelBundle:
+    """A bundle of new parameters ``fn(a)`` for each weight and bias array ``a``:
+    ``np.stack([a] * s)`` stacks ``s`` copies, ``a[i]`` views slice ``i`` of a stack."""
+    def layers(chain):
+        return [(Tensor(fn(w.data), requires_grad=True), Tensor(fn(b.data), requires_grad=True),
+                 act) for w, b, act in chain]
+
+    disc = copy.copy(bundle.discriminator)
+    disc._trunk, disc.layers = MLP(layers(disc._trunk.layers)), layers(disc.layers)
+    return ModelBundle(MLP(layers(bundle.features.layers)), MLP(layers(bundle.classifier.layers)),
+                       disc, bundle.num_classes)
+
+
 def f_forward(features: MLP, x) -> Tensor:
     """Feature extractor pass; accepts a Tensor or a raw [m, d] array."""
     xt = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    if features.in_dim is not None and xt.shape[1] != features.in_dim:
-        raise ValueError(f"input width {xt.shape[1]} != extractor width {features.in_dim}")
+    if features.in_dim is not None and xt.shape[-1] != features.in_dim:
+        raise ValueError(f"input width {xt.shape[-1]} != extractor width {features.in_dim}")
     return features.forward(xt)
 
 
 def g_forward(classifier: MLP, f: Tensor) -> Tensor:
     """Class predictions on the simplex (softmax over the class logits)."""
-    if f.shape[1] != classifier.in_dim:
-        raise ValueError(f"feature width {f.shape[1]} != classifier width {classifier.in_dim}")
+    if f.shape[-1] != classifier.in_dim:
+        raise ValueError(f"feature width {f.shape[-1]} != classifier width {classifier.in_dim}")
     return softmax_rows(classifier.forward(f))
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def _as_pred_matrix(preds) -> np.ndarray:
+def _as_pred_matrix(preds, stacks: bool = False) -> np.ndarray:
     p = np.asarray(preds, dtype=np.float64)
-    if p.ndim != 2:
+    if p.ndim != 2 and not (stacks and p.ndim == 3):
         raise ValueError("prediction matrix must be 2-d")
     return p
 
@@ -43,6 +43,6 @@ def true_class_weights(target_labels, num_classes: int) -> np.ndarray:
 
 def entropy_weights(preds) -> np.ndarray:
     """Per row, 1 + exp(-H(row)) with H the natural-log Shannon entropy; in (1, 2]."""
-    p = _as_pred_matrix(preds)
-    h = -(p * np.log(np.maximum(p, np.finfo(float).tiny))).sum(axis=1)
+    p = _as_pred_matrix(preds, stacks=True)
+    h = -(p * np.log(np.maximum(p, np.finfo(float).tiny))).sum(axis=-1)
     return 1.0 + np.exp(-h)

@@ -11,12 +11,14 @@ name the node that first went non-finite.  Off the tape each primitive
 checks its own output.
 
 ``grad_reverse`` turns one descent pass into a min-max step: identity
-forward, ``-lam`` scaling backward.
+forward, ``-lam`` scaling backward.  Every node takes an optional leading
+slice axis: S programs at once, each slice bit-equal to its program alone.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -127,7 +129,7 @@ def _check_sweep(value, nodes: list[_Node], grads: bool) -> None:
     """If ``value`` is not finite, name the first node gone non-finite: with
     ``grads`` by what its backward returns, in backward order; else by its
     output, in tape order among the nodes the loss (the last node) reads."""
-    if np.isfinite(value):
+    if np.isfinite(value).all():
         return
     needed = {id(nodes[-1].output)}
     for node in reversed(nodes):
@@ -144,20 +146,20 @@ def _check_sweep(value, nodes: list[_Node], grads: bool) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every tensor the scalar ``loss`` depends on.
+    """Populate ``grad`` for every tensor the scalar (or per-slice) ``loss`` depends on.
 
     Gradients add into any existing ``grad``; call :func:`zero_grad`
     between steps.  Each tape node is visited exactly once.
     """
-    if loss.data.size != 1:
-        raise ValueError("backward requires a scalar loss")
+    if loss.data.size != 1 and loss.data.ndim != 1:
+        raise ValueError("backward requires a scalar loss or one value per slice")
     if not loss.requires_grad:
         return  # constant loss: all gradients are zero
     if loss._tape_pos is None or loss._tape_pos[0] != _tape.generation:
         raise RuntimeError("loss is not on the active tape (tape was reset?)")
 
     nodes = _tape.nodes[: loss._tape_pos[1] + 1]
-    _check_sweep(loss.data.item(), nodes, grads=False)
+    _check_sweep(loss.data, nodes, grads=False)
     pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(nodes):
         entry = pending.pop(id(node.output), None)
@@ -204,19 +206,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
     """One layer, ``x @ w + b`` and then relu if ``act`` is ``"relu"``.
 
-    ``w`` is a [d, h] weight with a [h] bias, or a [K, d, h] stack with a
-    [K, h] bias stack; a stack takes one [m, d] input shared by every
-    slice or a [K, m, d] stack, and gives [K, m, h].  Each slice is its
-    own product, so slice k is bit-equal to the 2-d layer of slice k.
+    ``w`` is a [d, h] weight with a [h] bias, or a stack: [K, d, h] heads, [S, d, h]
+    slices or [S, K, d, h].  The input has w's leading axes, or all but the last,
+    whose slices then share it: [m, d] for [K, d, h] or [S, d, h], [S, m, d] for
+    [S, K, d, h].  Each slice is its own product, bit-equal to its 2-d layer.
     """
     x_data, w_data, b_data = x.data, w.data, b.data
-    if w_data.ndim not in (2, 3) or x_data.ndim not in (2, w_data.ndim) \
+    xb = x_data.ndim - 2  # leading axes of x; w has these, or one more
+    if xb < 0 or w_data.ndim > 4 or w_data.ndim - xb not in (2, 3) \
+            or x_data.shape[:-2] != w_data.shape[:xb] \
             or x_data.shape[-1] != w_data.shape[-2] \
-            or (x_data.ndim == 3 and x_data.shape[0] != w_data.shape[0]) \
             or b_data.shape != w_data.shape[:-2] + w_data.shape[-1:]:
         raise ValueError(f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {act!r}")
+    shared = xb < w_data.ndim - 2  # the axis after x's own is summed in backward
+    if shared and xb:
+        x_data = x_data[:, None]
     pre = x_data @ w_data + b_data[..., None, :]
     # The one eager check on the tape: relu zeroes -inf and nan, so the loss would
     # not show them (without relu they reach it, and the sweep names this node).
@@ -231,18 +237,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
             g = g * mask
         grads = [(b, np.add.reduce(g, -2)), (w, x_data.swapaxes(-1, -2) @ g)]
         if x.requires_grad:
-            w_t = w_data.swapaxes(-1, -2)
-            # Over an inner dimension of 1 a product is one multiplication;
-            # + 0.0 gives the 0.0 that matmul's zero-started sum gives for -0.0.
-            gx = g * w_t + 0.0 if w_data.shape[-1] == 1 else g @ w_t
-            if gx.ndim > x_data.ndim:
-                # Summed from the last slice down: the order in which the tape
-                # accumulates K separate layers that read one input.
-                total = gx[-1]
-                for k in range(len(gx) - 2, -1, -1):
-                    total = total + gx[k]
-                gx = total
-            grads.append((x, gx))
+            w_t, one = w_data.swapaxes(-1, -2), w_data.shape[-1] == 1
+            # Heads that share x add in one at a time from the last down, the order
+            # in which the tape accumulates separate layers that read one input.
+            heads = [(slice(None),) * xb + (k,) for k in range(g.shape[xb])] if shared else [...]
+            # Over an inner dimension of 1 a product is one multiplication; + 0.0
+            # gives the 0.0 that matmul's zero-started sum gives for -0.0.
+            gx = functools.reduce(np.add, (g[at] * w_t[at] if one else g[at] @ w_t[at]
+                                           for at in reversed(heads)))
+            grads.append((x, gx + 0.0 if one else gx))
         return grads
 
     return _record("linear", (x, w, b), out, bw, checked=True)
@@ -286,83 +289,99 @@ def mean(a: Tensor) -> Tensor:
 
 def softmax_rows(logits: Tensor) -> Tensor:
     """Row-wise exp-normalize, stabilized by per-row max subtraction."""
-    if logits.data.ndim != 2:
-        raise ValueError("softmax_rows requires a 2-d tensor")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    if logits.data.ndim not in (2, 3):
+        raise ValueError("softmax_rows requires a 2-d tensor or a stack of them")
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        return [(logits, p * (g - (g * p).sum(axis=1, keepdims=True)))]
+        return [(logits, p * (g - (g * p).sum(axis=-1, keepdims=True)))]
 
     return _record("softmax_rows", (logits,), p, bw)
 
 
-def cross_entropy_mean(pred: Tensor, labels, class_weights) -> Tensor:
+def _per_slice(op: str, inputs: tuple[Tensor, ...], out, bw, on) -> Tensor:
+    """A loss node with one value per slice.  ``on``, a bool per slice, gives
+    the slices it leaves out an exact 0.0 value and exact zero gradients."""
+    if on is None or on.all():
+        return _record(op, inputs, np.asarray(out), bw)
+
+    def selected(g):
+        return [(t, np.where(on.reshape(on.shape + (1,) * (pg.ndim - 1)), pg, 0.0))
+                for t, pg in bw(g)]
+
+    return _record(op, inputs, np.where(on, out, 0.0), selected)
+
+
+def cross_entropy_mean(pred: Tensor, labels, class_weights, on=None) -> Tensor:
     """Mean over rows of ``class_weights[y] * -log pred[y]`` for simplex rows and
-    one class label per row; ``pred`` is floored at ``LOG_FLOOR`` before the log."""
-    if pred.data.ndim != 2 or pred.shape[0] == 0:
-        raise ValueError("cross_entropy_mean requires a nonempty 2-d tensor")
-    m, k = pred.shape
-    labels = np.asarray(labels)
-    if labels.shape != (m,):
+    one class label per row; ``pred`` is floored at ``LOG_FLOOR`` before the log.
+    Over a stack, labels and class weights are shared or per slice."""
+    if pred.data.ndim not in (2, 3) or pred.shape[-2] == 0:
+        raise ValueError("cross_entropy_mean requires a nonempty 2-d tensor or a stack")
+    lead, (m, k) = pred.shape[:-2], pred.shape[-2:]
+    labels = np.ascontiguousarray(labels)  # a row's sum runs in one order per layout
+    if labels.shape not in ((m,), lead + (m,)):
         raise ValueError("one label per prediction row required")
     if labels.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k:
+    if np.minimum.reduce(labels, None) < 0 or np.maximum.reduce(labels, None) >= k:
         raise ValueError(f"label index out of range [0, {k})")
     p = pred.data
     rows = np.arange(m)
-    p_y = p[rows, labels]
+    cells = (rows, labels) if not lead else (np.arange(lead[0])[:, None], rows, labels)
+    p_y = p[cells]
     picked = np.maximum(p_y, LOG_FLOOR)
-    weights = np.asarray(class_weights, dtype=np.float64)[labels]
+    cw = np.asarray(class_weights, dtype=np.float64)
+    weights = cw[cells[:-2] + (labels,)] if cw.ndim > 1 else cw[labels]
 
     def bw(g):
         gp = np.zeros(p.shape)
-        gp[rows, labels] = -((g / m) * weights) * (p_y > LOG_FLOOR) / picked
+        gp[cells] = -((g[..., None] / m) * weights) * (p_y > LOG_FLOOR) / picked
         return [(pred, gp)]
 
-    out = np.asarray(np.add.reduce(-np.log(picked) * weights) / m)
-    return _record("cross_entropy_mean", (pred,), out, bw)
+    out = np.add.reduce(-np.log(picked) * weights, -1) / m
+    return _per_slice("cross_entropy_mean", (pred,), out, bw, on)
 
 
-def weighted_bce(logits: Tensor, targets, weights) -> Tensor:
+def weighted_bce(logits: Tensor, targets, weights, on=None) -> Tensor:
     """``sum(weights * (softplus(z) - d z)) / m`` over [m, k] ``logits`` z, the binary
     cross-entropy of sigmoid(z) to targets d (one label per row spans the row), as
     ``max(z, 0) - d z + log1p(exp(-|z|))``: no overflow, no floor, and the first two
     terms exact for d in {0, 1}.  The gradient is ``weights * (sigmoid(z) - d) / m``."""
     z = logits.data
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise ValueError("weighted_bce requires a nonempty 2-d tensor")
+    if z.ndim not in (2, 3) or z.shape[-2] == 0:
+        raise ValueError("weighted_bce requires a nonempty 2-d tensor or a stack")
     d = np.asarray(targets, dtype=np.float64)
-    if d.ndim == 1 and d.shape[0] == z.shape[0]:
+    if d.ndim == 1 and d.shape[0] == z.shape[-2]:
         d = d[:, None]
     weights = np.asarray(weights, dtype=np.float64)
-    e, s = np.exp(-np.abs(z)), 1.0 / z.shape[0]
+    e, s = np.exp(-np.abs(z)), 1.0 / z.shape[-2]
 
     def bw(g):
         sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return [(logits, (g * s) * weights * (sig - d))]
+        return [(logits, (g[..., None, None] * s) * weights * (sig - d))]
 
     weighted = (np.maximum(z, 0.0) - d * z + np.log1p(e)) * weights
     if weighted.shape != z.shape:
         raise ValueError(f"targets {d.shape} and weights {np.shape(weights)} "
                          f"do not broadcast to {z.shape}")
-    return _record("weighted_bce", (logits,), np.asarray(np.add.reduce(weighted, None)) * s, bw)
+    return _per_slice("weighted_bce", (logits,), np.add.reduce(weighted, (-2, -1)) * s, bw, on)
 
 
-def entropy_mean(pred: Tensor, scale: float) -> Tensor:
+def entropy_mean(pred: Tensor, scale: float, on=None) -> Tensor:
     """``scale`` times the mean Shannon entropy (natural log) of simplex rows."""
-    if pred.data.ndim != 2 or pred.shape[0] == 0:
-        raise ValueError("entropy_mean requires a nonempty 2-d tensor")
-    p, m, s = pred.data, pred.shape[0], float(scale)
+    if pred.data.ndim not in (2, 3) or pred.shape[-2] == 0:
+        raise ValueError("entropy_mean requires a nonempty 2-d tensor or a stack")
+    p, m, s = pred.data, pred.shape[-2], float(scale)
     log_p = np.log(np.maximum(p, LOG_FLOOR))
 
     def bw(g):
-        return [(pred, -(g * s / m) * (log_p + (p > LOG_FLOOR)))]
+        return [(pred, -(g[..., None, None] * s / m) * (log_p + (p > LOG_FLOOR)))]
 
-    out = np.asarray(np.add.reduce(-np.add.reduce(p * log_p, 1)) / m) * s
-    return _record("entropy_mean", (pred,), out, bw)
+    out = np.add.reduce(-np.add.reduce(p * log_p, -1), -1) / m * s
+    return _per_slice("entropy_mean", (pred,), out, bw, on)
 
 
 def grad_reverse(x: Tensor, lam: float) -> Tensor:
@@ -378,25 +397,25 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("slice_rows requires a 2-d tensor")
-    if not (0 <= start <= stop <= a.shape[0]):
+    if a.data.ndim not in (2, 3):
+        raise ValueError("slice_rows requires a 2-d tensor or a stack of them")
+    if not (0 <= start <= stop <= a.shape[-2]):
         raise ValueError(f"row slice [{start}:{stop}] out of bounds for {a.shape}")
 
     def bw(g):
         full = np.zeros(a.shape)
-        full[start:stop] = g
+        full[..., start:stop, :] = g
         return [(a, full)]
 
-    return _record("slice_rows", (a,), a.data[start:stop].copy(), bw)
+    return _record("slice_rows", (a,), a.data[..., start:stop, :].copy(), bw)
 
 
 def stack_to_cols(a: Tensor) -> Tensor:
-    """A [K, m, 1] stack of single-column outputs as one [m, K] matrix."""
-    if a.data.ndim != 3 or a.shape[2] != 1:
+    """A [K, m, 1] stack of single-column outputs as one [m, K] matrix (or S of them)."""
+    if a.data.ndim not in (3, 4) or a.shape[-1] != 1:
         raise ValueError(f"stack_to_cols requires a [K, m, 1] stack, got {a.shape}")
 
     def bw(g):
-        return [(a, g.T.copy()[:, :, None])]
+        return [(a, g.swapaxes(-1, -2).copy()[..., None])]
 
-    return _record("stack_to_cols", (a,), a.data[:, :, 0].T.copy(), bw)
+    return _record("stack_to_cols", (a,), a.data[..., 0].swapaxes(-1, -2).copy(), bw)

@@ -28,7 +28,8 @@ from .losses import (
     supervised_loss,
 )
 from .metrics import MetricsRecord
-from .nets import ArchConfig, ArchSpec, ModelBundle, d_forward, f_forward, g_forward, init_bundle
+from .nets import (ArchConfig, ArchSpec, ModelBundle, d_forward, f_forward, g_forward,
+                   init_bundle, map_bundle)
 from .rngstreams import substream
 from .selection import class_transferable_probability
 from .tensor import Tensor, backward, no_grad, reset_tape, slice_rows
@@ -211,7 +212,7 @@ def _uniform_rows(m: int, k: int) -> np.ndarray:
 
 def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
                 target: Dataset, class_weights: np.ndarray, pseudo: np.ndarray | None,
-                flags: VariantFlags, sched: Schedule, steps_done: int, total_steps: int,
+                flags, sched: Schedule, steps_done: int, total_steps: int,
                 rng: np.random.Generator) -> tuple[list, int]:
     """One shuffled pass over the paired domains.
 
@@ -219,13 +220,23 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     stay frozen here; ``pseudo`` is None while self-training is off.  The
     class gate replaces the weights with ones when class selection is off,
     so the estimate cannot influence any gradient.  Returns the per-step
-    loss breakdowns and the updated global step count.
+    loss breakdowns and the updated global step count.  A stacked bundle
+    takes flags, ``class_weights`` and ``pseudo`` per slice, and breakdowns
+    are per slice too; a term no slice uses is not built, and a slice
+    without a term gets exact zeros from it.  All slices share the batches.
     """
+    solo = isinstance(flags, VariantFlags)
+    each = [flags] if solo else list(flags)
+    class_on, self_on, adv_on, inst_on, ent_on = (  # a bool per slice
+        np.array([bool(on(f)) for f in each]).reshape(() if solo else -1) for on in (
+            lambda f: f.class_sel, lambda f: f.self_training and pseudo is not None,
+            lambda f: f.adversary != "none", lambda f: f.instance_sel,
+            lambda f: f.entropy_min))
     k = bundle.num_classes
-    w_eff = np.asarray(class_weights, dtype=np.float64) if flags.class_sel else np.ones(k)
+    w_eff = np.where(class_on[..., None], class_weights, 1.0)
     b = sched.batch_size
     domains = np.concatenate([np.ones(b), np.zeros(b)])
-    fixed_inst = np.ones((2 * b, 1)) if flags.adversary == "single" else _uniform_rows(2 * b, k)
+    fixed_inst = np.ones((2 * b, 1)) if each[0].adversary == "single" else _uniform_rows(2 * b, k)
     breakdowns = []
     try:
         for src_idx, tgt_idx in batch_iterator(len(source), len(target),
@@ -245,21 +256,22 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             preds_tgt = slice_rows(preds, b, 2 * b)
 
             l_sup = supervised_loss(preds_src, y_src, w_eff)
-            l_self = Tensor(0.0) if pseudo is None else \
-                self_training_loss(preds_tgt, pseudo[tgt_idx], w_eff)
+            l_self = Tensor(np.zeros(self_on.shape)) if not self_on.any() else \
+                self_training_loss(preds_tgt, pseudo[..., tgt_idx], w_eff, self_on)
 
             l_adv = None
-            if flags.adversary != "none":
+            if adv_on.any():
                 domain_logits = d_forward(bundle.discriminator, f, lam)
                 # Detached: instance weights are constants, and never written to.
-                inst = preds.data if flags.instance_sel else fixed_inst
+                inst = fixed_inst if not inst_on.any() else \
+                    np.where(inst_on[..., None, None], preds.data, fixed_inst)
                 l_adv = adversarial_loss(domain_logits, inst, domains, w_eff,
-                                         use_class_sel=flags.class_sel,
-                                         use_entropy_w=flags.entropy_min)
+                                         use_class_sel=class_on.any(), use_entropy_w=ent_on,
+                                         on=adv_on)
 
             regs = ()
-            if flags.entropy_min:
-                regs = (T.entropy_mean(preds_tgt, ENTROPY_MIN_COEF),)
+            if ent_on.any():
+                regs = (T.entropy_mean(preds_tgt, ENTROPY_MIN_COEF, ent_on),)
 
             breakdown, total = compose_objective(l_sup, l_self, l_adv, regs)
             backward(total)
@@ -267,9 +279,10 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             steps_done += 1
             breakdowns.append(breakdown)
             if steps_done % sched.log_interval == 0:
-                logger.debug("step %d/%d lr=%.5g lam=%.4g sup=%.4g self=%.4g adv=%.4g",
-                             steps_done, total_steps, lr, lam, breakdown.l_sup,
-                             breakdown.l_self, breakdown.l_adv)
+                for bd in [breakdown] if solo else breakdown:
+                    logger.debug("step %d/%d lr=%.5g lam=%.4g sup=%.4g self=%.4g adv=%.4g",
+                                 steps_done, total_steps, lr, lam, bd.l_sup, bd.l_self,
+                                 bd.l_adv)
     except FloatingPointError as exc:
         raise FloatingPointError(f"step {steps_done + 1}: {exc}") from None
     return breakdowns, steps_done
@@ -291,10 +304,14 @@ class ExperimentResult:
 
 
 @np.errstate(all="ignore")  # a value gone non-finite raises FloatingPointError, unwarned
-def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | None,
-                   arch: ArchSpec, flags: VariantFlags, sched: Schedule,
-                   seed: int, full_audit: bool = True) -> ExperimentResult:
-    """Full training run with one metrics record per epoch (plus epoch 0).
+def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | None,
+                    arch: ArchSpec, flags_seq, sched: Schedule, seed: int,
+                    full_audit: bool = True) -> list[ExperimentResult]:
+    """Full training runs, one per flags, with one metrics record per epoch
+    (plus epoch 0) each.  The runs share ``seed`` and a network shape, so
+    they start from one draw and train on the same batches as the slices of
+    one stacked program, each bit-equal to its run alone.  If it fails, each
+    run trains alone, so the error is the first failing run's own.
 
     Oracle-dependent fields (accuracy, bound report, confusion matrix)
     are None when no oracle labels are available.  With an oracle, every
@@ -309,14 +326,17 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
     """
     if source.y is None:
         raise ValueError("run_experiment needs a labeled source dataset")
+    if len({(f.adversary == "single", f.shared_trunk) for f in flags_seq}) != 1:
+        raise ValueError("stacked runs must share one network shape")
+    n = len(flags_seq)
     data_rng = substream(seed, "data")
-    init_rng = substream(seed, "init")
-    div_rng = substream(seed, "divergence")
+    div_rngs = [substream(seed, "divergence") for _ in flags_seq]
 
     k = arch.num_classes
-    num_heads = 1 if flags.adversary == "single" else k
-    bundle = init_bundle(arch, init_rng, num_heads=num_heads,
-                         shared_trunk=flags.shared_trunk)
+    num_heads = 1 if flags_seq[0].adversary == "single" else k
+    bundle = map_bundle(init_bundle(arch, substream(seed, "init"), num_heads=num_heads,
+                                    shared_trunk=flags_seq[0].shared_trunk),
+                        lambda a: np.stack([a] * n))
     opt = MomentumSGD(bundle.parameters(), sched.momentum)
     total_steps = steps_per_epoch(len(source), len(target), sched.batch_size) \
         * sched.total_epochs
@@ -331,52 +351,70 @@ def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | Non
         with no_grad():
             return f, g_forward(bundle.classifier, Tensor(f)).data
 
-    def snapshot(epoch: int, losses=None) -> tuple[MetricsRecord, np.ndarray, np.ndarray]:
-        """The epoch's record, plus the target predictions and class
-        weights it was computed from, which the next epoch starts with."""
+    def snapshot(epoch: int, losses=(None,) * n) -> tuple[list, np.ndarray, np.ndarray]:
+        """Each run's record for the epoch, plus the target predictions and
+        class weights they were computed from, which the next epoch starts with."""
         f_t, preds_t = features_and_preds(target.x)
-        w = class_transferable_probability(preds_t)
-        accuracy = None
-        bound = None
-        if oracle is not None:
-            accuracy = float(np.mean(preds_t.argmax(axis=1) == oracle.target_labels))
-            if full_audit:
-                f_s, preds_s = features_and_preds(x_src)
-                bound = check_bound(preds_t, oracle, preds_s, y_src, f_s, f_t, div_rng,
-                                    epoch)
-            else:
-                intermediate_terms(preds_t, oracle, epoch)
-        record = MetricsRecord(epoch=epoch, target_accuracy=accuracy,
-                               class_weights=[float(v) for v in w], losses=losses,
-                               bound=bound)
-        return record, preds_t, w
+        if oracle is not None and full_audit:
+            f_s, preds_s = features_and_preds(x_src)
+        records = []
+        for i, p_t in enumerate(preds_t):
+            w = class_transferable_probability(p_t)
+            accuracy = bound = None
+            if oracle is not None:
+                accuracy = float(np.mean(p_t.argmax(axis=1) == oracle.target_labels))
+                if full_audit:
+                    bound = check_bound(p_t, oracle, preds_s[i], y_src, f_s[i], f_t[i],
+                                        div_rngs[i], epoch)
+                else:
+                    intermediate_terms(p_t, oracle, epoch)
+            records.append(MetricsRecord(epoch=epoch, target_accuracy=accuracy,
+                                         class_weights=[float(v) for v in w],
+                                         losses=losses[i], bound=bound))
+        return records, preds_t, np.array([r.class_weights for r in records])
 
-    records, epoch_seconds, steps_done = [], [], 0
+    runs, epoch_seconds, steps_done = [], [], 0
     where = "epoch 0 snapshot"
     try:
-        record, preds_t, w = snapshot(0)
-        records.append(record)
+        records, preds_t, w = snapshot(0)
+        runs.append(records)
         for e in range(sched.total_epochs):
             t0 = time.perf_counter()
             where = f"epoch {e + 1}"
             warm = e < sched.warmup_epochs
-            eff_flags = flags if not warm else replace(flags, class_sel=False,
-                                                       entropy_min=False)
-            pseudo = assign_pseudo_labels(preds_t) if flags.self_training and not warm else None
+            eff_flags = flags_seq if not warm else [
+                replace(flags, class_sel=False, entropy_min=False) for flags in flags_seq]
+            pseudo = assign_pseudo_labels(preds_t) if not warm and any(
+                flags.self_training for flags in flags_seq) else None
             breakdowns, steps_done = train_epoch(
                 bundle, opt, source, target, w, pseudo, eff_flags, sched,
                 steps_done, total_steps, data_rng)
             where += " snapshot"
-            record, preds_t, w = snapshot(e + 1, losses=_mean_breakdown(breakdowns))
+            records, preds_t, w = snapshot(e + 1, [_mean_breakdown(per_run)
+                                                   for per_run in zip(*breakdowns)])
             epoch_seconds.append(time.perf_counter() - t0)
-            records.append(record)
-            logger.info("epoch %d/%d acc=%s obj=%.5g", e + 1, sched.total_epochs,
-                        record.target_accuracy, record.losses.objective)
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"{where}: {exc}") from None
+            runs.append(records)
+            for record in records:
+                logger.info("epoch %d/%d acc=%s obj=%.5g", e + 1, sched.total_epochs,
+                            record.target_accuracy, record.losses.objective)
+    except Exception as exc:
+        if n > 1:
+            return [run_experiment(source, target, oracle, arch, flags, sched, seed, full_audit)
+                    for flags in flags_seq]
+        if isinstance(exc, FloatingPointError):
+            raise FloatingPointError(f"{where}: {exc}") from None
+        raise
 
-    confusion = None
-    if oracle is not None:  # the last snapshot's predictions are the final model's
-        _, confusion = _score(preds_t, oracle.target_labels, k)
-    return ExperimentResult(records=records, confusion=confusion, bundle=bundle,
-                            epoch_seconds=epoch_seconds)
+    # The last snapshot's predictions are the final models'.
+    return [ExperimentResult(
+        records=[epoch[i] for epoch in runs],
+        confusion=None if oracle is None else _score(preds_t[i], oracle.target_labels, k)[1],
+        bundle=map_bundle(bundle, lambda a: a[i]), epoch_seconds=epoch_seconds)
+        for i in range(n)]
+
+
+def run_experiment(source: Dataset, target: Dataset, oracle: OracleContext | None,
+                   arch: ArchSpec, flags: VariantFlags, sched: Schedule,
+                   seed: int, full_audit: bool = True) -> ExperimentResult:
+    """The one run of :func:`run_experiments` with ``flags``."""
+    return run_experiments(source, target, oracle, arch, (flags,), sched, seed, full_audit)[0]

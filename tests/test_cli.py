@@ -347,19 +347,39 @@ class TestAblate:
             f"error: argument {flag}: must be at least 1, got {value}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seeds", ["1", "2"])
     @pytest.mark.parametrize("disc_hidden", [[], [4]],
                              ids=["disc_hidden_empty", "disc_hidden_4"])
-    def test_workers_do_not_change_results(self, tmp_path, disc_hidden):
+    def test_workers_do_not_change_results(self, tmp_path, disc_hidden, seeds):
         cfg = write_config(tmp_path / "c.yaml", arch={"disc_hidden": disc_hidden},
-                           schedule={"total_epochs": 1, "warmup_epochs": 1,
+                           schedule={"total_epochs": 2, "warmup_epochs": 1,
                                      "batch_size": 8, "eta0": 0.05})
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["ablate", "--config", str(cfg), "--seeds", "2",
-                     "--out", str(out_a)]) == 0
-        assert main(["ablate", "--config", str(cfg), "--seeds", "2",
-                     "--workers", "2", "--out", str(out_b)]) == 0
-        assert (out_a / "ablation.csv").read_text() == \
-            (out_b / "ablation.csv").read_text()
+        tables = set()
+        for workers in ("1", "2", "3", "5"):
+            out = tmp_path / workers
+            assert main(["ablate", "--config", str(cfg), "--seeds", seeds,
+                         "--workers", workers, "--out", str(out)]) == 0
+            tables.add((out / "ablation.csv").read_text())
+        assert len(tables) == 1
+
+    @pytest.mark.parametrize("workers, seeds, disc_hidden, chunks", [
+        ("2", "1", [], [3, 2]), ("1", "1", [], [5]), ("8", "1", [], [1] * 5),
+        ("2", "2", [], [5, 5]), ("3", "2", [], [3, 2, 5]), ("2", "1", [4], [5, 1]),
+        ("3", "1", [4], [3, 2, 1]),
+    ])
+    def test_runs_train_in_chunks_of_one_seed_and_network(self, tmp_path, monkeypatch,
+                                                          workers, seeds, disc_hidden,
+                                                          chunks):
+        sent = []
+        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("pdalab.cli._ablate_one",
+                            lambda jobs: sent.append(jobs) or [0.5] * len(jobs))
+        cfg = write_config(tmp_path / "c.yaml", arch={"disc_hidden": disc_hidden})
+        assert main(["ablate", "--config", str(cfg), "--seeds", seeds,
+                     "--workers", workers]) == 0
+        assert [len(jobs) for jobs in sent] == chunks
+        for jobs in sent:
+            assert len({(job.seed, job.flags().shared_trunk) for job in jobs}) == 1
 
 
     def test_writes_into_the_configured_out_dir(self, tmp_path, capsys, monkeypatch):
@@ -384,7 +404,7 @@ class TestAblate:
                 sizes.append(max_workers)
 
         monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr("pdalab.cli._ablate_one", lambda job: 0.5)
+        monkeypatch.setattr("pdalab.cli._ablate_one", lambda jobs: [0.5] * len(jobs))
         assert main(["ablate", "--config", str(write_config(tmp_path / "c.yaml")),
                      "--seeds", seeds, "--workers", workers]) == 0
         assert sizes == [size]
@@ -433,7 +453,7 @@ class TestRunKeys:
         seeds, real = [], pdalab.cli._ablate_one
         monkeypatch.setattr(pdalab.cli, "ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr(pdalab.cli, "_ablate_one",
-                            lambda job: seeds.append(job.seed) or real(job))
+                            lambda jobs: seeds.extend(job.seed for job in jobs) or real(jobs))
         cfg = write_config(tmp_path / "c.yaml", arch={"disc_hidden": disc_hidden},
                            schedule={"total_epochs": 1, "warmup_epochs": 1,
                                      "batch_size": 8, "eta0": 0.05})
@@ -476,7 +496,7 @@ class TestAblateAudit:
                             lambda bundle, x: forwards.append(len(x)) or extract(bundle, x))
         monkeypatch.setattr(pdalab.bound, "w_estimation_error",
                             lambda *a: audits.append(None) or w_error(*a))
-        assert _ablate_one(cfg) == full.records[-1].target_accuracy
+        assert _ablate_one([cfg]) == [full.records[-1].target_accuracy]
         # Epoch 0 and four trained epochs: target rows only, each audited.
         assert forwards == [len(target)] * 5
         assert len(audits) == 5
@@ -489,7 +509,7 @@ class TestAblateAudit:
 
         _break_the_inequality_at(monkeypatch, pdalab.bound, epoch)
         with pytest.raises(BoundViolationError, match=rf"\(epoch {epoch}\)$"):
-            _ablate_one(self._job(tmp_path, variant="source_only"))
+            _ablate_one([self._job(tmp_path, variant="source_only")])
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="pool workers inherit the patched module only when forked")
@@ -509,16 +529,14 @@ class TestAblateAudit:
 
 
 def _break_the_inequality_at(monkeypatch, bound, epoch):
-    """Make the (epoch + 1)-th w_error_l1 computed in a process read 10.0,
-    above any right-hand side: one audit per epoch, from epoch 0."""
-    calls = []
-    real = bound.w_estimation_error
+    """Make every run's w_error_l1 at ``epoch`` read 10.0, above any
+    right-hand side, when the inequality is checked."""
+    real = bound.check_intermediate
 
-    def w_error(*args):
-        calls.append(None)
-        return 10.0 if len(calls) == epoch + 1 else real(*args)
+    def check(w_error_l1, rhs_intermediate, at):
+        real(10.0 if at == epoch else w_error_l1, rhs_intermediate, at)
 
-    monkeypatch.setattr(bound, "w_estimation_error", w_error)
+    monkeypatch.setattr(bound, "check_intermediate", check)
 
 
 class TestEval:

@@ -8,12 +8,13 @@ from pdalab import tensor as T
 from pdalab.bound import BoundReport, OracleContext
 from pdalab.data import Dataset, SyntheticSpec, generate_toy, steps_per_epoch
 from pdalab.losses import assign_pseudo_labels
-from pdalab.metrics import to_json_line
-from pdalab.nets import ArchSpec, init_bundle
+from pdalab.metrics import metrics_text, to_json_line
+from pdalab.nets import ArchConfig, ArchSpec, init_bundle, map_bundle, model_text
 from pdalab.rngstreams import substream
 from pdalab.tensor import Tensor
 from pdalab.trainer import (
     ABLATION_VARIANTS,
+    NAMED_VARIANTS,
     MomentumSGD,
     PRESETS,
     Schedule,
@@ -21,8 +22,10 @@ from pdalab.trainer import (
     adv_ramp,
     evaluate,
     lr_at,
+    network_flags,
     predict,
     run_experiment,
+    run_experiments,
     train_epoch,
 )
 
@@ -549,3 +552,129 @@ class TestRunExperiment:
                              small_sched(total_epochs=2), 0)
         walls = res.epoch_seconds
         assert len(walls) == 2 and min(walls) >= 0.05
+
+
+_TRUNK_AND_SUP = ["linear", "linear", "linear", "softmax_rows", "slice_rows", "slice_rows",
+                  "cross_entropy_mean"]
+# The tape at a run's first backward, past warm-up, under the default arch.
+_SOLO_TAPES = {
+    "source_only": _TRUNK_AND_SUP + ["add"],
+    "instance": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols", "weighted_bce",
+                                  "add"],
+    "instance_class": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols",
+                                        "weighted_bce", "add"],
+    "instance_class_entropy": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols",
+                                                "weighted_bce", "entropy_mean", "add"],
+    "instance_class_self_private": _TRUNK_AND_SUP + ["cross_entropy_mean", "grad_reverse",
+                                                     "linear", "stack_to_cols",
+                                                     "weighted_bce", "add"],
+    "san_pp": _TRUNK_AND_SUP + ["cross_entropy_mean", "grad_reverse", "linear",
+                                "stack_to_cols", "weighted_bce", "add"],
+    "dann": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols", "weighted_bce",
+                              "add"],
+    "san": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols", "weighted_bce",
+                             "entropy_mean", "add"],
+}
+
+
+class TestSoloTape:
+    """A solo run builds only its own terms: its tape is node for node the
+    one it was before runs could be stacked."""
+
+    @pytest.mark.parametrize("disc_hidden", [(), (4,)], ids=["no_trunk", "trunk_4"])
+    @pytest.mark.parametrize("variant", list(_SOLO_TAPES))
+    def test_first_step_records_the_variant_s_nodes(self, monkeypatch, variant, disc_hidden):
+        import pdalab.trainer
+
+        tapes, real = [], pdalab.trainer.backward
+        monkeypatch.setattr(pdalab.trainer, "backward",
+                            lambda loss: tapes.append([n.op for n in T._tape.nodes])
+                            or real(loss))
+        source, target, oracle = tiny_problem()
+        run_experiment(source, target, oracle,
+                       ArchSpec(in_dim=2, num_classes=5, disc_hidden=disc_hidden),
+                       NAMED_VARIANTS[variant], small_sched(total_epochs=1, warmup_epochs=0),
+                       0, full_audit=False)
+        expected = list(_SOLO_TAPES[variant])
+        if disc_hidden and "grad_reverse" in expected:  # one trunk layer
+            expected.insert(expected.index("grad_reverse") + 1, "linear")
+        assert tapes[0] == expected
+
+
+def _network_rows(disc_hidden):
+    """The distinct networks of the ablation rows, grouped by trunk sharing."""
+    groups = {}
+    for flags in dict.fromkeys(network_flags(f, ArchConfig(disc_hidden=disc_hidden))
+                               for f in ABLATION_VARIANTS.values()):
+        groups.setdefault(flags.shared_trunk, []).append(flags)
+    return list(groups.values())
+
+
+class TestStackedRuns:
+    def test_a_stacked_step_equals_each_solo_step(self):
+        """One step of the five default-arch rows as one stacked program, past
+        warm-up, against five solo steps: parameters and breakdowns, to the bit."""
+        (rows,) = _network_rows(())
+        assert len(rows) == 5
+        source, target, _ = tiny_problem(seed=14)
+        m = 16
+        source, target = Dataset(source.x[:m], source.y[:m]), Dataset(target.x[:m])
+        arch = ArchSpec(in_dim=2, num_classes=5)
+        rng = np.random.default_rng(1)
+        weights = rng.dirichlet(np.ones(5), size=len(rows))
+        pseudo = rng.integers(0, 5, size=(len(rows), m))
+        start = init_bundle(arch, substream(9, "init"))
+
+        def step(bundle, w, labels, flags):
+            opt = MomentumSGD(bundle.parameters(), 0.9)
+            breakdowns, done = train_epoch(bundle, opt, source, target, w, labels, flags,
+                                           Schedule(batch_size=m), 0, 1, substream(9, "data"))
+            assert done == 1
+            return breakdowns[0]
+
+        stacked = map_bundle(start, lambda a: np.stack([a] * len(rows)))
+        breakdowns = step(stacked, weights, pseudo, rows)
+        for i, flags in enumerate(rows):
+            solo = map_bundle(start, lambda a: a.copy())
+            assert step(solo, weights[i], pseudo[i] if flags.self_training else None,
+                        flags) == breakdowns[i]
+            for p, q in zip(stacked.parameters(), solo.parameters()):
+                assert np.array_equal(p.data[i], q.data)
+        assert breakdowns[0].l_adv == 0.0 and breakdowns[1].l_self == 0.0
+
+    @pytest.mark.parametrize("full_audit", [True, False], ids=["full_audit", "asserted_only"])
+    @pytest.mark.parametrize("disc_hidden", [(), (16,)], ids=["no_trunk", "trunk_16"])
+    def test_each_slice_equals_its_solo_run(self, disc_hidden, full_audit):
+        source, target, oracle = tiny_problem(seed=15)
+        arch = ArchSpec(in_dim=2, num_classes=5, disc_hidden=disc_hidden)
+        sched = small_sched(total_epochs=3, warmup_epochs=1)
+        for seed in range(3):
+            for rows in _network_rows(disc_hidden):
+                stacked = run_experiments(source, target, oracle, arch, rows, sched, seed,
+                                          full_audit)
+                for flags, result in zip(rows, stacked, strict=True):
+                    solo = run_experiment(source, target, oracle, arch, flags, sched, seed,
+                                          full_audit)
+                    assert metrics_text(result.records) == metrics_text(solo.records)
+                    assert model_text(result.bundle) == model_text(solo.bundle)
+                    assert np.array_equal(result.confusion, solo.confusion)
+
+    def test_a_failing_slice_fails_as_its_solo_run(self, monkeypatch):
+        """A slice whose values go non-finite ends the stacked program; the
+        runs then train alone, so the error names the epoch and step at which
+        the first failing run fails alone."""
+        source, target, oracle = tiny_problem(seed=16)
+        arch = ArchSpec(in_dim=2, num_classes=5)
+        sched = small_sched(eta0=1.0e+300)
+        rows = [PRESETS["source_only"], PRESETS["san_pp"]]
+        with pytest.raises(FloatingPointError) as solo:
+            run_experiment(source, target, oracle, arch, rows[0], sched, 0)
+        with pytest.raises(FloatingPointError) as stacked:
+            run_experiments(source, target, oracle, arch, rows, sched, 0)
+        assert str(stacked.value) == str(solo.value)
+
+    def test_runs_of_two_network_shapes_do_not_stack(self):
+        source, target, oracle = tiny_problem()
+        with pytest.raises(ValueError, match="^stacked runs must share one network shape$"):
+            run_experiments(source, target, oracle, ArchSpec(in_dim=2, num_classes=5),
+                            [PRESETS["san_pp"], PRESETS["dann"]], small_sched(), 0)
