@@ -172,25 +172,31 @@ def write_files(files: dict) -> None:
     written; missing parent directories are created.  Each text (UTF-8, LF)
     is staged as a temporary file beside its path, and only when all are
     staged are they renamed into place and the None paths removed.  If
-    staging fails, every temporary is removed and every path keeps its
-    earlier contents, if any.  POSIX renames one file at a time, so a
-    failure between two renames can still leave a mixed set.
+    staging fails, the temporaries and then the directories this call made
+    are removed, every path keeps its earlier contents, if any, and an
+    OSError is a ValueError naming the path.  POSIX renames one file at a
+    time, so a failure between two renames can still leave a mixed set.
     """
     files = {Path(p): text for p, text in files.items()}
     for path in files:
         if path.is_dir():
             raise ValueError(f"{path}: is a directory")
-    staged = {}
+    staged, made = {}, []
     try:
         for path, text in files.items():
             if text is not None:
+                made += [d for d in (path.parent, *path.parent.parents) if not d.exists()]
                 path.parent.mkdir(parents=True, exist_ok=True)
                 staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
                 with open(staged[path], "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(text)
-    except BaseException:
+    except BaseException as exc:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+        for directory in sorted(made, reverse=True):  # a directory sorts after its parent
+            directory.rmdir()
+        if isinstance(exc, OSError):
+            raise ValueError(f"{path}: {exc.strerror}") from None
         raise
     for path, text in files.items():
         if text is None:

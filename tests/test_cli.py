@@ -1206,8 +1206,21 @@ class TestOutputSets:
             capfd.readouterr()
             assert main(argv) == 1
             assert capfd.readouterr() == (
-                "", f"error: [Errno 28] No space left on device: '{opened[n]}'\n")
+                "", f"error: {Path(opened[n]).parent / names[n]}: No space left on device\n")
             assert _snapshot(out) == before
+
+    def test_a_failed_write_into_a_new_nested_out_leaves_no_directory(
+            self, tmp_path, capfd, monkeypatch):
+        def no_space(file, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device", str(file))
+
+        out = tmp_path / "fresh" / "g"
+        monkeypatch.setattr("pdalab.metrics.open", no_space, raising=False)
+        assert main(["generate-data", "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--out", str(out)]) == 1
+        assert capfd.readouterr() == ("", f"error: {out / 'source.csv'}: "
+                                          "No space left on device\n")
+        assert not (tmp_path / "fresh").exists()
 
 
 def _bad_config(message, command="train", **overrides):

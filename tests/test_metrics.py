@@ -213,7 +213,8 @@ class TestWriteFiles:
             return fh
 
         monkeypatch.setattr("pdalab.metrics.open", fail_at_n, raising=False)
-        with pytest.raises(OSError, match="No space left on device"):
+        staged = [a, c, tmp_path / "d.txt"]
+        with pytest.raises(ValueError, match=f"^{staged[n]}: No space left on device$"):
             write_files({a: "new\n", b: None, c: "new\n", tmp_path / "d.txt": "new\n"})
         assert {p: (p.read_bytes(), p.stat().st_ino) for p in tmp_path.iterdir()} == before
 
