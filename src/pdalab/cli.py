@@ -91,9 +91,8 @@ def _load_data(cfg: RunConfig):
 
 
 def _train(cfg: RunConfig, source, target, oracle, k: int, chunk=None):
-    """``run_experiment`` on loaded data, or ``run_experiments`` without the bound
-    report for a ``chunk`` of flags that share cfg's seed and network; data the
-    runs cannot use, or a value gone non-finite, is an error naming the data."""
+    """``run_experiment``, or ``run_experiments`` of a ``chunk`` of flags with no bound
+    report, on loaded data; an unusable input or a non-finite value is an error naming it."""
     arch = cfg.arch.to_arch(source.dim, k)
     try:
         if chunk is None:
@@ -182,9 +181,8 @@ def _ablate_one(jobs: list[RunConfig]) -> list[float]:
 
 
 def _chunks(groups: list[list], n: int) -> list[list]:
-    """``groups`` cut, in order, into ``n`` >= len(groups) chunks, each within a
-    group: each chunk past the first of every group goes to the group with the
-    largest chunks, and a group's chunks differ in size by at most one."""
+    """``groups`` cut in order into ``n`` >= len(groups) chunks, each within a group:
+    each added chunk goes to the group of largest chunks, cut as evenly as can be."""
     counts = [1] * len(groups)
     for _ in range(n - len(groups)):
         counts[max(range(len(groups)), key=lambda i: -(-len(groups[i]) // counts[i]))] += 1
@@ -198,9 +196,8 @@ def cmd_ablate(args) -> int:
 
     A (row, seed) job's run key is the seed and the flags of the network
     the row trains (:func:`network_flags`).  Each distinct key runs once, and
-    every row with that key reads its accuracy.  The runs of one seed and
-    network shape form a group; the groups are cut into ``max(groups,
-    min(workers, runs))`` chunks, each one stacked program on a pool worker.
+    every row with that key reads its accuracy.  The runs of one seed and network
+    shape are cut into ``max(groups, min(workers, runs))`` chunks, one per job.
     """
     cfg = _apply_overrides(load_config(args.config), args)
     out = None if cfg.out_dir is None else _out_dir(cfg)

@@ -62,7 +62,7 @@ def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
     ``domain_logits[i, k]`` is head k's source logit for sample i;
     ``class_preds[i, k]`` is the (detached) instance weight assigning
     sample i to head k's alignment task.  Over a stack, the class weights
-    are per slice, and ``use_entropy_w`` may be a bool per slice.
+    are per slice, and ``use_entropy_w`` and ``on`` may be a bool per slice.
     """
     y_hat = np.asarray(class_preds, dtype=np.float64)
     d = np.asarray(domains, dtype=np.float64)
@@ -77,9 +77,9 @@ def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
         if w.shape[-1:] != (k,):
             raise ValueError("class weight per head required")
         weight = weight * w[..., None, :]
-    if np.any(use_entropy_w):  # a slice without it is weighted by exactly 1.0
-        on_rows = np.reshape(use_entropy_w, np.shape(use_entropy_w) + (1,))
-        weight = weight * np.where(on_rows, entropy_weights(y_hat), 1.0)[..., None]
+    if use_entropy_w is not False:  # a slice without it is weighted by exactly 1.0
+        ent = np.where(np.expand_dims(use_entropy_w, -1), entropy_weights(y_hat), 1.0)
+        weight = weight * ent[..., None]
     return T.weighted_bce(domain_logits, d, weight, on)
 
 
@@ -92,9 +92,10 @@ def compose_objective(l_sup: Tensor, l_self: Tensor, l_adv: Tensor | None,
     gradient reversal inside the discriminator forward makes that one
     step descend for the discriminator and ascend for the extractor.
     """
-    adv = np.zeros(l_sup.shape) if l_adv is None else l_adv.data
-    breakdowns = [LossBreakdown(sup_v, self_v, adv_v, sup_v + self_v - adv_v)
-                  for sup_v, self_v, adv_v in zip(*(np.ravel(t).tolist() for t in
-                                                    (l_sup.data, l_self.data, adv)))]
+    sup, self_, adv = (t.tolist() for t in (l_sup.data, l_self.data, np.zeros(l_sup.shape)
+                                            if l_adv is None else l_adv.data))
     terms = (l_sup, l_self) + (() if l_adv is None else (l_adv,)) + tuple(regularizers)
-    return breakdowns if l_sup.data.ndim else breakdowns[0], T.add(*terms)
+    if l_sup.data.ndim == 0:
+        return LossBreakdown(sup, self_, adv, sup + self_ - adv), T.add(*terms)
+    return [LossBreakdown(s, st, a, s + st - a) for s, st, a in zip(sup, self_, adv)], \
+        T.add(*terms)

@@ -171,11 +171,10 @@ def write_files(files: dict) -> None:
     A path that is a directory is a ValueError, raised before anything is
     written; missing parent directories are created.  Each text (UTF-8, LF)
     is staged as a temporary file beside its path, and only when all are
-    staged are they renamed into place and the None paths removed.  If
-    staging fails, the temporaries and then the directories this call made
-    are removed, every path keeps its earlier contents, if any, and an
-    OSError is a ValueError naming the path.  POSIX renames one file at a
-    time, so a failure between two renames can still leave a mixed set.
+    staged are they renamed into place and the None paths removed.  If staging
+    fails (an OSError is a ValueError naming the path), the temporaries and then
+    the directories made are removed, and every path keeps its earlier contents,
+    if any.  POSIX renames one file at a time: a failed rename can mix the set.
     """
     files = {Path(p): text for p, text in files.items()}
     for path in files:

@@ -18,7 +18,6 @@ slice axis: S programs at once, each slice bit-equal to its program alone.
 from __future__ import annotations
 
 import contextlib
-import functools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -129,7 +128,7 @@ def _check_sweep(value, nodes: list[_Node], grads: bool) -> None:
     """If ``value`` is not finite, name the first node gone non-finite: with
     ``grads`` by what its backward returns, in backward order; else by its
     output, in tape order among the nodes the loss (the last node) reads."""
-    if np.isfinite(value).all():
+    if np.isfinite(value):
         return
     needed = {id(nodes[-1].output)}
     for node in reversed(nodes):
@@ -159,7 +158,7 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("loss is not on the active tape (tape was reset?)")
 
     nodes = _tape.nodes[: loss._tape_pos[1] + 1]
-    _check_sweep(loss.data, nodes, grads=False)
+    _check_sweep(loss.data.item() if loss.data.size == 1 else loss.data.sum(), nodes, grads=False)
     pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(nodes):
         entry = pending.pop(id(node.output), None)
@@ -220,9 +219,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
         raise ValueError(f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {act!r}")
-    shared = xb < w_data.ndim - 2  # the axis after x's own is summed in backward
-    if shared and xb:
-        x_data = x_data[:, None]
+    shared = w_data.ndim - xb == 3  # w's axis after x's own reads one input
+    x_data = x_data[:, None] if shared and xb else x_data
     pre = x_data @ w_data + b_data[..., None, :]
     # The one eager check on the tape: relu zeroes -inf and nan, so the loss would
     # not show them (without relu they reach it, and the sweep names this node).
@@ -238,14 +236,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
         grads = [(b, np.add.reduce(g, -2)), (w, x_data.swapaxes(-1, -2) @ g)]
         if x.requires_grad:
             w_t, one = w_data.swapaxes(-1, -2), w_data.shape[-1] == 1
-            # Heads that share x add in one at a time from the last down, the order
-            # in which the tape accumulates separate layers that read one input.
-            heads = [(slice(None),) * xb + (k,) for k in range(g.shape[xb])] if shared else [...]
             # Over an inner dimension of 1 a product is one multiplication; + 0.0
             # gives the 0.0 that matmul's zero-started sum gives for -0.0.
-            gx = functools.reduce(np.add, (g[at] * w_t[at] if one else g[at] @ w_t[at]
-                                           for at in reversed(heads)))
-            grads.append((x, gx + 0.0 if one else gx))
+            if not shared:
+                gx = g * w_t + 0.0 if one else g @ w_t
+            else:  # the heads add in one at a time from the last down, the order in
+                # which the tape accumulates separate layers that read one input
+                gh, wh, gx = g.swapaxes(0, xb), w_t.swapaxes(0, xb), 0.0
+                for k in range(len(gh) - 1, -1, -1):
+                    gx = gx + (gh[k] * wh[k] if one else gh[k] @ wh[k])
+            grads.append((x, gx))
         return grads
 
     return _record("linear", (x, w, b), out, bw, checked=True)
@@ -302,9 +302,9 @@ def softmax_rows(logits: Tensor) -> Tensor:
 
 
 def _per_slice(op: str, inputs: tuple[Tensor, ...], out, bw, on) -> Tensor:
-    """A loss node with one value per slice.  ``on``, a bool per slice, gives
-    the slices it leaves out an exact 0.0 value and exact zero gradients."""
-    if on is None or on.all():
+    """A loss node with a value per slice; ``on``, a bool per slice (None or True
+    for all), gives the slices it leaves out an exact 0.0 and zero gradients."""
+    if on is None or on is True:
         return _record(op, inputs, np.asarray(out), bw)
 
     def selected(g):

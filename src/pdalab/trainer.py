@@ -220,20 +220,21 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     stay frozen here; ``pseudo`` is None while self-training is off.  The
     class gate replaces the weights with ones when class selection is off,
     so the estimate cannot influence any gradient.  Returns the per-step
-    loss breakdowns and the updated global step count.  A stacked bundle
-    takes flags, ``class_weights`` and ``pseudo`` per slice, and breakdowns
-    are per slice too; a term no slice uses is not built, and a slice
-    without a term gets exact zeros from it.  All slices share the batches.
+    loss breakdowns and the updated global step count.  A stacked bundle takes
+    all these per slice, and every slice the same batches; a term no slice uses
+    is not built, and a slice without a term gets exact zeros from it.
     """
     solo = isinstance(flags, VariantFlags)
     each = [flags] if solo else list(flags)
-    class_on, self_on, adv_on, inst_on, ent_on = (  # a bool per slice
-        np.array([bool(on(f)) for f in each]).reshape(() if solo else -1) for on in (
-            lambda f: f.class_sel, lambda f: f.self_training and pseudo is not None,
-            lambda f: f.adversary != "none", lambda f: f.instance_sel,
-            lambda f: f.entropy_min))
+
+    def gate(on):  # True or False where every slice agrees, else a bool per slice
+        mask = np.array([bool(on(f)) for f in each])
+        return mask if mask.any() and not mask.all() else bool(mask[0])
+    class_on, self_on, adv_on, inst_on, ent_on = map(gate, (
+        lambda f: f.class_sel, lambda f: f.self_training and pseudo is not None,
+        lambda f: f.adversary != "none", lambda f: f.instance_sel, lambda f: f.entropy_min))
     k = bundle.num_classes
-    w_eff = np.where(class_on[..., None], class_weights, 1.0)
+    w_eff = np.where(np.expand_dims(class_on, -1), class_weights, 1.0)
     b = sched.batch_size
     domains = np.concatenate([np.ones(b), np.zeros(b)])
     fixed_inst = np.ones((2 * b, 1)) if each[0].adversary == "single" else _uniform_rows(2 * b, k)
@@ -256,21 +257,21 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             preds_tgt = slice_rows(preds, b, 2 * b)
 
             l_sup = supervised_loss(preds_src, y_src, w_eff)
-            l_self = Tensor(np.zeros(self_on.shape)) if not self_on.any() else \
+            l_self = Tensor(np.zeros(() if solo else len(each))) if self_on is False else \
                 self_training_loss(preds_tgt, pseudo[..., tgt_idx], w_eff, self_on)
 
             l_adv = None
-            if adv_on.any():
+            if adv_on is not False:
                 domain_logits = d_forward(bundle.discriminator, f, lam)
                 # Detached: instance weights are constants, and never written to.
-                inst = fixed_inst if not inst_on.any() else \
-                    np.where(inst_on[..., None, None], preds.data, fixed_inst)
+                inst = preds.data if inst_on is True else fixed_inst if inst_on is False \
+                    else np.where(inst_on[:, None, None], preds.data, fixed_inst)
                 l_adv = adversarial_loss(domain_logits, inst, domains, w_eff,
-                                         use_class_sel=class_on.any(), use_entropy_w=ent_on,
-                                         on=adv_on)
+                                         use_class_sel=class_on is not False,
+                                         use_entropy_w=ent_on, on=adv_on)
 
             regs = ()
-            if ent_on.any():
+            if ent_on is not False:
                 regs = (T.entropy_mean(preds_tgt, ENTROPY_MIN_COEF, ent_on),)
 
             breakdown, total = compose_objective(l_sup, l_self, l_adv, regs)
@@ -308,10 +309,9 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
                     arch: ArchSpec, flags_seq, sched: Schedule, seed: int,
                     full_audit: bool = True) -> list[ExperimentResult]:
     """Full training runs, one per flags, with one metrics record per epoch
-    (plus epoch 0) each.  The runs share ``seed`` and a network shape, so
-    they start from one draw and train on the same batches as the slices of
-    one stacked program, each bit-equal to its run alone.  If it fails, each
-    run trains alone, so the error is the first failing run's own.
+    (plus epoch 0) each.  The runs share ``seed`` and a network shape, so they
+    train from one draw on the same batches as the slices of one program, each
+    bit-equal to its run alone; if it fails, each run trains alone.
 
     Oracle-dependent fields (accuracy, bound report, confusion matrix)
     are None when no oracle labels are available.  With an oracle, every
@@ -329,6 +329,7 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
     if len({(f.adversary == "single", f.shared_trunk) for f in flags_seq}) != 1:
         raise ValueError("stacked runs must share one network shape")
     n = len(flags_seq)
+    lead = slice(None) if n > 1 else 0  # a solo run trains a plain bundle
     data_rng = substream(seed, "data")
     div_rngs = [substream(seed, "divergence") for _ in flags_seq]
 
@@ -336,7 +337,7 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
     num_heads = 1 if flags_seq[0].adversary == "single" else k
     bundle = map_bundle(init_bundle(arch, substream(seed, "init"), num_heads=num_heads,
                                     shared_trunk=flags_seq[0].shared_trunk),
-                        lambda a: np.stack([a] * n))
+                        lambda a: np.stack([a] * n)[lead])
     opt = MomentumSGD(bundle.parameters(), sched.momentum)
     total_steps = steps_per_epoch(len(source), len(target), sched.batch_size) \
         * sched.total_epochs
@@ -349,7 +350,8 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
     def features_and_preds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f = extract_features(bundle, x)
         with no_grad():
-            return f, g_forward(bundle.classifier, Tensor(f)).data
+            preds = g_forward(bundle.classifier, Tensor(f)).data
+        return f.reshape(n, *f.shape[-2:]), preds.reshape(n, *preds.shape[-2:])
 
     def snapshot(epoch: int, losses=(None,) * n) -> tuple[list, np.ndarray, np.ndarray]:
         """Each run's record for the epoch, plus the target predictions and
@@ -384,14 +386,14 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
             warm = e < sched.warmup_epochs
             eff_flags = flags_seq if not warm else [
                 replace(flags, class_sel=False, entropy_min=False) for flags in flags_seq]
-            pseudo = assign_pseudo_labels(preds_t) if not warm and any(
+            pseudo = assign_pseudo_labels(preds_t[lead]) if not warm and any(
                 flags.self_training for flags in flags_seq) else None
             breakdowns, steps_done = train_epoch(
-                bundle, opt, source, target, w, pseudo, eff_flags, sched,
+                bundle, opt, source, target, w[lead], pseudo, eff_flags[lead], sched,
                 steps_done, total_steps, data_rng)
             where += " snapshot"
-            records, preds_t, w = snapshot(e + 1, [_mean_breakdown(per_run)
-                                                   for per_run in zip(*breakdowns)])
+            records, preds_t, w = snapshot(e + 1, [
+                _mean_breakdown(b) for b in (zip(*breakdowns) if n > 1 else [breakdowns])])
             epoch_seconds.append(time.perf_counter() - t0)
             runs.append(records)
             for record in records:
@@ -409,7 +411,8 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
     return [ExperimentResult(
         records=[epoch[i] for epoch in runs],
         confusion=None if oracle is None else _score(preds_t[i], oracle.target_labels, k)[1],
-        bundle=map_bundle(bundle, lambda a: a[i]), epoch_seconds=epoch_seconds)
+        bundle=map_bundle(bundle, lambda a: a[i]) if n > 1 else bundle,
+        epoch_seconds=epoch_seconds)
         for i in range(n)]
 
 
