@@ -92,7 +92,7 @@ def _load_data(cfg: RunConfig):
 
 def _train(cfg: RunConfig, source, target, oracle, k: int, chunk=None):
     """``run_experiment``, or ``run_experiments`` of a ``chunk`` of flags with no bound
-    report, on loaded data; an unusable input or a non-finite value is an error naming it."""
+    report, on loaded data; unusable data or a non-finite value is an error naming the data."""
     arch = cfg.arch.to_arch(source.dim, k)
     try:
         if chunk is None:
