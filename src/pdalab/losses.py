@@ -78,7 +78,7 @@ def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
             raise ValueError("class weight per head required")
         weight = weight * w[..., None, :]
     if use_entropy_w is not False:  # a slice without it is weighted by exactly 1.0
-        ent = np.where(np.expand_dims(use_entropy_w, -1), entropy_weights(y_hat), 1.0)
+        ent = np.where(np.asarray(use_entropy_w)[..., None], entropy_weights(y_hat), 1.0)
         weight = weight * ent[..., None]
     return T.weighted_bce(domain_logits, d, weight, on)
 
@@ -92,8 +92,8 @@ def compose_objective(l_sup: Tensor, l_self: Tensor, l_adv: Tensor | None,
     gradient reversal inside the discriminator forward makes that one
     step descend for the discriminator and ascend for the extractor.
     """
-    sup, self_, adv = (t.tolist() for t in (l_sup.data, l_self.data, np.zeros(l_sup.shape)
-                                            if l_adv is None else l_adv.data))
+    sup, self_ = l_sup.data.tolist(), l_self.data.tolist()
+    adv = np.zeros(l_sup.data.shape).tolist() if l_adv is None else l_adv.data.tolist()
     terms = (l_sup, l_self) + (() if l_adv is None else (l_adv,)) + tuple(regularizers)
     if l_sup.data.ndim == 0:
         return LossBreakdown(sup, self_, adv, sup + self_ - adv), T.add(*terms)

@@ -238,7 +238,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     b = sched.batch_size
     domains = np.concatenate([np.ones(b), np.zeros(b)])
     fixed_inst = np.ones((2 * b, 1)) if each[0].adversary == "single" else _uniform_rows(2 * b, k)
-    breakdowns = []
+    breakdowns, no_self = [], Tensor(np.zeros(() if solo else len(each)))
     try:
         for src_idx, tgt_idx in batch_iterator(len(source), len(target),
                                                sched.batch_size, rng):
@@ -257,7 +257,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             preds_tgt = slice_rows(preds, b, 2 * b)
 
             l_sup = supervised_loss(preds_src, y_src, w_eff)
-            l_self = Tensor(np.zeros(() if solo else len(each))) if self_on is False else \
+            l_self = no_self if self_on is False else \
                 self_training_loss(preds_tgt, pseudo[..., tgt_idx], w_eff, self_on)
 
             l_adv = None
