@@ -166,10 +166,9 @@ def cmd_bound_trace(args) -> int:
 
 
 def _ablate_one(jobs: list[RunConfig]) -> list[float]:
-    """Final target accuracy of each run of one chunk, which trains as one
-    stacked program in a pool worker.  Each run asserts the bound's
-    intermediate inequality every epoch but skips the reported terms, which
-    the ablation table does not hold.
+    """Final target accuracy of each run of one chunk, trained as one stacked
+    program in a pool worker.  Each run asserts the bound's intermediate
+    inequality every epoch but skips the reported terms, which the table lacks.
     """
     cfg = jobs[0]
     source, target, oracle, k, _ = _load_data(cfg)
@@ -181,8 +180,7 @@ def _ablate_one(jobs: list[RunConfig]) -> list[float]:
 
 
 def _chunks(groups: list[list], n: int) -> list[list]:
-    """``groups`` cut in order into ``n`` >= len(groups) chunks, each within a group:
-    each added chunk goes to the group of largest chunks, cut as evenly as can be."""
+    """``groups`` cut in order into ``n`` >= len(groups) near-equal chunks, each in one group."""
     counts = [1] * len(groups)
     for _ in range(n - len(groups)):
         counts[max(range(len(groups)), key=lambda i: -(-len(groups[i]) // counts[i]))] += 1

@@ -238,11 +238,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
             w_t, one = w_data.swapaxes(-1, -2), w_data.shape[-1] == 1
             # Over an inner dimension of 1 a product is one multiplication; + 0.0
             # gives the 0.0 that matmul's zero-started sum gives for -0.0.
-            if not shared:
+            if not shared or not xb:
                 gx = g * w_t + 0.0 if one else g @ w_t
-            else:  # the heads add in one at a time from the last down, the order in
-                # which the tape accumulates separate layers that read one input
-                gh, wh, gx = g.swapaxes(0, xb), w_t.swapaxes(0, xb), 0.0
+                if shared:  # heads reading one input add from the last down: the tape's order
+                    for k in range(len(gx) - 2, -1, -1):
+                        gx[-1] += gx[k]
+                    gx = gx[-1]
+            else:  # a stack adds each head over its slices: no [S, K, m, h] temporary
+                gh, wh, gx = g.swapaxes(0, 1), w_t.swapaxes(0, 1), 0.0
                 for k in range(len(gh) - 1, -1, -1):
                     gx = gx + (gh[k] * wh[k] if one else gh[k] @ wh[k])
             grads.append((x, gx))

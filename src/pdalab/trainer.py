@@ -282,8 +282,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             if steps_done % sched.log_interval == 0:
                 for bd in [breakdown] if solo else breakdown:
                     logger.debug("step %d/%d lr=%.5g lam=%.4g sup=%.4g self=%.4g adv=%.4g",
-                                 steps_done, total_steps, lr, lam, bd.l_sup, bd.l_self,
-                                 bd.l_adv)
+                                 steps_done, total_steps, lr, lam, bd.l_sup, bd.l_self, bd.l_adv)
     except FloatingPointError as exc:
         raise FloatingPointError(f"step {steps_done + 1}: {exc}") from None
     return breakdowns, steps_done
