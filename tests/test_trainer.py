@@ -648,8 +648,11 @@ class TestStackedRuns:
         source, target, oracle = tiny_problem(seed=15)
         arch = ArchSpec(in_dim=2, num_classes=5, disc_hidden=disc_hidden)
         sched = small_sched(total_epochs=3, warmup_epochs=1)
+        # With trunk layers, san and the private-trunk row stack their private trunks.
+        groups = _network_rows(disc_hidden) + ([[PRESETS["san"], ABLATION_VARIANTS[
+            "instance_class_self_private"]]] if disc_hidden else [])
         for seed in range(3):
-            for rows in _network_rows(disc_hidden):
+            for rows in groups:
                 stacked = run_experiments(source, target, oracle, arch, rows, sched, seed,
                                           full_audit)
                 for flags, result in zip(rows, stacked, strict=True):
