@@ -3,15 +3,12 @@
 Commands: ``generate-data``, ``train``, ``bound-trace``, ``ablate``,
 ``eval``.  Every command is reproducible: (config, seed) determines all
 outputs byte-for-byte.  Wall-clock timing goes to a separate run log,
-never into the metrics stream.  The environment variable ``PDA_LOG``
-(``debug`` or ``info``) controls verbosity.
+never into the metrics stream.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -36,12 +33,6 @@ from .trainer import ABLATION_VARIANTS, evaluate, network_flags, run_experiment,
 # Column order of the bound-trace table; fixed format contract.
 BOUND_TRACE_COLUMNS = ("epoch", "w_error_l1", "delta_bar", "e_type1",
                        "e_src_shared", "d_hdh_proxy", "rhs_full")
-
-
-def _configure_logging() -> None:
-    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("PDA_LOG", "").lower(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -306,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -9,7 +9,6 @@ randomness.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -33,8 +32,6 @@ from .nets import (ArchConfig, ArchSpec, ModelBundle, d_forward, f_forward, g_fo
 from .rngstreams import substream
 from .selection import class_transferable_probability
 from .tensor import Tensor, backward, no_grad, reset_tape, slice_rows
-
-logger = logging.getLogger("pdalab")
 
 ADVERSARY_MODES = ("none", "single", "multi")
 ENTROPY_MIN_COEF = 0.1  # weight of the target-entropy regularizer (conference variant)
@@ -116,7 +113,6 @@ class Schedule:
     total_epochs: int = 60
     warmup_epochs: int = 10
     batch_size: int = 64
-    log_interval: int = 20
 
     def __post_init__(self):
         if self.eta0 <= 0 or self.alpha < 0 or self.beta < 0:
@@ -125,8 +121,8 @@ class Schedule:
             raise ValueError("momentum must lie in [0, 1)")
         if self.total_epochs < 0 or self.warmup_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
-        if self.batch_size < 1 or self.log_interval < 1:
-            raise ValueError("batch_size and log_interval must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
 
 
 def lr_at(p: float, sched: Schedule) -> float:
@@ -224,8 +220,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     all these per slice, and every slice the same batches; a term no slice uses
     is not built, and a slice without a term gets exact zeros from it.
     """
-    solo = isinstance(flags, VariantFlags)
-    each = [flags] if solo else list(flags)
+    each = [flags] if isinstance(flags, VariantFlags) else list(flags)
 
     def gate(on):  # True or False where every slice agrees, else a bool per slice
         mask = np.array([bool(on(f)) for f in each])
@@ -238,7 +233,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     b = sched.batch_size
     domains = np.concatenate([np.ones(b), np.zeros(b)])
     fixed_inst = np.ones((2 * b, 1)) if each[0].adversary == "single" else _uniform_rows(2 * b, k)
-    breakdowns, no_self = [], Tensor(np.zeros(() if solo else len(each)))
+    breakdowns, no_self = [], Tensor(np.zeros(bundle.classifier.layers[0][0].shape[:-2]))
     try:
         for src_idx, tgt_idx in batch_iterator(len(source), len(target),
                                                sched.batch_size, rng):
@@ -279,10 +274,6 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             opt.step(lr)
             steps_done += 1
             breakdowns.append(breakdown)
-            if steps_done % sched.log_interval == 0:
-                for bd in [breakdown] if solo else breakdown:
-                    logger.debug("step %d/%d lr=%.5g lam=%.4g sup=%.4g self=%.4g adv=%.4g",
-                                 steps_done, total_steps, lr, lam, bd.l_sup, bd.l_self, bd.l_adv)
     except FloatingPointError as exc:
         raise FloatingPointError(f"step {steps_done + 1}: {exc}") from None
     return breakdowns, steps_done
@@ -395,9 +386,6 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
                 _mean_breakdown(b) for b in (zip(*breakdowns) if n > 1 else [breakdowns])])
             epoch_seconds.append(time.perf_counter() - t0)
             runs.append(records)
-            for record in records:
-                logger.info("epoch %d/%d acc=%s obj=%.5g", e + 1, sched.total_epochs,
-                            record.target_accuracy, record.losses.objective)
     except Exception as exc:
         if n > 1:
             return [run_experiment(source, target, oracle, arch, flags, sched, seed, full_audit)

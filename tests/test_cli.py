@@ -1302,7 +1302,7 @@ _MALFORMED = {
                           schedule={**_SCHEDULE, "eta0": 0}),
     "total_epochs_negative": _bad_config("schedule: epoch counts must be nonnegative",
                                          schedule={**_SCHEDULE, "total_epochs": -1}),
-    "batch_size_0": _bad_config("schedule: batch_size and log_interval must be positive",
+    "batch_size_0": _bad_config("schedule: batch_size must be positive",
                                 schedule={**_SCHEDULE, "batch_size": 0}),
     "variant_int": _bad_config("variant: expected a preset name or a flag mapping",
                                variant=5),
