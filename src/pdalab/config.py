@@ -96,6 +96,11 @@ class _UniqueKeyLoader(yaml.SafeLoader):
     Keys merged in with ``<<`` may still be overridden, as YAML allows.
     """
 
+    def fetch_flow_collection_start(self, token_class):
+        if self.flow_level >= 100:  # the scanner's time grows as the square of the depth
+            raise RecursionError
+        super().fetch_flow_collection_start(token_class)
+
     def construct_mapping(self, node, deep=False):
         own_keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
         mapping = super().construct_mapping(node, deep=deep)

@@ -130,6 +130,12 @@ class TestTrain:
             "error: data.synthetic: non-finite values produced by 'linear'\n"
         assert not out.exists()
 
+    def test_no_output_directory_is_one_error_line(self, tmp_path, capsys):
+        assert main(["train", "--config", str(write_config(tmp_path / "c.yaml"))]) == 1
+        assert capsys.readouterr() == (
+            "", "error: an output directory is required (config out_dir or --out)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.yaml"]
+
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "c.yaml"
         path.write_text("schedule:\n  lr: 0.1\n")
@@ -336,15 +342,19 @@ class TestAblate:
             assert 0.0 <= float(mean_acc) <= 1.0
             assert float(std_acc) == 0.0
 
-    @pytest.mark.parametrize("flag, value", [("--seeds", "0"), ("--workers", "0"),
-                                             ("--workers", "-3")])
-    def test_counts_below_one_are_argument_errors(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", "0", "must be at least 1, got 0"),
+        ("--workers", "0", "must be at least 1, got 0"),
+        ("--workers", "-3", "must be at least 1, got -3"),
+        ("--seeds", "abc", "invalid int value: 'abc'"),
+    ], ids=["--seeds-0", "--workers-0", "--workers--3", "--seeds-abc"])
+    def test_counts_below_one_are_argument_errors(self, tmp_path, capsys, flag, value,
+                                                  message):
         cfg = write_config(tmp_path / "c.yaml")
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--config", str(cfg), flag, value, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            f"error: argument {flag}: must be at least 1, got {value}\n")
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("disc_hidden", [[], [4]],
@@ -837,6 +847,18 @@ class TestTargetLabels:
                                f"data.csv.target: {tmp_path / 'data' / 'target.csv'} has no "
                                "oracle labels (every y is blank); ablate needs them for accuracy")
 
+    def test_ablate_without_oracle_labels_fails_in_its_worker_function(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        """The same line, with every chunk run in this process."""
+        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", _InProcessPool)
+        cfg = _csv_train_config(tmp_path, lambda rows: _blank_labels(rows, lambda i: True))
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg), "--seeds", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        _assert_one_error_line(tmp_path, capsys.readouterr().err,
+                               f"data.csv.target: {tmp_path / 'data' / 'target.csv'} has no "
+                               "oracle labels (every y is blank); ablate needs them for accuracy")
+
     def test_reused_out_keeps_only_its_own_files(self, tmp_path):
         out = tmp_path / "run"
         assert main(["train", "--config", str(write_config(tmp_path / "c.yaml")),
@@ -1230,15 +1252,6 @@ def _bad_config(message, command="train", **overrides):
     return setup
 
 
-def _bad_source_csv(text, message):
-    def setup(tmp_path):
-        cfg = _csv_train_config(tmp_path)
-        source = tmp_path / "data" / "source.csv"
-        source.write_text(text(source.read_text()))
-        return ["train", "--config", str(cfg)], f"{source}: {message}"
-    return setup
-
-
 def _bad_model(edit, message):
     def setup(tmp_path):
         model, data = TestEval._model_and_data(tmp_path, edit)
@@ -1252,33 +1265,51 @@ def _widen_first_head(state):
     layer.update(w=[row + [0.0] for row in layer["w"]], b=layer["b"] + [0.0])
 
 
+# Each kind of input file, and the commands that read it; the first is its row's plain name.
+_READERS = {"config": ("train", "generate-data", "ablate"), "source_csv": ("train", "ablate"),
+            "target_csv": ("train", "ablate", "eval"), "metadata": ("train", "ablate", "eval"),
+            "model": ("eval",), "metrics": ("bound-trace",)}
+
+
 def _inputs(tmp_path):
-    """Each kind of input file, and an argv that reads it."""
+    """The path of each kind of input file, and the argv of each command."""
     cfg, run, data = _csv_train_config(tmp_path), tmp_path / "run", tmp_path / "data"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    train = ["train", "--config", str(cfg)]
-    return {"config": (cfg, train), "source_csv": (data / "source.csv", train),
-            "metadata": (data / "metadata.json", train),
-            "model": (run / "model.json", ["eval", "--model", str(run / "model.json"),
-                                           "--data", str(data)]),
-            "metrics": (run / "metrics.jsonl", ["bound-trace", str(run / "metrics.jsonl")])}
+    argv = {command: [command, "--config", str(cfg)] for command in _READERS["config"]}
+    argv["ablate"] += ["--seeds", "2", "--workers", "2"]
+    argv["eval"] = ["eval", "--model", str(run / "model.json"), "--data", str(data)]
+    argv["bound-trace"] = ["bound-trace", str(run / "metrics.jsonl")]
+    return {"config": cfg, "source_csv": data / "source.csv", "target_csv": data / "target.csv",
+            "metadata": data / "metadata.json", "model": run / "model.json",
+            "metrics": run / "metrics.jsonl"}, argv
 
 
-def _bad_input(kind, content, message):
+def _bad_input(kind, content, message, command=None):
     """The ``kind`` input file replaced by ``content``: text, None for no
-    file, or a function that makes something else at the path."""
+    file, or a function that makes something else at the path; read by
+    ``command``, or else by the first command that reads it."""
     def setup(tmp_path):
-        path, argv = _inputs(tmp_path)[kind]
+        paths, argv = _inputs(tmp_path)
+        path = paths[kind]
         path.unlink()
         if callable(content):
             content(path)
         elif content is not None:
             path.write_text(content)
-        return argv, f"{path}{message}"
+        return argv[command or _READERS[kind][0]], f"{path}{message}"
     return setup
 
 
+def _read_by_each(name, kind, content, message):
+    """The row ``name`` once per command that reads ``kind``, each but the first
+    named with the command."""
+    return {name if i == 0 else f"{name}_{command.replace('-', '_')}":
+            _bad_input(kind, content, message, command)
+            for i, command in enumerate(_READERS[kind])}
+
+
 _DEEP_JSON = '{"a":' * 3000 + "1" + "}" * 3000
+_HEADER = "x0,x1,y,domain\n"
 _SYNTHETIC = {"samples_per_class": 12, "seed": 1}
 _DIM_0 = {**_SYNTHETIC, "dim": 0, "target_shift": [], "cluster_means": [[] for _ in range(5)]}
 _SCHEDULE = {"total_epochs": 3, "warmup_epochs": 1, "batch_size": 8, "eta0": 0.05}
@@ -1309,9 +1340,9 @@ _MALFORMED = {
     "generate_data_on_csv": _bad_config(
         "data: generate-data requires a synthetic data section", "generate-data",
         data={"csv": {"source": "s.csv", "target": "t.csv", "metadata": "m.json"}}),
-    "empty_source_csv": _bad_source_csv(lambda text: "", "empty file"),
-    "header_only_source_csv": _bad_source_csv(lambda text: text.splitlines()[0] + "\n",
-                                              "no data rows"),
+    "empty_source_csv": _bad_input("source_csv", "", ": empty file"),
+    **_read_by_each("header_only_source_csv", "source_csv", _HEADER, ": no data rows"),
+    **_read_by_each("header_only_target_csv", "target_csv", _HEADER, ": no data rows"),
     "model_bias_too_long": _bad_model(lambda s: s["features"][0]["b"].append(0.0),
                                       "layer weight/bias shapes inconsistent"),
     "model_layers_do_not_chain": _bad_model(
@@ -1331,13 +1362,19 @@ _MALFORMED = {
                          data={"synthetic": _DIM_0}),
     "dim_0_generate_data": _bad_config("data.synthetic: dim must be positive, got 0",
                                        "generate-data", data={"synthetic": _DIM_0}),
-    **{f"{kind}_missing": _bad_input(kind, None, ": No such file or directory")
-       for kind in ("config", "source_csv", "metadata", "model", "metrics")},
+    **{row: setup for kind in _READERS for row, setup in _read_by_each(
+        f"{kind}_missing", kind, None, ": No such file or directory").items()},
     "config_is_a_directory": _bad_input("config", Path.mkdir, ": Is a directory"),
     "metrics_is_a_directory": _bad_input("metrics", Path.mkdir, ": Is a directory"),
-    "config_nested_too_deep": _bad_input("config", "seed:\n" + "- " * 3000 + "1\n",
-                                         ": nesting too deep"),
+    **_read_by_each("config_nested_too_deep", "config", "seed:\n" + "- " * 3000 + "1\n",
+                    ": nesting too deep"),
+    "config_flow_nested_too_deep": _bad_input(
+        "config", "seed: " + "[" * 1000 + "1" + "]" * 1000 + "\n", ": nesting too deep"),
     "metadata_nested_too_deep": _bad_input("metadata", _DEEP_JSON, ": nesting too deep"),
+    **_read_by_each("metadata_shared_class_9", "metadata",
+                    '{"dim": 2, "num_source_classes": 5, "shared_classes": [9]}',
+                    ": shared_classes must be a nonempty list of class indices in [0, 5), "
+                    "got [9]"),
     "model_nested_too_deep": _bad_input("model", _DEEP_JSON, ": nesting too deep"),
     "metrics_nested_too_deep": _bad_input("metrics", "[" * 100_000 + "]" * 100_000,
                                           ":1: nesting too deep"),

@@ -131,6 +131,19 @@ def test_non_finite_value_is_rejected_at_its_key_path(text, path, shown, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ("{a: ", "}")], ids=["list", "map"])
+def test_flow_nesting_stops_past_100_levels(opener, closer, tmp_path):
+    """YAML's scanner takes time quadratic in flow depth, so the loader stops
+    it at a depth no config needs."""
+    path = tmp_path / "c.yaml"
+    path.write_text("seed: " + opener * 100 + "1" + closer * 100 + "\n")
+    with pytest.raises(ValueError, match=": seed: expected int, got"):
+        load_config(path)
+    path.write_text("seed: " + opener * 101 + "1" + closer * 101 + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: nesting too deep$"):
+        load_config(path)
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self):
         raw = {

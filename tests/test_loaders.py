@@ -35,9 +35,8 @@ def _inputs(openers):
 
 
 _JSON = _inputs(["[", "{", '{"a":', '[{"a":', "- "])
-# YAML scans flow nesting in time quadratic in its depth, so the config
-# loader gets block sequences that deep; joined tokens nest flows a little.
-_YAML = _inputs(["- ", "? ", "- ? "])
+# The config loader stops flow nesting early, before YAML's scanner slows.
+_YAML = _inputs(["- ", "? ", "- ? ", "[", "{", '{"a": '])
 LOADERS = {
     "config": (load_config, _YAML),
     "csv": (lambda path: load_csv(path, 1), _JSON),
