@@ -221,14 +221,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
         raise ValueError(f"unknown activation {act!r}")
     shared = w_data.ndim - xb == 3  # w's axis after x's own reads one input
     x_data = x_data[:, None] if shared and xb else x_data
-    pre = x_data @ w_data + b_data[..., None, :]
+    out = x_data @ w_data
+    out += b_data[..., None, :]
     # The one eager check on the tape: relu zeroes -inf and nan, so the loss would
     # not show them (without relu they reach it, and the sweep names this node).
-    _ensure_finite(pre, "linear")
-    # relu as np.where(pre > 0, pre, 0.0) to the bit, several times faster:
-    # x * 1.0 is x, and + 0.0 turns the -0.0 of a negative x * 0.0 into 0.0.
-    mask = (pre > 0.0).astype(np.float64) if act == "relu" else None
-    out = pre if mask is None else pre * mask + 0.0
+    _ensure_finite(out, "linear")
+    mask = out > 0.0 if act == "relu" else None
+    if mask is not None:  # np.where(out > 0, out, 0.0) to the bit, in place: + 0.0
+        out += 0.0  # turns -0.0 into 0.0, so np.maximum meets no tie of signed zeros
+        np.maximum(out, 0.0, out=out)
 
     def bw(g):
         if mask is not None:
@@ -239,15 +240,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
             # Over an inner dimension of 1 a product is one multiplication; + 0.0
             # gives the 0.0 that matmul's zero-started sum gives for -0.0.
             if not shared or not xb:
-                gx = g * w_t + 0.0 if one else g @ w_t
+                gx = g * w_t if one else g @ w_t
                 if shared:  # heads reading one input add from the last down: the tape's order
-                    for k in range(len(gx) - 2, -1, -1):
-                        gx[-1] += gx[k]
-                    gx = gx[-1]
+                    gx = np.add.reduce(gx[::-1], 0)
+                if one:
+                    gx += 0.0
             else:  # a stack adds each head over its slices: no [S, K, m, h] temporary
-                gh, wh, gx = g.swapaxes(0, 1), w_t.swapaxes(0, 1), 0.0
-                for k in range(len(gh) - 1, -1, -1):
-                    gx = gx + (gh[k] * wh[k] if one else gh[k] @ wh[k])
+                gh, wh = g.swapaxes(0, 1), w_t.swapaxes(0, 1)
+                prod = np.multiply if one else np.matmul
+                gx = prod(gh[-1], wh[-1])
+                gx += 0.0  # a zero-started sum
+                term = np.empty_like(gx)
+                for k in range(len(gh) - 2, -1, -1):
+                    gx += prod(gh[k], wh[k], out=term)
             grads.append((x, gx))
         return grads
 
@@ -294,12 +299,19 @@ def softmax_rows(logits: Tensor) -> Tensor:
     """Row-wise exp-normalize, stabilized by per-row max subtraction."""
     if logits.data.ndim not in (2, 3):
         raise ValueError("softmax_rows requires a 2-d tensor or a stack of them")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    z = logits.data
+    top = z[..., 0].copy()  # the row max column by column: faster over a short row
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j], out=top)
+    p = z - top[..., None]
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        return [(logits, p * (g - (g * p).sum(axis=-1, keepdims=True)))]
+        gp = g * p  # then p * (g - sum(g * p)), in place
+        np.subtract(g, gp.sum(axis=-1, keepdims=True), out=gp)
+        gp *= p
+        return [(logits, gp)]
 
     return _record("softmax_rows", (logits,), p, bw)
 
@@ -360,16 +372,24 @@ def weighted_bce(logits: Tensor, targets, weights, on=None) -> Tensor:
     if d.ndim == 1 and d.shape[0] == z.shape[-2]:
         d = d[:, None]
     weights = np.asarray(weights, dtype=np.float64)
-    e, s = np.exp(-np.abs(z)), 1.0 / z.shape[-2]
+    if np.broadcast_shapes(z.shape, d.shape, weights.shape) != z.shape:
+        raise ValueError(f"targets {d.shape} and weights {weights.shape} "
+                         f"do not broadcast to {z.shape}")
+    e, s = np.abs(z), 1.0 / z.shape[-2]
+    np.negative(e, out=e)
+    np.exp(e, out=e)
 
     def bw(g):
-        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return [(logits, (g[..., None, None] * s) * weights * (sig - d))]
+        sig = np.where(z >= 0, 1.0, e)  # over 1 + e: 1/(1+e) or e/(1+e), one division
+        sig /= 1.0 + e
+        sig -= d
+        sig *= (g[..., None, None] * s) * weights
+        return [(logits, sig)]
 
-    weighted = (np.maximum(z, 0.0) - d * z + np.log1p(e)) * weights
-    if weighted.shape != z.shape:
-        raise ValueError(f"targets {d.shape} and weights {np.shape(weights)} "
-                         f"do not broadcast to {z.shape}")
+    weighted = np.maximum(z, 0.0)
+    weighted -= d * z
+    weighted += np.log1p(e)
+    weighted *= weights
     return _per_slice("weighted_bce", (logits,), np.add.reduce(weighted, (-2, -1)) * s, bw, on)
 
 

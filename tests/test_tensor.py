@@ -431,6 +431,68 @@ class TestFusedNodesMatchChains:
         for got, want in zip(grads, (gx, gw, g.sum(axis=-2))):
             assert bits_equal(got, want)
 
+    def test_relu_turns_signed_zero_pre_activations_into_positive_zeros(self):
+        x = np.array([[-0.0, 0.0], [0.0, -0.0], [1.0, -2.0], [-0.0, -0.0]])
+        w = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, -0.0]])
+        b = np.array([-0.0, 0.0, -0.0])
+        out = linear(Tensor(x), Tensor(w), Tensor(b), "relu").data
+        pre = np.matmul(x, w) + b
+        mask = (pre > 0.0).astype(np.float64)
+        assert bits_equal(out, pre * mask + 0.0)
+        assert bits_equal(out, np.where(pre > 0.0, pre, 0.0))
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 4, 5)])
+    def test_softmax_rows_with_tied_row_maxima(self, shape):
+        rng = np.random.default_rng(16)
+        z = rng.integers(-2, 3, size=shape).astype(np.float64)  # many ties per row
+        z[..., 0, :] = 1.5
+        z[..., 1, :2] = [-0.0, 0.0]
+        z[..., 1, 2:] = -1.0
+        z[..., 2, :] = [0.0, -0.0, -0.0, 0.0, -3.0]
+        up = rng.normal(size=shape)
+        up[..., 3, :] = 0.0
+        reset_tape()
+        zt = Tensor(z, requires_grad=True)
+        p = softmax_rows(zt)
+        (grad,) = _tape_grads(mean(T.mul(p, Tensor(up))), zt)
+
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        ref = e / e.sum(axis=-1, keepdims=True)
+        g = np.broadcast_to(1.0 / up.size, up.shape).copy() * up
+        want = ref * (g - (g * ref).sum(axis=-1, keepdims=True))
+        assert bits_equal(p.data, ref)
+        assert bits_equal(grad, want)
+
+    @pytest.mark.parametrize("heads", [1, 5, 9])  # 9 crosses numpy's pairwise block of 8
+    @pytest.mark.parametrize("slices", [None, 3])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_heads_sum_a_shared_input_gradient_from_the_last(self, heads, slices, width):
+        rng = np.random.default_rng(17)
+        lead = () if slices is None else (slices,)
+        x, w = rng.normal(size=lead + (6, 4)), rng.normal(size=lead + (heads, 4, width))
+        w[..., 0, :] = 0.0  # zero products of both signs
+        w *= 10.0 ** rng.integers(-6, 7, size=w.shape[:-2] + (1, 1))  # order matters
+        up = rng.normal(size=lead + (heads, 6, width))
+        up[..., :2, :] = 0.0
+        reset_tape()
+        xt = Tensor(x, requires_grad=True)
+        out = linear(xt, Tensor(w, requires_grad=True), Tensor(np.zeros(w.shape[:-2] + (width,))))
+        (gx,) = _tape_grads(mean(T.mul(out, Tensor(up))), xt)
+
+        g = np.broadcast_to(1.0 / up.size, up.shape).copy() * up
+        w_t = np.swapaxes(w, -1, -2)
+        if slices is None:  # one product of the stack, then the heads from the last down
+            prods = g * w_t + 0.0 if width == 1 else g @ w_t
+            for k in range(heads - 2, -1, -1):
+                prods[-1] += prods[k]
+            want = prods[-1]
+        else:  # a zero-started sum of each head over its slices, from the last down
+            want = 0.0
+            for k in range(heads - 1, -1, -1):
+                want = want + (g[:, k] * w_t[:, k] if width == 1 else g[:, k] @ w_t[:, k])
+        assert bits_equal(gx, want)
+
     def test_cross_entropy_mean(self):
         rng = np.random.default_rng(12)
         p = rng.dirichlet(np.ones(4), size=6)
@@ -472,6 +534,28 @@ class TestFusedNodesMatchChains:
         want = np.broadcast_to(1.0 * float(1.0 / 5), z.shape).copy() * c * (sig - dd)
         assert bits_equal(loss.data, ref)
         assert np.allclose(ref, (c * (softplus - dd * z)).sum() / 5, rtol=1e-14, atol=0)
+        assert bits_equal(grad, want)
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_weighted_bce_at_zero_logits(self, lead):
+        z = np.zeros(lead + (4, 3))
+        z[..., 1, :] = -0.0
+        d = np.array([1.0, 0.0, 1.0, 0.0])
+        c = np.ones(z.shape)
+        c[..., 2, :] = [0.0, -0.0, 2.0]
+        reset_tape()
+        zt = Tensor(z, requires_grad=True)
+        loss = weighted_bce(zt, d, c)
+        (grad,) = _tape_grads(mean(loss), zt)
+
+        dd = d[:, None]
+        e = np.exp(-np.abs(z))
+        bce = np.maximum(z, 0.0) - dd * z + np.log1p(e)
+        ref = np.add.reduce(bce * c, (-2, -1)) * float(1.0 / 4)
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        g = np.broadcast_to(1.0 / ref.size, ref.shape).copy()
+        want = (g[..., None, None] * float(1.0 / 4)) * c * (sig - dd)
+        assert bits_equal(loss.data, ref)
         assert bits_equal(grad, want)
 
     def test_entropy_mean(self):
