@@ -77,7 +77,9 @@ def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
         if w.shape[-1:] != (k,):
             raise ValueError("class weight per head required")
         weight = weight * w[..., None, :]
-    if use_entropy_w is not False:  # a slice without it is weighted by exactly 1.0
+    if use_entropy_w is True:
+        weight = weight * entropy_weights(y_hat)[..., None]
+    elif use_entropy_w is not False:  # a slice without it is weighted by exactly 1.0
         ent = np.where(np.asarray(use_entropy_w)[..., None], entropy_weights(y_hat), 1.0)
         weight = weight * ent[..., None]
     return T.weighted_bce(domain_logits, d, weight, on)

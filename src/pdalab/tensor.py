@@ -18,6 +18,7 @@ slice axis: S programs at once, each slice bit-equal to its program alone.
 from __future__ import annotations
 
 import contextlib
+from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -35,7 +36,7 @@ class Tensor:
     backward passes until :func:`zero_grad` clears them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape_pos")
+    __slots__ = ("data", "requires_grad", "grad", "_tape_pos", "_pending")
 
     def __init__(self, values, requires_grad: bool = False):
         data = np.asarray(values, dtype=np.float64)
@@ -45,6 +46,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._tape_pos: tuple[int, int] | None = None
+        self._pending: np.ndarray | None = None  # a backward sweep's gradient so far
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,6 +83,7 @@ class Tape:
 
 _tape = Tape()
 _grad_enabled = True
+_requires_grad = attrgetter("requires_grad")
 
 
 def reset_tape() -> None:
@@ -114,8 +117,8 @@ def _record(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out._tape_pos = None
-    out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
+    out._tape_pos = out._pending = None
+    out.requires_grad = _grad_enabled and any(map(_requires_grad, inputs))
     if out.requires_grad:
         _tape.nodes.append(_Node(op, inputs, out, backward_fn))
         out._tape_pos = (_tape.generation, len(_tape.nodes) - 1)
@@ -159,25 +162,32 @@ def backward(loss: Tensor) -> None:
 
     nodes = _tape.nodes[: loss._tape_pos[1] + 1]
     _check_sweep(loss.data.item() if loss.data.size == 1 else loss.data.sum(), nodes, grads=False)
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
-    for node in reversed(nodes):
-        entry = pending.pop(id(node.output), None)
-        if entry is None:
-            continue
-        out_t, g = entry
-        out_t.grad = g if out_t.grad is None else out_t.grad + g
-        for parent, pg in node.backward_fn(g):
-            if not parent.requires_grad:
+    loss._pending, touched = np.ones_like(loss.data), [loss]  # in first-touch order
+    try:
+        for node in reversed(nodes):
+            out_t, g = node.output, node.output._pending
+            if g is None:
                 continue
-            prev = pending.get(id(parent))
-            pending[id(parent)] = (parent, pg if prev is None else prev[1] + pg)
-    # Whatever remains belongs to leaves (parameters and inputs).  Every
-    # gradient reaches some leaf, so one sum shows a non-finite one.
-    leaves = list(pending.values())
-    _check_sweep(np.add.reduce(np.concatenate([g.ravel() for _, g in leaves])), nodes,
-                 grads=True)
-    for t, g in leaves:
-        t.grad = g if t.grad is None else t.grad + g
+            out_t._pending = None
+            out_t.grad = g if out_t.grad is None else out_t.grad + g
+            for parent, pg in node.backward_fn(g):
+                if not parent.requires_grad:
+                    continue
+                if parent._pending is None:
+                    parent._pending = pg
+                    touched.append(parent)
+                else:
+                    parent._pending = parent._pending + pg
+        # Whatever remains belongs to leaves (parameters and inputs).  Every
+        # gradient reaches some leaf, so one sum shows a non-finite one.
+        leaves = [t for t in touched if t._pending is not None]
+        _check_sweep(np.add.reduce(np.concatenate([t._pending.ravel() for t in leaves])), nodes,
+                     grads=True)
+        for t in leaves:
+            t.grad = t._pending if t.grad is None else t.grad + t._pending
+    finally:
+        for t in touched:
+            t._pending = None
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:

@@ -223,6 +223,27 @@ class TestBackward:
         backward(loss)
         assert np.allclose(x.grad, [[8.0]])
 
+    def test_a_failed_backward_leaves_nothing_to_the_next(self):
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        x, up = rng.normal(size=(4, 3)) * 1e10, rng.normal(size=(4, 2))
+
+        def step(lam):
+            reset_tape()
+            zero_grad([w, b])
+            y = grad_reverse(linear(Tensor(x), w, b, "relu"), lam)
+            backward(mean(T.mul(T.mul(y, y), Tensor(up))))
+            return [w.grad, b.grad]
+
+        want = step(1.0)
+        # w and b hold their share of the sweep when the reversal's overflow is found.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="backward of 'grad_reverse'"):
+            step(1e300)
+        assert w.grad is None and b.grad is None
+        assert all(bits_equal(got, exp) for got, exp in zip(step(1.0), want))
+
 
 class TestGradReverse:
     def test_forward_identity(self):

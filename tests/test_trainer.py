@@ -390,6 +390,43 @@ class TestStepCost:
         assert max(nodes) <= 14 and max(checks) <= 8, (nodes, checks)
 
 
+_WARM_RUN_FAULTS = """
+import resource
+from pdalab.data import SyntheticSpec, generate_toy, steps_per_epoch
+from pdalab.nets import ArchSpec
+from pdalab.trainer import PRESETS, Schedule, run_experiment
+
+spec = SyntheticSpec(seed=11)
+source, target, _ = generate_toy(spec)
+arch = ArchSpec(in_dim=source.dim, num_classes=spec.num_source_classes, disc_hidden=(16,))
+sched = Schedule(total_epochs=4)
+for _ in range(2):
+    run_experiment(source, target, None, arch, PRESETS["san"], sched, 5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(source, target, None, arch, PRESETS["san"], sched, 5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+      sched.total_epochs * steps_per_epoch(len(source), len(target), sched.batch_size))
+"""
+
+
+def test_a_warm_private_trunk_run_faults_less_than_once_per_step():
+    """A step's arrays fit in the heap the step before freed: once warm, a ``san``
+    run with private trunks takes fewer minor page faults than steps.  In a fresh
+    interpreter, so that the heap does not depend on the tests before it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pdalab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(pdalab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _WARM_RUN_FAULTS], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    faults, steps = map(int, out.split())
+    assert faults < steps, (faults, steps)
+
+
 class TestEvaluate:
     def test_perfect_predictor(self):
         source, target, oracle = tiny_problem(seed=4)
