@@ -452,6 +452,80 @@ class TestFusedNodesMatchChains:
         for got, want in zip(grads, (gx, gw, g.sum(axis=-2))):
             assert bits_equal(got, want)
 
+    def test_cross_entropy_mean(self):
+        rng = np.random.default_rng(12)
+        p = rng.dirichlet(np.ones(4), size=6)
+        p[2, 1] = 1e-14  # below the floor: no gradient through it
+        labels = np.array([0, 3, 1, 1, 2, 0])
+        w = rng.uniform(0.1, 2.0, size=4)
+        reset_tape()
+        pt = Tensor(p, requires_grad=True)
+        loss = cross_entropy_mean(pt, labels, w)
+        (grad,) = _tape_grads(loss, pt)
+
+        rows = np.arange(6)
+        clamped = np.maximum(p, LOG_FLOOR)
+        c = np.broadcast_to(w[labels], (6,))
+        ref = np.asarray((-np.log(clamped[rows, labels]) * c).mean())
+        g = np.broadcast_to(1.0 / 6, (6,)).copy() * c
+        want = np.zeros_like(p)
+        want[rows, labels] = -g * (p[rows, labels] > LOG_FLOOR) / clamped[rows, labels]
+        assert bits_equal(loss.data, ref)
+        assert bits_equal(grad, want)
+
+    def test_weighted_bce(self):
+        rng = np.random.default_rng(13)
+        z = rng.normal(scale=3.0, size=(5, 3))
+        z[0, 0], z[1, 2] = -40.0, 40.0  # saturated logits of both signs
+        d = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        c = rng.uniform(0.0, 1.0, size=(5, 3))
+        reset_tape()
+        zt = Tensor(z, requires_grad=True)
+        loss = weighted_bce(zt, d, c)
+        (grad,) = _tape_grads(loss, zt)
+
+        dd = np.broadcast_to(d[:, None], z.shape)
+        softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        bce = np.maximum(z, 0.0) - dd * z + np.log1p(np.exp(-np.abs(z)))
+        ref = np.asarray((bce * c).sum()) * float(1.0 / 5)
+        e = np.exp(-np.abs(z))
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        want = np.broadcast_to(1.0 * float(1.0 / 5), z.shape).copy() * c * (sig - dd)
+        assert bits_equal(loss.data, ref)
+        assert np.allclose(ref, (c * (softplus - dd * z)).sum() / 5, rtol=1e-14, atol=0)
+        assert bits_equal(grad, want)
+
+    def test_entropy_mean(self):
+        rng = np.random.default_rng(14)
+        p = rng.dirichlet(np.ones(3), size=4)
+        p[1] = [1.0, 0.0, 0.0]  # zero entries stay out of the gradient's mask
+        reset_tape()
+        pt = Tensor(p, requires_grad=True)
+        loss = entropy_mean(pt, 0.1)
+        (grad,) = _tape_grads(loss, pt)
+
+        clamped = np.maximum(p, LOG_FLOOR)
+        ref = np.asarray((-(p * np.log(clamped)).sum(axis=1)).mean()) * 0.1
+        g = np.broadcast_to(1.0 * 0.1 / 4, (4,)).copy()
+        want = -g[:, None] * (np.log(clamped) + (p > LOG_FLOOR))
+        assert bits_equal(loss.data, ref)
+        assert bits_equal(grad, want)
+
+    def test_add(self):
+        rng = np.random.default_rng(15)
+        vals = [rng.normal() for _ in range(4)]
+        reset_tape()
+        ts = [Tensor(v, requires_grad=True) for v in vals]
+        total = T.add(*ts)
+        grads = _tape_grads(total, *ts)
+        assert total.item() == ((vals[0] + vals[1]) + vals[2]) + vals[3]
+        assert all(np.array_equal(g, 1.0) for g in grads)
+
+
+class TestInPlaceKernelsMatchChains:
+    """The in-place kernels are bit-equal to the numpy chains they replaced,
+    signed zeros included."""
+
     def test_relu_turns_signed_zero_pre_activations_into_positive_zeros(self):
         x = np.array([[-0.0, 0.0], [0.0, -0.0], [1.0, -2.0], [-0.0, -0.0]])
         w = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, -0.0]])
@@ -514,49 +588,6 @@ class TestFusedNodesMatchChains:
                 want = want + (g[:, k] * w_t[:, k] if width == 1 else g[:, k] @ w_t[:, k])
         assert bits_equal(gx, want)
 
-    def test_cross_entropy_mean(self):
-        rng = np.random.default_rng(12)
-        p = rng.dirichlet(np.ones(4), size=6)
-        p[2, 1] = 1e-14  # below the floor: no gradient through it
-        labels = np.array([0, 3, 1, 1, 2, 0])
-        w = rng.uniform(0.1, 2.0, size=4)
-        reset_tape()
-        pt = Tensor(p, requires_grad=True)
-        loss = cross_entropy_mean(pt, labels, w)
-        (grad,) = _tape_grads(loss, pt)
-
-        rows = np.arange(6)
-        clamped = np.maximum(p, LOG_FLOOR)
-        c = np.broadcast_to(w[labels], (6,))
-        ref = np.asarray((-np.log(clamped[rows, labels]) * c).mean())
-        g = np.broadcast_to(1.0 / 6, (6,)).copy() * c
-        want = np.zeros_like(p)
-        want[rows, labels] = -g * (p[rows, labels] > LOG_FLOOR) / clamped[rows, labels]
-        assert bits_equal(loss.data, ref)
-        assert bits_equal(grad, want)
-
-    def test_weighted_bce(self):
-        rng = np.random.default_rng(13)
-        z = rng.normal(scale=3.0, size=(5, 3))
-        z[0, 0], z[1, 2] = -40.0, 40.0  # saturated logits of both signs
-        d = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        c = rng.uniform(0.0, 1.0, size=(5, 3))
-        reset_tape()
-        zt = Tensor(z, requires_grad=True)
-        loss = weighted_bce(zt, d, c)
-        (grad,) = _tape_grads(loss, zt)
-
-        dd = np.broadcast_to(d[:, None], z.shape)
-        softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-        bce = np.maximum(z, 0.0) - dd * z + np.log1p(np.exp(-np.abs(z)))
-        ref = np.asarray((bce * c).sum()) * float(1.0 / 5)
-        e = np.exp(-np.abs(z))
-        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        want = np.broadcast_to(1.0 * float(1.0 / 5), z.shape).copy() * c * (sig - dd)
-        assert bits_equal(loss.data, ref)
-        assert np.allclose(ref, (c * (softplus - dd * z)).sum() / 5, rtol=1e-14, atol=0)
-        assert bits_equal(grad, want)
-
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_weighted_bce_at_zero_logits(self, lead):
         z = np.zeros(lead + (4, 3))
@@ -578,32 +609,6 @@ class TestFusedNodesMatchChains:
         want = (g[..., None, None] * float(1.0 / 4)) * c * (sig - dd)
         assert bits_equal(loss.data, ref)
         assert bits_equal(grad, want)
-
-    def test_entropy_mean(self):
-        rng = np.random.default_rng(14)
-        p = rng.dirichlet(np.ones(3), size=4)
-        p[1] = [1.0, 0.0, 0.0]  # zero entries stay out of the gradient's mask
-        reset_tape()
-        pt = Tensor(p, requires_grad=True)
-        loss = entropy_mean(pt, 0.1)
-        (grad,) = _tape_grads(loss, pt)
-
-        clamped = np.maximum(p, LOG_FLOOR)
-        ref = np.asarray((-(p * np.log(clamped)).sum(axis=1)).mean()) * 0.1
-        g = np.broadcast_to(1.0 * 0.1 / 4, (4,)).copy()
-        want = -g[:, None] * (np.log(clamped) + (p > LOG_FLOOR))
-        assert bits_equal(loss.data, ref)
-        assert bits_equal(grad, want)
-
-    def test_add(self):
-        rng = np.random.default_rng(15)
-        vals = [rng.normal() for _ in range(4)]
-        reset_tape()
-        ts = [Tensor(v, requires_grad=True) for v in vals]
-        total = T.add(*ts)
-        grads = _tape_grads(total, *ts)
-        assert total.item() == ((vals[0] + vals[1]) + vals[2]) + vals[3]
-        assert all(np.array_equal(g, 1.0) for g in grads)
 
 
 def _gradcheck_primitive(name, build, sampler, trials=120, tol=1e-4, seed=1234):
