@@ -13,7 +13,9 @@ class set, and e_tgt_shared the error of the shared-class-restricted
 argmax against the true labels.  This intermediate inequality holds
 verbatim for the empirical measure.  :func:`check_intermediate` asserts
 it, for every fresh report through :func:`intermediate_terms` (runs that
-keep no report make that call alone) and for stored ones.
+keep no report make that call alone) and for stored ones.  Each target-side
+term takes an [m, K] prediction matrix or an [S, m, K] stack of them, for one
+value per slice with the bits of that slice's matrix.
 
 The full right-hand side swaps the target restricted error for the
 source one plus a feature-distribution divergence.  The divergence is
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .selection import class_transferable_probability, true_class_weights
+from .selection import as_pred_matrix, class_transferable_probability, true_class_weights
 
 PROXY_TEST_FRACTION = 0.2  # held-out share of each domain's features
 # Per-sample L2 penalty of the proxy domain classifier, bias included.
@@ -90,50 +92,40 @@ class BoundReport:
     epoch: int
 
 
-def _pred_matrix(preds) -> np.ndarray:
-    p = np.asarray(preds, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] == 0:
-        raise ValueError("a nonempty 2-d prediction matrix is required")
-    return p
-
-
-def delta_bar(target_preds) -> float:
+def delta_bar(target_preds):
     """Mean complement of the classifier confidence, E[1 - max_row]."""
-    p = _pred_matrix(target_preds)
-    return float(np.mean(1.0 - p.max(axis=1)))
+    return np.mean(1.0 - as_pred_matrix(target_preds).max(axis=-1), axis=-1)
 
 
-def type1_error(target_preds, shared_classes) -> float:
+def type1_error(target_preds, shared_classes):
     """Fraction of rows whose argmax falls outside the shared class set."""
-    p = _pred_matrix(target_preds)
-    return float(np.mean(~in_classes(p.argmax(axis=1), shared_classes)))
+    labels = as_pred_matrix(target_preds).argmax(axis=-1)
+    return np.mean(~in_classes(labels, shared_classes), axis=-1)
 
 
 def restricted_argmax(preds, shared_classes) -> np.ndarray:
     """Argmax over shared-class columns only; ties go to the lowest index."""
-    p = np.atleast_2d(np.asarray(preds, dtype=np.float64))
+    p = as_pred_matrix(preds)
     shared = np.asarray(sorted(set(shared_classes)))
     if shared.size == 0:
         raise ValueError("shared class set must be nonempty")
-    return shared[p[:, shared].argmax(axis=1)]
+    return shared[p[..., shared].argmax(axis=-1)]
 
 
-def shared_error(preds, labels, shared_classes) -> float:
+def shared_error(preds, labels, shared_classes):
     """Fraction of samples misclassified by the shared-class-restricted argmax."""
-    p = _pred_matrix(preds)
     labels = np.asarray(labels)
     shared = sorted(set(shared_classes))
     if not in_classes(labels, shared).all():
         raise ValueError("labels must lie inside the shared class set")
-    return float(np.mean(restricted_argmax(p, shared) != labels))
+    return np.mean(restricted_argmax(preds, shared) != labels, axis=-1)
 
 
-def w_estimation_error(target_preds, oracle: OracleContext) -> float:
+def w_estimation_error(target_preds, oracle: OracleContext):
     """L1 distance between estimated and true class transferable probability."""
-    p = _pred_matrix(target_preds)
-    w_hat = class_transferable_probability(p)
-    w_true = true_class_weights(oracle.target_labels, p.shape[1])
-    return float(np.abs(w_true - w_hat).sum())
+    w_hat = class_transferable_probability(target_preds)
+    w_true = true_class_weights(oracle.target_labels, w_hat.shape[-1])
+    return np.abs(w_true - w_hat).sum(axis=-1)
 
 
 def _fit_logistic(x, y):
@@ -213,26 +205,29 @@ def estimate_hdh_divergence(source_features, target_features,
     return max(0.0, 2.0 * (1.0 - 2.0 * eps))
 
 
-def check_intermediate(w_error_l1: float, rhs_intermediate: float, epoch: int) -> None:
+def check_intermediate(w_error_l1, rhs_intermediate, epoch: int) -> None:
     """Raise BoundViolationError, naming ``epoch``, if ``w_error_l1``
-    exceeds ``rhs_intermediate`` by more than INTERMEDIATE_TOL."""
-    if w_error_l1 > rhs_intermediate + INTERMEDIATE_TOL:
-        raise BoundViolationError(f"intermediate inequality violated: "
-                                  f"{w_error_l1} > {rhs_intermediate} (epoch {epoch})")
+    exceeds ``rhs_intermediate`` by more than INTERMEDIATE_TOL.  Over values
+    per slice, the first slice that fails is the one reported."""
+    lhs, rhs = (a.ravel().tolist() for a in np.broadcast_arrays(w_error_l1, rhs_intermediate))
+    for w, r in zip(lhs, rhs):
+        if w > r + INTERMEDIATE_TOL:
+            raise BoundViolationError(f"intermediate inequality violated: "
+                                      f"{w} > {r} (epoch {epoch})")
 
 
 def intermediate_terms(target_preds, oracle: OracleContext, epoch: int = 0) -> dict:
     """The target-side bound terms, after asserting the intermediate inequality.
 
     Returns ``delta_bar``, ``e_type1``, ``e_tgt_shared``, ``w_error_l1``
-    and ``rhs_intermediate``, keyed by their BoundReport field names;
-    :func:`check_intermediate` raises if the inequality fails.
+    and ``rhs_intermediate``, keyed by their BoundReport field names, each
+    one value per slice of a stack; :func:`check_intermediate` raises if
+    the inequality fails.
     """
-    p_t = _pred_matrix(target_preds)
-    db = delta_bar(p_t)
-    e1 = type1_error(p_t, oracle.shared_classes)
-    e_tgt = shared_error(p_t, oracle.target_labels, oracle.shared_classes)
-    w_err = w_estimation_error(p_t, oracle)
+    db = delta_bar(target_preds)
+    e1 = type1_error(target_preds, oracle.shared_classes)
+    e_tgt = shared_error(target_preds, oracle.target_labels, oracle.shared_classes)
+    w_err = w_estimation_error(target_preds, oracle)
     rhs_i = 2.0 * (db + e1 + e_tgt)
     check_intermediate(w_err, rhs_i, epoch)
     return {"delta_bar": db, "e_type1": e1, "e_tgt_shared": e_tgt,
@@ -248,15 +243,15 @@ def check_bound(target_preds, oracle: OracleContext, source_preds, source_labels
     The source-side terms are evaluated on the source rows whose labels
     lie in the shared classes; the others are dropped here, so callers
     may pass every source row or only those.  The proxy draws its split
-    from ``rng``.
+    from ``rng``.  The report holds Python floats.
     """
-    terms = intermediate_terms(target_preds, oracle, epoch)
+    terms = {name: float(v) for name, v in intermediate_terms(target_preds, oracle, epoch).items()}
     src_labels = np.asarray(source_labels)
     shared_mask = in_classes(src_labels, oracle.shared_classes)
     if not shared_mask.any():
         raise ValueError("no source samples fall inside the shared class set")
-    p_s = _pred_matrix(source_preds)
-    e_src = shared_error(p_s[shared_mask], src_labels[shared_mask], oracle.shared_classes)
+    p_s = as_pred_matrix(source_preds)
+    e_src = float(shared_error(p_s[shared_mask], src_labels[shared_mask], oracle.shared_classes))
     d_proxy = estimate_hdh_divergence(np.asarray(source_features)[shared_mask],
                                       target_features, rng)
     rhs_f = 2.0 * (terms["delta_bar"] + terms["e_type1"] + e_src + d_proxy)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .selection import entropy_weights
+from .selection import as_pred_matrix, entropy_weights
 from .tensor import Tensor
 
 
@@ -44,10 +44,7 @@ def supervised_loss(preds: Tensor, labels, class_weights, on=None) -> Tensor:
 
 def assign_pseudo_labels(preds) -> np.ndarray:
     """Hard pseudo-label per row (argmax, ties to the lowest index)."""
-    p = np.asarray(preds, dtype=np.float64)
-    if p.ndim not in (2, 3):
-        raise ValueError("prediction matrix must be 2-d (or a stack of them)")
-    return p.argmax(axis=-1)
+    return as_pred_matrix(preds).argmax(axis=-1)
 
 
 def self_training_loss(preds: Tensor, pseudo_hard, class_weights, on=None) -> Tensor:

@@ -13,19 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def _as_pred_matrix(preds, stacks: bool = False) -> np.ndarray:
+def as_pred_matrix(preds) -> np.ndarray:
+    """``preds`` as float64 prediction rows: an [m, K] matrix or an [S, m, K]
+    stack of them, with m >= 1."""
     p = np.asarray(preds, dtype=np.float64)
-    if p.ndim != 2 and not (stacks and p.ndim == 3):
-        raise ValueError("prediction matrix must be 2-d")
+    if p.ndim not in (2, 3) or p.shape[-2] == 0:
+        raise ValueError("a nonempty prediction matrix (or a stack of them) is required")
     return p
 
 
 def class_transferable_probability(target_preds) -> np.ndarray:
-    """Column-wise mean of target prediction rows; lives on the simplex."""
-    p = _as_pred_matrix(target_preds)
-    if p.shape[0] == 0:
-        raise ValueError("at least one target prediction is required")
-    return p.mean(axis=0)
+    """Column-wise mean of target prediction rows, per slice of a stack;
+    lives on the simplex."""
+    return as_pred_matrix(target_preds).mean(axis=-2)
 
 
 def true_class_weights(target_labels, num_classes: int) -> np.ndarray:
@@ -43,6 +43,6 @@ def true_class_weights(target_labels, num_classes: int) -> np.ndarray:
 
 def entropy_weights(preds) -> np.ndarray:
     """Per row, 1 + exp(-H(row)) with H the natural-log Shannon entropy; in (1, 2]."""
-    p = _as_pred_matrix(preds, stacks=True)
+    p = as_pred_matrix(preds)
     h = -(p * np.log(np.maximum(p, np.finfo(float).tiny))).sum(axis=-1)
     return 1.0 + np.exp(-h)

@@ -347,23 +347,21 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
         """Each run's record for the epoch, plus the target predictions and
         class weights they were computed from, which the next epoch starts with."""
         f_t, preds_t = features_and_preds(target.x)
-        if oracle is not None and full_audit:
-            f_s, preds_s = features_and_preds(x_src)
-        records = []
-        for i, p_t in enumerate(preds_t):
-            w = class_transferable_probability(p_t)
-            accuracy = bound = None
-            if oracle is not None:
-                accuracy = float(np.mean(p_t.argmax(axis=1) == oracle.target_labels))
-                if full_audit:
-                    bound = check_bound(p_t, oracle, preds_s[i], y_src, f_s[i], f_t[i],
-                                        div_rngs[i], epoch)
-                else:
-                    intermediate_terms(p_t, oracle, epoch)
-            records.append(MetricsRecord(epoch=epoch, target_accuracy=accuracy,
-                                         class_weights=[float(v) for v in w],
-                                         losses=losses[i], bound=bound))
-        return records, preds_t, np.array([r.class_weights for r in records])
+        w = class_transferable_probability(preds_t)
+        accuracy = bounds = (None,) * n
+        if oracle is not None:
+            hits = preds_t.argmax(axis=-1) == oracle.target_labels
+            accuracy = np.mean(hits, axis=-1).tolist()
+            if full_audit:
+                f_s, preds_s = features_and_preds(x_src)
+                bounds = [check_bound(p_t, oracle, p_s, y_src, fs, ft, rng, epoch)
+                          for p_t, p_s, fs, ft, rng in zip(preds_t, preds_s, f_s, f_t, div_rngs)]
+            else:
+                intermediate_terms(preds_t, oracle, epoch)
+        records = [MetricsRecord(epoch=epoch, target_accuracy=accuracy[i],
+                                 class_weights=w[i].tolist(), losses=losses[i], bound=bounds[i])
+                   for i in range(n)]
+        return records, preds_t, w
 
     runs, epoch_seconds, steps_done = [], [], 0
     where = "epoch 0 snapshot"

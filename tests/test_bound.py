@@ -18,7 +18,7 @@ from pdalab.bound import (
     type1_error,
     w_estimation_error,
 )
-from pdalab.selection import true_class_weights
+from pdalab.selection import class_transferable_probability, true_class_weights
 
 
 def intermediate_rhs(preds, oracle):
@@ -365,3 +365,64 @@ class TestCheckBound:
             with pytest.raises(BoundViolationError, match=r"^intermediate inequality "
                                                           r"violated: 10\.0 > .* \(epoch 6\)$"):
                 audit()
+
+
+def _stacked_inputs(slices, k, m, seed=0):
+    """An [S, m, K] prediction stack with tied rows, and an oracle over the
+    first ``max(3, k // 3)`` classes: a uniform row, a row whose top two
+    columns tie across the shared set's edge, and one whose shared columns tie."""
+    rng = np.random.default_rng(seed)
+    shared = tuple(range(max(3, k // 3)))
+    preds = rng.dirichlet(np.full(k, 0.3), size=(slices, m))
+    preds[:, 0] = 1.0 / k
+    preds[:, 1] = 0.0
+    preds[:, 1, [shared[-1], k - 1]] = 0.5
+    preds[:, 2] = 0.1 / (k - 2)
+    preds[:, 2, [0, shared[-1]]] = 0.45
+    labels = rng.integers(0, len(shared), size=m)
+    return preds, OracleContext(shared, labels)
+
+
+class TestStackedTerms:
+    """Every target-side term takes a leading slice axis and gives, slice by
+    slice, the bits of its call on that slice's matrix."""
+
+    @pytest.mark.parametrize("m", [7, 37])
+    @pytest.mark.parametrize("k", [5, 31])
+    @pytest.mark.parametrize("slices", [1, 3, 25])
+    def test_each_slice_equals_its_matrix_to_the_bit(self, slices, k, m):
+        preds, oracle = _stacked_inputs(slices, k, m, seed=slices * k + m)
+        shared, labels = oracle.shared_classes, oracle.target_labels
+        terms = {
+            "delta_bar": delta_bar,
+            "type1_error": lambda p: type1_error(p, shared),
+            "restricted_argmax": lambda p: restricted_argmax(p, shared),
+            "shared_error": lambda p: shared_error(p, labels, shared),
+            "w_estimation_error": lambda p: w_estimation_error(p, oracle),
+            "class_transferable_probability": class_transferable_probability,
+        }
+        for name, term in terms.items():
+            stacked = term(preds)
+            assert stacked.shape[0] == slices, name
+            assert stacked.tobytes() == np.array([term(p) for p in preds]).tobytes(), name
+        each = [intermediate_terms(p, oracle) for p in preds]
+        for name, values in intermediate_terms(preds, oracle).items():
+            assert values.tobytes() == np.array([t[name] for t in each]).tobytes(), name
+
+    def test_the_report_holds_python_floats(self):
+        preds, oracle = _stacked_inputs(1, 5, 7)
+        rep = check_bound(preds[0], oracle, preds[0], oracle.target_labels,
+                          preds[0], preds[0], np.random.default_rng(0))
+        assert all(type(getattr(rep, f)) is float for f in rep.__dataclass_fields__
+                   if f != "epoch")
+
+    def test_a_failing_second_slice_names_the_epoch(self, monkeypatch):
+        import pdalab.bound
+
+        preds, oracle = _stacked_inputs(3, 5, 7)
+        rhs = intermediate_terms(preds, oracle)["rhs_intermediate"]
+        monkeypatch.setattr(pdalab.bound, "w_estimation_error",
+                            lambda *args: np.array([0.0, 10.0, 20.0]))
+        with pytest.raises(BoundViolationError, match=rf"^intermediate inequality violated: "
+                                                      rf"10\.0 > {float(rhs[1])!r} \(epoch 4\)$"):
+            intermediate_terms(preds, oracle, epoch=4)

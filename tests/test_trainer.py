@@ -718,3 +718,56 @@ class TestStackedRuns:
         with pytest.raises(ValueError, match="^stacked runs must share one network shape$"):
             run_experiments(source, target, oracle, ArchSpec(in_dim=2, num_classes=5),
                             [PRESETS["san_pp"], PRESETS["dann"]], small_sched(), 0)
+
+
+class TestStackedAudit:
+    def test_one_audit_call_per_epoch_for_all_slices(self, monkeypatch):
+        """Without the full audit, a three-slice program asserts the inequality in
+        one call per snapshot; each slice's weights and accuracy are the bits of
+        the 2-d calls on its own predictions."""
+        import pdalab.trainer
+        from pdalab.selection import class_transferable_probability
+        from pdalab.trainer import _score
+
+        source, target, oracle = tiny_problem(seed=15)
+        rows = _network_rows(())[0][2:]
+        sched = small_sched()
+        stacks, audits = [], []
+        terms = pdalab.trainer.intermediate_terms
+        monkeypatch.setattr(pdalab.trainer, "class_transferable_probability",
+                            lambda p: stacks.append(p.copy()) or class_transferable_probability(p))
+        monkeypatch.setattr(pdalab.trainer, "intermediate_terms",
+                            lambda p, *args: audits.append(p.shape) or terms(p, *args))
+        results = run_experiments(source, target, oracle, ArchSpec(in_dim=2, num_classes=5),
+                                  rows, sched, 0, full_audit=False)
+        assert audits == [(3, len(target), 5)] * (sched.total_epochs + 1)
+        assert len(stacks) == sched.total_epochs + 1
+        for preds, *records in zip(stacks, *(result.records for result in results)):
+            for p, record in zip(preds, records, strict=True):
+                assert np.array(record.class_weights).tobytes() == \
+                    class_transferable_probability(p).tobytes()
+                accuracy = _score(p, oracle.target_labels, 5)[0]
+                assert np.float64(record.target_accuracy).tobytes() == \
+                    np.float64(accuracy).tobytes()
+
+
+class TestStackedRunsAt31Classes:
+    """Over 31 classes, a sum over the class axis crosses numpy's 8-element
+    pairwise block; each slice still equals its solo run."""
+
+    @pytest.mark.parametrize("full_audit", [True, False], ids=["full_audit", "asserted_only"])
+    @pytest.mark.parametrize("disc_hidden", [(), (16,)], ids=["no_trunk", "trunk_16"])
+    def test_each_slice_equals_its_solo_run(self, disc_hidden, full_audit):
+        spec = SyntheticSpec(num_source_classes=31, shared_classes=tuple(range(10)),
+                             samples_per_class=11, seed=3)
+        source, target, oracle = generate_toy(spec)
+        arch = ArchSpec(in_dim=2, num_classes=31, disc_hidden=disc_hidden)
+        sched = small_sched(total_epochs=6, warmup_epochs=2, batch_size=32, eta0=0.2)
+        groups = _network_rows(disc_hidden) + ([[PRESETS["san"], ABLATION_VARIANTS[
+            "instance_class_self_private"]]] if disc_hidden else [])
+        for rows in groups:
+            stacked = run_experiments(source, target, oracle, arch, rows, sched, 3, full_audit)
+            for flags, result in zip(rows, stacked, strict=True):
+                solo = run_experiment(source, target, oracle, arch, flags, sched, 3, full_audit)
+                assert metrics_text(result.records) == metrics_text(solo.records)
+                assert model_text(result.bundle) == model_text(solo.bundle)
