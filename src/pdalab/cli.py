@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,9 +198,12 @@ def cmd_ablate(args) -> int:
     groups = [[run for run in runs if (run[0], run[1].shared_trunk) == key] for key in shapes]
     chunks = _chunks(groups, max(len(groups), min(args.workers, len(runs))))
     jobs = [[replace(cfg, variant=flags, seed=seed) for seed, flags in chunk] for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=min(args.workers, len(chunks))) as pool:
-        by_run = dict(zip([run for chunk in chunks for run in chunk],
-                          [acc for accs in pool.map(_ablate_one, jobs) for acc in accs]))
+    try:
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(chunks))) as pool:
+            by_run = dict(zip([run for chunk in chunks for run in chunk],
+                              [acc for accs in pool.map(_ablate_one, jobs) for acc in accs]))
+    except BrokenExecutor as exc:  # a worker died: no result to report
+        raise ChildProcessError(f"ablate: {exc}") from None
     results = np.reshape([by_run[key] for key in keys], (-1, len(seeds)))
 
     rows = [[name, len(seeds), float(accs.mean()), float(accs.std())]

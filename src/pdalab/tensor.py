@@ -236,14 +236,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
     # The one eager check on the tape: relu zeroes -inf and nan, so the loss would
     # not show them (without relu they reach it, and the sweep names this node).
     _ensure_finite(out, "linear")
-    mask = out > 0.0 if act == "relu" else None
-    if mask is not None:  # np.where(out > 0, out, 0.0) to the bit, in place: + 0.0
+    relu = act == "relu"
+    if relu:  # np.where(out > 0, out, 0.0) to the bit, in place: + 0.0
         out += 0.0  # turns -0.0 into 0.0, so np.maximum meets no tie of signed zeros
         np.maximum(out, 0.0, out=out)
 
     def bw(g):
-        if mask is not None:
-            g = g * mask
+        if relu:  # positive exactly where the product was; no node writes into out
+            g = g * (out > 0.0)
         grads = [(b, np.add.reduce(g, -2)), (w, x_data.swapaxes(-1, -2) @ g)]
         if x.requires_grad:
             w_t, one = w_data.swapaxes(-1, -2), w_data.shape[-1] == 1

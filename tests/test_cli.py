@@ -419,6 +419,25 @@ class TestAblate:
                      "--seeds", seeds, "--workers", workers]) == 0
         assert sizes == [size]
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers inherit the patched module only when forked")
+    def test_a_worker_that_dies_is_one_error_line(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr("pdalab.cli._ablate_one", _die)
+        cfg = write_config(tmp_path / "c.yaml")
+        assert main(["ablate", "--config", str(cfg), "--seeds", "1", "--workers", "2",
+                     "--out", str(tmp_path / "o")]) == 1
+        captured = capfd.readouterr()
+        assert captured.err.startswith("error: ablate: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+
+def _die(jobs):
+    """A pool worker that ends its process without a result."""
+    import os
+
+    os._exit(3)
+
 
 class _InProcessPool:
     """A stand-in for ``ProcessPoolExecutor`` that runs every job in this process."""
