@@ -99,8 +99,8 @@ def delta_bar(target_preds):
 
 def type1_error(target_preds, shared_classes):
     """Fraction of rows whose argmax falls outside the shared class set."""
-    labels = as_pred_matrix(target_preds).argmax(axis=-1)
-    return np.mean(~in_classes(labels, shared_classes), axis=-1)
+    predicted = as_pred_matrix(target_preds).argmax(axis=-1)
+    return np.mean(~in_classes(predicted, shared_classes), axis=-1)
 
 
 def restricted_argmax(preds, shared_classes) -> np.ndarray:

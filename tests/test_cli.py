@@ -1,6 +1,7 @@
 import errno
 import json
 import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -434,8 +435,6 @@ class TestAblate:
 
 def _die(jobs):
     """A pool worker that ends its process without a result."""
-    import os
-
     os._exit(3)
 
 
