@@ -240,20 +240,14 @@ def check_bound(target_preds, oracle: OracleContext, source_preds, source_labels
     """Every bound term: the asserted :func:`intermediate_terms` plus the
     reported source-side error and divergence proxy.
 
-    The source-side terms are evaluated on the source rows whose labels
-    lie in the shared classes; the others are dropped here, so callers
-    may pass every source row or only those.  The proxy draws its split
-    from ``rng``.  The report holds Python floats.
+    The source-side terms are evaluated on the source rows given, whose
+    labels must lie in the shared classes (:func:`shared_error` raises
+    otherwise).  The proxy draws its split from ``rng``.  The report holds
+    Python floats.
     """
     terms = {name: float(v) for name, v in intermediate_terms(target_preds, oracle, epoch).items()}
-    src_labels = np.asarray(source_labels)
-    shared_mask = in_classes(src_labels, oracle.shared_classes)
-    if not shared_mask.any():
-        raise ValueError("no source samples fall inside the shared class set")
-    p_s = as_pred_matrix(source_preds)
-    e_src = float(shared_error(p_s[shared_mask], src_labels[shared_mask], oracle.shared_classes))
-    d_proxy = estimate_hdh_divergence(np.asarray(source_features)[shared_mask],
-                                      target_features, rng)
+    e_src = float(shared_error(source_preds, source_labels, oracle.shared_classes))
+    d_proxy = estimate_hdh_divergence(source_features, target_features, rng)
     rhs_f = 2.0 * (terms["delta_bar"] + terms["e_type1"] + e_src + d_proxy)
     return BoundReport(**terms, e_src_shared=e_src, d_hdh_proxy=d_proxy,
                        rhs_full=rhs_f, epoch=epoch)

@@ -295,7 +295,9 @@ class TestCheckBound:
         source_preds = rng.dirichlet(np.ones(5), size=100)
         src_feats = rng.normal(size=(100, 6))
         tgt_feats = rng.normal(size=(60, 6))
-        return oracle, target_preds, source_preds, source_labels, src_feats, tgt_feats
+        shared = source_labels < 3  # check_bound reads the shared-class source rows alone
+        return (oracle, target_preds, source_preds[shared], source_labels[shared],
+                src_feats[shared], tgt_feats)
 
     def test_report_fields_consistent(self):
         oracle, tp, sp, sl, sf, tf = self._inputs()
@@ -324,7 +326,7 @@ class TestCheckBound:
         labels = rng.integers(0, 2, size=40)
         oracle = OracleContext((0, 1), labels)
         target_preds = np.eye(4)[labels]
-        source_labels = np.repeat(np.arange(4), 10)
+        source_labels = np.repeat(np.arange(2), 20)
         source_preds = np.eye(4)[source_labels]
         rep = check_bound(target_preds, oracle, source_preds, source_labels,
                           rng.normal(size=(40, 5)), rng.normal(size=(40, 5)),
@@ -342,13 +344,12 @@ class TestCheckBound:
                               "rhs_intermediate"}
         assert terms == {name: getattr(rep, name) for name in terms}
 
-    def test_shared_source_rows_alone_give_the_same_report(self):
+    def test_a_source_label_outside_the_shared_classes_raises(self):
         oracle, tp, sp, sl, sf, tf = self._inputs(3)
-        shared = in_classes(sl, oracle.shared_classes)
-        every_row = check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(4))
-        shared_rows = check_bound(tp, oracle, sp[shared], sl[shared], sf[shared], tf,
-                                  np.random.default_rng(4))
-        assert every_row == shared_rows
+        sl = sl.copy()
+        sl[0] = 4
+        with pytest.raises(ValueError, match="^labels must lie inside the shared class set$"):
+            check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(4))
 
     def test_violation_names_the_epoch_before_any_proxy_fit(self, monkeypatch):
         import pdalab.bound
