@@ -53,8 +53,11 @@ def _out_dir(cfg: RunConfig) -> Path:
     if cfg.out_dir is None:
         raise ValueError("an output directory is required (config out_dir or --out)")
     out = Path(cfg.out_dir)
-    if out.exists() and not out.is_dir():
-        raise ValueError(f"{out}: not a directory")
+    try:
+        if out.exists() and not out.is_dir():
+            raise ValueError(f"{out}: not a directory")
+    except OSError as exc:  # a name too long, say
+        raise ValueError(f"{out}: {exc.strerror}") from None
     return out
 
 

@@ -170,38 +170,42 @@ def write_files(files: dict) -> None:
 
     A path that is a directory is a ValueError, raised before anything is
     written; missing parent directories are created.  Each text (UTF-8, LF)
-    is staged as a temporary file beside its path, and only when all are
-    staged are they renamed into place and the None paths removed.  If staging
-    fails (an OSError is a ValueError naming the path), the temporaries and then
-    the directories made are removed, and every path keeps its earlier contents,
-    if any.  POSIX renames one file at a time: a failed rename can mix the set.
+    is staged as a temporary file beside its path, under a name as short at
+    any length of the path's, and only when all are staged are they renamed
+    into place and the None paths removed.  An OSError is a ValueError naming
+    the path.  If it comes before the first rename, the temporaries and then
+    the directories made are removed, and every path keeps its earlier
+    contents, if any.  POSIX renames one file at a time: a failed rename can
+    mix the set.
     """
     files = {Path(p): text for p, text in files.items()}
-    for path in files:
-        if path.is_dir():
-            raise ValueError(f"{path}: is a directory")
     staged, made = {}, []
     try:
+        for path in files:
+            if path.is_dir():
+                raise ValueError(f"{path}: is a directory")
         for path, text in files.items():
             if text is not None:
-                made += [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-                path.parent.mkdir(parents=True, exist_ok=True)
-                staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                for d in reversed((path.parent, *path.parent.parents)):  # outermost first
+                    if not d.is_dir():
+                        d.mkdir()
+                        made.append(d)
+                staged[path] = path.parent / f".{os.getpid()}.{len(staged)}.tmp"
                 with open(staged[path], "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(text)
+        for path, text in files.items():
+            if text is None:
+                path.unlink(missing_ok=True)
+            else:
+                os.replace(staged[path], path)
     except BaseException as exc:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
-        for directory in sorted(made, reverse=True):  # a directory sorts after its parent
+        for directory in reversed(made):
             directory.rmdir()
         if isinstance(exc, OSError):
             raise ValueError(f"{path}: {exc.strerror}") from None
         raise
-    for path, text in files.items():
-        if text is None:
-            path.unlink(missing_ok=True)
-        else:
-            os.replace(staged[path], path)
 
 
 def csv_text(header, rows) -> str:

@@ -1262,6 +1262,36 @@ class TestOutputSets:
                                           "No space left on device\n")
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_name_at_the_limit_is_written(self, tmp_path, command):
+        argv, names = _OUTPUT_SETS[command](tmp_path)
+        out = tmp_path / "new" / ("n" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        argv[argv.index("--out") + 1] = str(out)
+        assert main(argv) == 0
+        written = [out / name for name in names] if command == "train" else [out]
+        assert sorted((tmp_path / "new").rglob("*")) == sorted({out, *written})
+
+    @pytest.mark.parametrize("command, file", [("train", "effective_config.yaml"),
+                                               ("eval", "")])
+    def test_a_name_over_the_limit_in_a_new_directory_is_one_error_line(
+            self, tmp_path, capfd, command, file):
+        argv, _ = _OUTPUT_SETS[command](tmp_path)
+        out = tmp_path / "new" / ("n" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+        argv[argv.index("--out") + 1] = str(out)
+        before = _snapshot(tmp_path)
+        capfd.readouterr()
+        assert main(argv) == 1
+        assert capfd.readouterr() == ("", f"error: {out / file}: File name too long\n")
+        assert _snapshot(tmp_path) == before
+
+    def test_an_out_over_the_limit_fails_before_any_work(self, tmp_path, capfd, monkeypatch):
+        argv, _ = _set_train(tmp_path)
+        out = tmp_path / ("n" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+        argv[argv.index("--out") + 1] = str(out)
+        monkeypatch.setattr("pdalab.cli._load_data", None)
+        assert main(argv) == 1
+        assert capfd.readouterr() == ("", f"error: {out}: File name too long\n")
+
 
 def _bad_config(message, command="train", **overrides):
     def setup(tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import errno
 import json
+import os
 import re
 from pathlib import Path
 
@@ -162,6 +163,12 @@ class TestAtomicWrite:
         write_files({path: "x\n"})
         assert path.read_text() == "x\n"
         assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
+
+    def test_a_name_at_the_limit_is_written(self, tmp_path):
+        path = tmp_path / ("d" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        write_files({path: "x\n"})
+        assert path.read_text() == "x\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_a_directory_is_rejected_before_anything_is_written(self, tmp_path):
         target = tmp_path / "d"
