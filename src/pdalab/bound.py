@@ -153,7 +153,7 @@ def _fit_logistic(x, y):
     return theta[:-1], theta[-1]
 
 
-def proxy_test_rows(n: int, what: str = "rows") -> int:
+def proxy_test_rows(n: int, what: str) -> int:
     """Held-out rows of ``n`` in the divergence proxy's train/test split.
 
     Raises ValueError unless both parts of the split are nonempty.
