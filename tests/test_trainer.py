@@ -721,32 +721,39 @@ class TestStackedRuns:
 
 
 class TestStackedAudit:
-    def test_one_audit_call_per_epoch_for_all_slices(self, monkeypatch):
+    @pytest.mark.parametrize("k", [5, 31])
+    def test_one_audit_call_per_epoch_for_all_slices(self, monkeypatch, k):
         """Without the full audit, a three-slice program asserts the inequality in
         one call per snapshot; each slice's weights and accuracy are the bits of
-        the 2-d calls on its own predictions."""
+        the 2-d calls on its own predictions, also at K = 31, where a sum over
+        the class axis crosses numpy's 8-element pairwise block."""
         import pdalab.trainer
         from pdalab.selection import class_transferable_probability
         from pdalab.trainer import _score
 
-        source, target, oracle = tiny_problem(seed=15)
+        if k == 5:
+            (source, target, oracle), sched, seed = tiny_problem(seed=15), small_sched(), 0
+        else:  # the data and schedule of TestStackedRunsAt31Classes
+            source, target, oracle = generate_toy(SyntheticSpec(
+                num_source_classes=31, shared_classes=tuple(range(10)), samples_per_class=11,
+                seed=3))
+            sched, seed = small_sched(total_epochs=6, warmup_epochs=2, batch_size=32, eta0=0.2), 3
         rows = _network_rows(())[0][2:]
-        sched = small_sched()
         stacks, audits = [], []
         terms = pdalab.trainer.intermediate_terms
         monkeypatch.setattr(pdalab.trainer, "class_transferable_probability",
                             lambda p: stacks.append(p.copy()) or class_transferable_probability(p))
         monkeypatch.setattr(pdalab.trainer, "intermediate_terms",
                             lambda p, *args: audits.append(p.shape) or terms(p, *args))
-        results = run_experiments(source, target, oracle, ArchSpec(in_dim=2, num_classes=5),
-                                  rows, sched, 0, full_audit=False)
-        assert audits == [(3, len(target), 5)] * (sched.total_epochs + 1)
+        results = run_experiments(source, target, oracle, ArchSpec(in_dim=2, num_classes=k),
+                                  rows, sched, seed, full_audit=False)
+        assert audits == [(3, len(target), k)] * (sched.total_epochs + 1)
         assert len(stacks) == sched.total_epochs + 1
         for preds, *records in zip(stacks, *(result.records for result in results)):
             for p, record in zip(preds, records, strict=True):
                 assert np.array(record.class_weights).tobytes() == \
                     class_transferable_probability(p).tobytes()
-                accuracy = _score(p, oracle.target_labels, 5)[0]
+                accuracy = _score(p, oracle.target_labels, k)[0]
                 assert np.float64(record.target_accuracy).tobytes() == \
                     np.float64(accuracy).tobytes()
 
