@@ -170,11 +170,11 @@ def write_files(files: dict) -> None:
 
     A path that is a directory is a ValueError, raised before anything is
     written; missing parent directories are created.  Each text (UTF-8, LF)
-    is staged as a temporary file beside its path, under a name as short at
-    any length of the path's, and only when all are staged are they renamed
-    into place and the None paths removed.  An OSError is a ValueError naming
-    the path.  If it comes before the first rename, the temporaries and then
-    the directories made are removed, and every path keeps its earlier
+    is staged as a temporary file beside its path, under a short name that
+    does not grow with the path's, and only when all are staged are they
+    renamed into place and the None paths removed.  An OSError is a ValueError
+    naming the path.  If it comes before the first rename, the temporaries and
+    then the directories made are removed, and every path keeps its earlier
     contents, if any.  POSIX renames one file at a time: a failed rename can
     mix the set.
     """
