@@ -16,6 +16,7 @@ reads every input file, and :func:`load_json` a JSON one, where
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -202,7 +203,8 @@ def write_files(files: dict) -> None:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
         for directory in reversed(made):
-            directory.rmdir()
+            with contextlib.suppress(OSError):  # one that a rename filled stays
+                directory.rmdir()
         if isinstance(exc, OSError):
             raise ValueError(f"{path}: {exc.strerror}") from None
         raise

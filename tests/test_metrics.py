@@ -225,6 +225,25 @@ class TestWriteFiles:
             write_files({a: "new\n", b: None, c: "new\n", tmp_path / "d.txt": "new\n"})
         assert {p: (p.read_bytes(), p.stat().st_ino) for p in tmp_path.iterdir()} == before
 
+    def test_a_failed_later_rename_is_the_error_and_keeps_what_it_renamed(self, tmp_path,
+                                                                           monkeypatch):
+        """Past the first rename the set is mixed: the file already renamed and
+        its new directory stay, no temporary does, and the rename's own error
+        is the one reported."""
+        replace = os.replace
+
+        def fail_at_b(src, dst):
+            if Path(dst).name == "b.txt":
+                raise OSError(errno.EIO, "Input/output error", str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr("pdalab.metrics.os.replace", fail_at_b)
+        new = tmp_path / "new"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(new / 'b.txt'))}: "
+                                             "Input/output error$"):
+            write_files({new / "a.txt": "a\n", new / "b.txt": "b\n"})
+        assert sorted(tmp_path.rglob("*")) == [new, new / "a.txt"]
+
     def test_is_the_only_code_that_writes_files(self):
         found = {}
         for path in sorted(Path(pdalab.__file__).parent.glob("*.py")):
