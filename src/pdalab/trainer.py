@@ -297,7 +297,7 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
     """Full training runs, one per flags, with one metrics record per epoch
     (plus epoch 0) each.  The runs share ``seed`` and a network shape, so they
     train from one draw on the same batches as the slices of one program, each
-    bit-equal to its run alone; if it fails, each run trains alone.
+    bit-equal to its run alone.
 
     Oracle-dependent fields (accuracy, bound report, confusion matrix)
     are None when no oracle labels are available.  With an oracle, every
@@ -380,13 +380,8 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
                 _mean_breakdown(b) for b in (zip(*breakdowns) if n > 1 else [breakdowns])])
             epoch_seconds.append(time.perf_counter() - t0)
             runs.append(records)
-    except Exception as exc:
-        if n > 1:
-            return [run_experiment(source, target, oracle, arch, flags, sched, seed, full_audit)
-                    for flags in flags_seq]
-        if isinstance(exc, FloatingPointError):
-            raise FloatingPointError(f"{where}: {exc}") from None
-        raise
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{where}: {exc}") from None
 
     # The last snapshot's predictions are the final models'.
     return [ExperimentResult(

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from dataclasses import fields, replace
 
 import numpy as np
@@ -718,6 +719,49 @@ class TestStackedRuns:
         with pytest.raises(ValueError, match="^stacked runs must share one network shape$"):
             run_experiments(source, target, oracle, ArchSpec(in_dim=2, num_classes=5),
                             [PRESETS["san_pp"], PRESETS["dann"]], small_sched(), 0)
+
+
+class TestStackedFailure:
+    """An error that only a stacked program raises comes out as itself: no
+    run of the program trains again alone."""
+
+    @staticmethod
+    def _fail_when_stacked(monkeypatch):
+        import pdalab.trainer
+
+        real = pdalab.trainer.train_epoch
+
+        def train_epoch(bundle, opt, source, target, w, pseudo, flags, *args):
+            if not isinstance(flags, VariantFlags):  # a program of more than one slice
+                raise FloatingPointError("non-finite values produced by 'linear'")
+            return real(bundle, opt, source, target, w, pseudo, flags, *args)
+
+        monkeypatch.setattr(pdalab.trainer, "train_epoch", train_epoch)
+
+    def test_comes_out_of_run_experiments(self, monkeypatch):
+        self._fail_when_stacked(monkeypatch)
+        source, target, oracle = tiny_problem()
+        arch, rows = ArchSpec(in_dim=2, num_classes=5), [PRESETS["source_only"], PRESETS["san_pp"]]
+        for flags in rows:
+            run_experiment(source, target, oracle, arch, flags, small_sched(), 0)
+        with pytest.raises(FloatingPointError,
+                           match="^epoch 1: non-finite values produced by 'linear'$"):
+            run_experiments(source, target, oracle, arch, rows, small_sched(), 0)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers inherit the patched module only when forked")
+    def test_is_one_ablate_error_line(self, tmp_path, capfd, monkeypatch):
+        from pdalab.cli import main
+
+        self._fail_when_stacked(monkeypatch)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("data:\n  synthetic: {samples_per_class: 12, seed: 1}\n"
+                       "schedule: {total_epochs: 2, warmup_epochs: 1, batch_size: 8}\n")
+        assert main(["ablate", "--config", str(cfg), "--seeds", "1", "--workers", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capfd.readouterr() == (
+            "", "error: data.synthetic: epoch 1: non-finite values produced by 'linear'\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestStackedAudit:
