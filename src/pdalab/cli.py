@@ -55,10 +55,10 @@ def _out_dir(cfg: RunConfig) -> Path:
         raise ValueError("an output directory is required (config out_dir or --out)")
     out = Path(cfg.out_dir)
     try:
-        if out.exists() and not out.is_dir():
-            raise ValueError(f"{out}: not a directory")
         path = out.absolute()  # exists() stops at a missing directory before a long name
         base = next(p for p in (path, *path.parents) if p.exists())
+        if not base.is_dir():  # --out itself, or a file above it
+            raise ValueError(f"{out}: not a directory")
         if any(len(os.fsencode(name)) > os.pathconf(base, "PC_NAME_MAX")
                for name in path.relative_to(base).parts):
             raise ValueError(f"{out}: File name too long")

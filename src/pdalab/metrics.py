@@ -189,6 +189,8 @@ def write_files(files: dict) -> None:
             if text is not None:
                 for d in reversed((path.parent, *path.parent.parents)):  # outermost first
                     if not d.is_dir():
+                        if d.exists():  # a file where a directory goes
+                            raise ValueError(f"{path}: Not a directory")
                         d.mkdir()
                         made.append(d)
                 staged[path] = path.parent / f".{os.getpid()}.{len(staged)}.tmp"

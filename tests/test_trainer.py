@@ -701,9 +701,9 @@ class TestStackedRuns:
                     assert np.array_equal(result.confusion, solo.confusion)
 
     def test_a_failing_slice_fails_as_its_solo_run(self, monkeypatch):
-        """A slice whose values go non-finite ends the stacked program; the
-        runs then train alone, so the error names the epoch and step at which
-        the first failing run fails alone."""
+        """A slice whose values go non-finite ends the stacked program at the
+        failing step, and the program's message, which names the epoch and
+        step, equals the one the failing run gives alone."""
         source, target, oracle = tiny_problem(seed=16)
         arch = ArchSpec(in_dim=2, num_classes=5)
         sched = small_sched(eta0=1.0e+300)

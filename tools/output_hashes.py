@@ -10,17 +10,18 @@ temporary directory, one at a time, with one BLAS thread:
   instance_class_self_private, each with ``disc_hidden`` [] and [16]:
   ``metrics.jsonl``, ``model.json``, ``confusion.csv``,
   ``effective_config.yaml`` and stdout;
-- ``ablate --seeds 1|2|5 --workers 1|2`` with ``disc_hidden`` [] and [16]:
-  ``ablation.csv`` and stdout;
+- ``ablate --seeds 1|2|5 --workers 1|2|3`` with ``disc_hidden`` [] and [16]:
+  ``ablation.csv`` and stdout (three workers cut one seed's five default-arch
+  runs 2:2:1);
 - ``generate-data`` (its three files and stdout), ``train`` on its CSVs,
   ``eval --out`` and ``bound-trace``, to stdout and with ``--out``.
 
-That is 88 files.  ``run_log.txt`` holds wall-clock times and is left out.
+That is 100 files.  ``run_log.txt`` holds wall-clock times and is left out.
 Each line is ``<sha256>  <name>``, hashed after every occurrence of the
 temporary directory is replaced by ``<out>``, so two trees compare with
 ``diff`` of their outputs.  With ``--against``, the set runs for both
 trees, one after the other, and only the names whose digests differ are
-printed, with exit code 1; if none differ, one ``88 identical`` line is
+printed, with exit code 1; if none differ, one ``100 identical`` line is
 printed and the exit code is 0.  A command that fails stops the script with
 its stderr and exit code 1.
 """
@@ -74,7 +75,7 @@ def output_digests(src: Path) -> dict[str, str]:
                 run(name, ["train", "--config", cfg, "--out", str(work / name)],
                     [work / name / f for f in TRAIN_FILES])
             for seeds in (1, 2, 5):
-                for workers in (1, 2):
+                for workers in (1, 2, 3):
                     name = f"ablate-seeds{seeds}-workers{workers}-disc{hidden}"
                     cfg = config(name, f"seed: 3\narch:\n  disc_hidden: {hidden}\n")
                     run(name, ["ablate", "--config", cfg, "--out", str(work / name),
