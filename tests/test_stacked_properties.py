@@ -28,7 +28,7 @@ def _flags(draw, single: bool, shared_trunk: bool) -> VariantFlags:
                         shared_trunk=shared_trunk, adversary=adversary)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), k=st.sampled_from([2, 5, 9]), per_class=st.integers(5, 10),
        disc_hidden=st.sampled_from([(), (3,), (6,)]), epochs=st.integers(2, 3),
        full_audit=st.booleans(), seed=st.integers(0, 3))
