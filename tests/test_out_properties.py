@@ -61,7 +61,7 @@ def _out_path(root, kinds, limit):
         if made == i and kind in ("dir", "file") and (i == 0 or kinds[i - 1] == "dir"):
             out.mkdir() if kind == "dir" else out.write_text("kept\n")
             made += 1
-    under_file = made and kinds[made - 1] == "file"  # the first existing ancestor
+    under_file = made > 0 and kinds[made - 1] == "file"  # the first existing ancestor
     too_long = "File name too long" if "over_limit" in kinds else None
     as_dir = "not a directory" if under_file else too_long
     as_file = "is a directory" if made == len(kinds) and kinds[-1] == "dir" \
@@ -87,7 +87,8 @@ def test_an_out_writes_its_whole_set_or_is_one_error_line(inputs, tmp_path_facto
     before, runs = _tree(root), []
     real = pdalab.cli.run_experiments
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pdalab.cli, "ProcessPoolExecutor", ThreadPoolExecutor)  # runs seen here
+        # ablate trains in this process, where the patch below sees its runs
+        mp.setattr(pdalab.cli, "ProcessPoolExecutor", ThreadPoolExecutor)
         mp.setattr(pdalab.cli, "run_experiments", lambda *a: runs.append(a) or real(*a))
         capsys.readouterr()
         code = main(_argv(command, inputs, out))
