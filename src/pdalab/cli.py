@@ -9,7 +9,6 @@ never into the metrics stream.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import replace
@@ -20,13 +19,14 @@ import numpy as np
 from .bound import BoundViolationError, check_intermediate
 from .config import RunConfig, _parse_variant, dump_config, load_config
 from .data import (
+    DATASET_FILES,
     SyntheticSpec,
     generate_toy,
     load_experiment_data,
     load_target_data,
     save_experiment_data,
 )
-from .metrics import csv_text, metrics_text, read_metrics, write_files
+from .metrics import check_writable, csv_text, metrics_text, read_metrics, write_files
 from .nets import load_model, model_text
 from .rngstreams import substream_seed
 from .trainer import ABLATION_VARIANTS, evaluate, network_flags, run_experiments
@@ -34,6 +34,9 @@ from .trainer import ABLATION_VARIANTS, evaluate, network_flags, run_experiments
 # Column order of the bound-trace table; fixed format contract.
 BOUND_TRACE_COLUMNS = ("epoch", "w_error_l1", "delta_bar", "e_type1",
                        "e_src_shared", "d_hdh_proxy", "rhs_full")
+# train's output set, in the order of cmd_train's texts.
+TRAIN_FILES = ("effective_config.yaml", "metrics.jsonl", "model.json", "confusion.csv",
+               "run_log.txt")
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -49,22 +52,12 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    """The output directory, not yet created."""
+def _out_dir(cfg: RunConfig, names) -> Path:
+    """The output directory, not yet created, where each file of ``names`` can be written."""
     if cfg.out_dir is None:
         raise ValueError("an output directory is required (config out_dir or --out)")
-    out = Path(cfg.out_dir)
-    try:
-        path = out.absolute()  # exists() stops at a missing directory before a long name
-        base = next(p for p in (path, *path.parents) if p.exists())
-        if not base.is_dir():  # --out itself, or a file above it
-            raise ValueError(f"{out}: not a directory")
-        if any(len(os.fsencode(name)) > os.pathconf(base, "PC_NAME_MAX")
-               for name in path.relative_to(base).parts):
-            raise ValueError(f"{out}: File name too long")
-    except OSError as exc:  # a name too long, say
-        raise ValueError(f"{out}: {exc.strerror}") from None
-    return out
+    check_writable(Path(cfg.out_dir) / name for name in names)
+    return Path(cfg.out_dir)
 
 
 def _load_data(cfg: RunConfig):
@@ -110,7 +103,7 @@ def cmd_generate_data(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if not isinstance(cfg.data, SyntheticSpec):
         raise ValueError(f"{args.config}: data: generate-data requires a synthetic data section")
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, DATASET_FILES.values())
     source, target, oracle, k, _ = _load_data(cfg)
     paths = save_experiment_data(out, source, target, oracle, k)
     print(f"wrote {paths['source']} ({len(source)} rows), "
@@ -120,19 +113,17 @@ def cmd_generate_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, TRAIN_FILES)
     source, target, oracle, k, resolved_data = _load_data(cfg)
     [result] = _train(cfg, source, target, oracle, k, [cfg.flags()], True)
 
     effective = replace(cfg, data=resolved_data, out_dir=str(out))
-    write_files({out / "effective_config.yaml": dump_config(effective),
-                 out / "metrics.jsonl": metrics_text(result.records),
-                 out / "model.json": model_text(result.bundle),
-                 # None removes an earlier run's matrix from a reused --out
-                 out / "confusion.csv": None if result.confusion is None
-                     else _confusion_text(result.confusion),
-                 out / "run_log.txt": f"epochs: {len(result.records) - 1}\n"
-                     f"total_train_seconds: {sum(result.epoch_seconds):.3f}\n"})
+    texts = [  # None removes an earlier run's confusion.csv from a reused --out
+        dump_config(effective), metrics_text(result.records), model_text(result.bundle),
+        None if result.confusion is None else _confusion_text(result.confusion),
+        f"epochs: {len(result.records) - 1}\n"
+        f"total_train_seconds: {sum(result.epoch_seconds):.3f}\n"]
+    write_files({out / name: text for name, text in zip(TRAIN_FILES, texts, strict=True)})
 
     final = result.records[-1]
     acc = "n/a" if final.target_accuracy is None else f"{final.target_accuracy:.4f}"
@@ -195,7 +186,8 @@ def cmd_ablate(args) -> int:
     shape are cut into ``max(groups, min(workers, runs))`` chunks, one per job.
     """
     cfg = _apply_overrides(load_config(args.config), args)
-    out = None if cfg.out_dir is None else _out_dir(cfg)
+    table = None if cfg.out_dir is None else Path(cfg.out_dir) / "ablation.csv"
+    check_writable([table] if table else [])
     seeds = [cfg.seed + i for i in range(args.seeds)]
     keys = [(seed, network_flags(flags, cfg.arch))
             for flags in ABLATION_VARIANTS.values() for seed in seeds]
@@ -216,10 +208,9 @@ def cmd_ablate(args) -> int:
             for name, accs in zip(ABLATION_VARIANTS, results)]
     report = [f"{'variant':30s} {'mean':>8s} {'std':>8s}",
               *(f"{name:30s} {mean:8.4f} {std:8.4f}" for name, _, mean, std in rows)]
-    if out is not None:  # nothing is printed before the table is written
-        write_files({out / "ablation.csv": csv_text(
-            ["variant", "seeds", "mean_accuracy", "std_accuracy"], rows)})
-        report.append(f"wrote {out / 'ablation.csv'}")
+    if table:  # nothing is printed before the table is written
+        write_files({table: csv_text(["variant", "seeds", "mean_accuracy", "std_accuracy"], rows)})
+        report.append(f"wrote {table}")
     print("\n".join(report))
     return 0
 

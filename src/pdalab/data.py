@@ -34,6 +34,8 @@ from .metrics import csv_text, from_plain, load_json, read_text, to_plain, write
 # source cluster (adaptation is feasible).
 DEFAULT_MEAN_RADIUS = 1.7
 DEFAULT_MEAN_PHASE = 0.4 * math.pi
+# The files of a dataset directory, by role.
+DATASET_FILES = {"source": "source.csv", "target": "target.csv", "metadata": "metadata.json"}
 
 
 @dataclass
@@ -229,10 +231,8 @@ def load_metadata(path) -> Metadata:
 
 def save_experiment_data(out_dir, source: Dataset, target: Dataset,
                          oracle: OracleContext, num_source_classes: int) -> dict:
-    """Write source.csv / target.csv / metadata.json; returns the paths."""
-    out = Path(out_dir)
-    paths = {"source": out / "source.csv", "target": out / "target.csv",
-             "metadata": out / "metadata.json"}
+    """Write the :data:`DATASET_FILES` into ``out_dir``; returns their paths by role."""
+    paths = {role: Path(out_dir) / name for role, name in DATASET_FILES.items()}
     write_files({paths["source"]: dataset_csv_text(source, 1),
                  paths["target"]: dataset_csv_text(Dataset(target.x, oracle.target_labels), 0),
                  paths["metadata"]: metadata_text(num_source_classes, oracle.shared_classes,

@@ -6,18 +6,18 @@ round-trip precision (Python repr), so a parse -> serialize cycle is
 lossless.  Wall-clock timing is deliberately not serialized: metrics
 files must be byte-identical across reruns of the same (config, seed).
 
-:func:`to_plain` and :func:`from_plain` are the one serializer and the
-one reader of every document pdalab reads or writes; :func:`read_text`
-reads every input file, and :func:`load_json` a JSON one, where
-:func:`unique_keys` rejects a repeated key;
-:func:`write_files` writes every command's output files as one set and
-:func:`csv_text` serializes every CSV table.
+:func:`to_plain` and :func:`from_plain` are the one serializer and reader
+of every document; :func:`read_text` reads every input file, :func:`load_json`
+a JSON one (:func:`unique_keys` rejects a repeated key); :func:`check_writable`
+checks every output path, :func:`write_files` writes each command's output
+files as one set and :func:`csv_text` serializes every CSV table.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -165,11 +165,26 @@ def same_major(version, supported: str) -> bool:
     return str(version).split(".")[0] == supported.split(".")[0]
 
 
+def check_writable(paths) -> None:
+    """Raises a ValueError naming the first path at fault, in the system's
+    words, unless a file can be written at each of ``paths``: its nearest
+    existing ancestor (by lstat, so a symlink counts) is a directory, each
+    name below it fits the ancestor's ``NAME_MAX``, and the path is no directory."""
+    for path in map(Path, paths):
+        base = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        names = path.relative_to(base).parts
+        if base.is_dir() != bool(names):  # a non-directory above the path, or a directory at it
+            raise ValueError(f"{base}: {os.strerror(errno.ENOTDIR if names else errno.EISDIR)}")
+        for i, name in enumerate(names, 1):
+            if len(os.fsencode(name)) > os.pathconf(base, "PC_NAME_MAX"):
+                raise ValueError(f"{base.joinpath(*names[:i])}: {os.strerror(errno.ENAMETOOLONG)}")
+
+
 def write_files(files: dict) -> None:
     """Commit ``files``, a dict from path to text, as one set; a None text
     removes its path.
 
-    A path that is a directory is a ValueError, raised before anything is
+    Every path is checked by :func:`check_writable` before anything is
     written; missing parent directories are created.  Each text (UTF-8, LF)
     is staged as a temporary file beside its path, under a short name that
     does not grow with the path's, and only when all are staged are they
@@ -180,19 +195,13 @@ def write_files(files: dict) -> None:
     mix the set.
     """
     files = {Path(p): text for p, text in files.items()}
+    check_writable(files)
     staged, made = {}, []
     try:
-        for path in files:
-            if path.is_dir():
-                raise ValueError(f"{path}: is a directory")
         for path, text in files.items():
             if text is not None:
-                for d in reversed((path.parent, *path.parent.parents)):  # outermost first
-                    if not d.is_dir():
-                        if d.exists():  # a file where a directory goes
-                            raise ValueError(f"{path}: Not a directory")
-                        d.mkdir()
-                        made.append(d)
+                made += reversed([d for d in (path.parent, *path.parent.parents) if not d.is_dir()])
+                path.parent.mkdir(parents=True, exist_ok=True)
                 staged[path] = path.parent / f".{os.getpid()}.{len(staged)}.tmp"
                 with open(staged[path], "w", encoding="utf-8", newline="\n") as fh:
                     fh.write(text)

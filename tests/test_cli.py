@@ -1116,7 +1116,7 @@ class TestOutIsAFile:
         args = ["--seeds", "1"] if command == "ablate" else []
         assert main([command, "--config", str(write_config(tmp_path / "c.yaml")),
                      "--out", str(afile), *args]) == 1
-        assert capsys.readouterr() == ("", f"error: {afile}: not a directory\n")
+        assert capsys.readouterr() == ("", f"error: {afile}: Not a directory\n")
         assert afile.read_text() == "kept\n"
 
 
@@ -1133,7 +1133,7 @@ class TestOutIsADirectory:
         directory.mkdir()
         capsys.readouterr()
         assert main(argv[command] + ["--out", str(directory)]) == 1
-        assert capsys.readouterr() == ("", f"error: {directory}: is a directory\n")
+        assert capsys.readouterr() == ("", f"error: {directory}: Is a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "d", "data", "run"]
         assert not any(directory.iterdir())
 
@@ -1202,7 +1202,7 @@ class TestOutputSets:
         blocked.mkdir(parents=True)
         capfd.readouterr()
         assert main(argv) == 1
-        assert capfd.readouterr() == ("", f"error: {blocked}: is a directory\n")
+        assert capfd.readouterr() == ("", f"error: {blocked}: Is a directory\n")
         assert list((tmp_path / "o").rglob("*")) == [blocked]
 
     @pytest.mark.parametrize("command", _OUTPUT_SETS)
@@ -1218,7 +1218,7 @@ class TestOutputSets:
             before = _snapshot(out)
             capfd.readouterr()
             assert main(argv) == 1
-            assert capfd.readouterr() == ("", f"error: {out / name}: is a directory\n")
+            assert capfd.readouterr() == ("", f"error: {out / name}: Is a directory\n")
             assert _snapshot(out) == before
             (out / name).rmdir()
             (out / name).write_bytes(earlier)

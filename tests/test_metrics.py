@@ -173,7 +173,7 @@ class TestAtomicWrite:
     def test_a_directory_is_rejected_before_anything_is_written(self, tmp_path):
         target = tmp_path / "d"
         target.mkdir()
-        with pytest.raises(ValueError, match=f"^{re.escape(str(target))}: is a directory$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(target))}: Is a directory$"):
             write_files({target: "x\n"})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
         assert not any(target.iterdir())
@@ -199,7 +199,7 @@ class TestWriteFiles:
         b.unlink()
         b.mkdir()
         before[b] = None
-        with pytest.raises(ValueError, match=f"^{re.escape(str(b))}: is a directory$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(b))}: Is a directory$"):
             write_files({a: "new\n", c: None, b: "new\n"})
         assert {p: None if p.is_dir() else (p.read_bytes(), p.stat().st_ino)
                 for p in tmp_path.iterdir()} == before

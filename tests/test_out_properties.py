@@ -1,7 +1,7 @@
 """Every ``--out``, whatever its path's shape, either writes the command's
 whole output set (exit 0) or is one ``error:`` line (exit 1) that leaves no
-new directory and no temporary; ``train`` and ``ablate`` fail such a path
-before any run starts."""
+new directory and no temporary; ``train``, ``ablate`` and ``generate-data``
+fail such a path before they load any data."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,9 +23,12 @@ _DIR_SETS = {"train": ["effective_config.yaml", "metrics.jsonl", "model.json", "
                        "run_log.txt"],
              "ablate": ["ablation.csv"],
              "generate-data": ["source.csv", "target.csv", "metadata.json"]}
-# An --out component: an existing directory or regular file, a missing name, or
-# a missing name of NAME_MAX bytes or one byte more.
-_KINDS = ("dir", "file", "missing", "at_limit", "over_limit")
+# An --out component: an existing directory or regular file, a missing name,
+# a missing name of NAME_MAX bytes or one byte more, or a symlink that dangles,
+# loops on itself or points to a directory.
+_KINDS = ("dir", "file", "missing", "at_limit", "over_limit", "dangling", "loop", "link_dir")
+_DIRS = ("dir", "link_dir")  # the kinds that can hold a file
+_MISSING = ("missing", "at_limit", "over_limit")
 
 
 @pytest.fixture(scope="module")
@@ -50,23 +53,37 @@ def _argv(command, inputs, out):
     return args + ["--out", str(out)]
 
 
-def _out_path(root, kinds, limit):
-    """``root`` joined with one name per kind, each made as its kind says
-    while the names before it are directories, and the error that ``--out``
-    as a directory and as a file is expected to give, or None."""
-    out, made = root, 0  # the leading names that exist
-    for i, kind in enumerate(kinds):
-        out = out / {"at_limit": "a" * limit, "over_limit": "o" * (limit + 1)}.get(
-            kind, f"{kind}{i}")
-        if made == i and kind in ("dir", "file") and (i == 0 or kinds[i - 1] == "dir"):
-            out.mkdir() if kind == "dir" else out.write_text("kept\n")
-            made += 1
-    under_file = made > 0 and kinds[made - 1] == "file"  # the first existing ancestor
-    too_long = "File name too long" if "over_limit" in kinds else None
-    as_dir = "not a directory" if under_file else too_long
-    as_file = "is a directory" if made == len(kinds) and kinds[-1] == "dir" \
-        else "Not a directory" if under_file and made < len(kinds) else too_long
-    return out, as_dir, as_file
+def _make(root, kinds, names):
+    """Makes ``root / names[0] / names[1] / ...``, each name as its kind says
+    while the names before it are directories.  Returns how many names exist."""
+    path, made = root, 0
+    for i, (kind, name) in enumerate(zip(kinds, names)):
+        path = path / name
+        if made < i or (i and kinds[i - 1] not in _DIRS) or kind in _MISSING:
+            continue
+        if kind == "dir":
+            path.mkdir()
+        elif kind == "file":
+            path.write_text("kept\n")
+        elif kind == "link_dir":
+            (root / f"linked{i}").mkdir()
+            path.symlink_to(root / f"linked{i}")
+        else:  # a link to a missing name, or to itself
+            path.symlink_to(root / "nowhere" if kind == "dangling" else path)
+        made += 1
+    return made
+
+
+def _expected(root, kinds, names, made):
+    """The error that writing a file at ``root / names[0] / ...`` is expected
+    to give, where the first ``made`` names exist, or None."""
+    if made == len(kinds):
+        return f"{root.joinpath(*names)}: Is a directory" if kinds[-1] in _DIRS else None
+    if made and kinds[made - 1] not in _DIRS:
+        return f"{root.joinpath(*names[:made])}: Not a directory"
+    if "over_limit" in kinds:
+        return f"{root.joinpath(*names[:kinds.index('over_limit') + 1])}: File name too long"
+    return None
 
 
 def _tree(root):
@@ -76,20 +93,37 @@ def _tree(root):
 @pytest.mark.parametrize("command", [*_DIR_SETS, "eval", "bound-trace"])
 @settings(max_examples=15, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3))
-@example(kinds=["file", "missing"])
-@example(kinds=["dir", "at_limit"])
+@given(kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3),
+       blocked=st.none() | st.integers(0, 4))
+@example(kinds=["file", "missing"], blocked=None)
+@example(kinds=["dir", "at_limit"], blocked=None)
+@example(kinds=["dangling"], blocked=None)
+@example(kinds=["loop", "missing"], blocked=None)
+@example(kinds=["link_dir"], blocked=None)
+@example(kinds=["dir"], blocked=1)
 def test_an_out_writes_its_whole_set_or_is_one_error_line(inputs, tmp_path_factory, capsys,
-                                                          command, kinds):
+                                                          command, kinds, blocked):
+    """``blocked`` picks a file of a directory command's set to exist as a
+    directory, when ``--out`` is one."""
     root = tmp_path_factory.mktemp("out")
-    out, as_dir, as_file = _out_path(root, kinds, os.pathconf(root, "PC_NAME_MAX"))
-    expected = as_dir if command in _DIR_SETS else as_file
+    limit = os.pathconf(root, "PC_NAME_MAX")
+    names = [{"at_limit": "a" * limit, "over_limit": "o" * (limit + 1)}.get(kind, f"{kind}{i}")
+             for i, kind in enumerate(kinds)]
+    out = root.joinpath(*names)
+    # The path of the file that fails first: a directory command's files all
+    # fail alike, but for one that exists as a directory.
+    if command in _DIR_SETS:
+        files = _DIR_SETS[command]
+        kinds = kinds + ["missing" if blocked is None else "dir"]
+        names = names + [files[0 if blocked is None else blocked % len(files)]]
+    expected = _expected(root, kinds, names, _make(root, kinds, names))
     before, runs = _tree(root), []
-    real = pdalab.cli.run_experiments
+    real_runs, real_load = pdalab.cli.run_experiments, pdalab.cli._load_data
     with pytest.MonkeyPatch.context() as mp:
-        # ablate trains in this process, where the patch below sees its runs
+        # ablate trains in this process, where the patches below see its runs
         mp.setattr(pdalab.cli, "ProcessPoolExecutor", ThreadPoolExecutor)
-        mp.setattr(pdalab.cli, "run_experiments", lambda *a: runs.append(a) or real(*a))
+        mp.setattr(pdalab.cli, "run_experiments", lambda *a: runs.append(a) or real_runs(*a))
+        mp.setattr(pdalab.cli, "_load_data", lambda *a: runs.append(a) or real_load(*a))
         capsys.readouterr()
         code = main(_argv(command, inputs, out))
     stdout, stderr = capsys.readouterr()
@@ -100,6 +134,6 @@ def test_an_out_writes_its_whole_set_or_is_one_error_line(inputs, tmp_path_facto
         assert all(path.is_file() for path in written)
         assert not list(root.rglob(".*.tmp"))
     else:
-        assert (code, stdout, stderr) == (1, "", f"error: {out}: {expected}\n")
+        assert (code, stdout, stderr) == (1, "", f"error: {expected}\n")
         assert _tree(root) == before
         assert runs == []
