@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -196,6 +195,7 @@ def cmd_ablate(args) -> int:
     groups = [[run for run in runs if (run[0], run[1].shared_trunk) == key] for key in shapes]
     chunks = _chunks(groups, max(len(groups), min(args.workers, len(runs))))
     jobs = [[replace(cfg, variant=flags, seed=seed) for seed, flags in chunk] for chunk in chunks]
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # only ablate loads a pool
     try:
         with ProcessPoolExecutor(max_workers=min(args.workers, len(chunks))) as pool:
             by_run = dict(zip([run for chunk in chunks for run in chunk],

@@ -382,7 +382,7 @@ class TestAblate:
                                                           workers, seeds, disc_hidden,
                                                           chunks):
         sent = []
-        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr("pdalab.cli._ablate_one",
                             lambda jobs: sent.append(jobs) or [0.5] * len(jobs))
         cfg = write_config(tmp_path / "c.yaml", arch={"disc_hidden": disc_hidden})
@@ -394,7 +394,7 @@ class TestAblate:
 
 
     def test_writes_into_the_configured_out_dir(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         out = tmp_path / "od_out"
         cfg = write_config(tmp_path / "c.yaml", out_dir=str(out),
                            schedule={"total_epochs": 1, "warmup_epochs": 1,
@@ -414,7 +414,7 @@ class TestAblate:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("pdalab.cli._ablate_one", lambda jobs: [0.5] * len(jobs))
         assert main(["ablate", "--config", str(write_config(tmp_path / "c.yaml")),
                      "--seeds", seeds, "--workers", workers]) == 0
@@ -479,7 +479,7 @@ class TestRunKeys:
         import pdalab.cli
 
         seeds, real = [], pdalab.cli._ablate_one
-        monkeypatch.setattr(pdalab.cli, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr(pdalab.cli, "_ablate_one",
                             lambda jobs: seeds.extend(job.seed for job in jobs) or real(jobs))
         cfg = write_config(tmp_path / "c.yaml", arch={"disc_hidden": disc_hidden},
@@ -868,7 +868,7 @@ class TestTargetLabels:
     def test_ablate_without_oracle_labels_fails_in_its_worker_function(self, tmp_path, capsys,
                                                                         monkeypatch):
         """The same line, with every chunk run in this process."""
-        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         cfg = _csv_train_config(tmp_path, lambda rows: _blank_labels(rows, lambda i: True))
         capsys.readouterr()
         assert main(["ablate", "--config", str(cfg), "--seeds", "1",
@@ -1110,7 +1110,7 @@ class TestOutIsAFile:
         def no_work(*args, **kwargs):
             raise AssertionError("work began")
         monkeypatch.setattr("pdalab.cli._load_data", no_work)
-        monkeypatch.setattr("pdalab.cli.ProcessPoolExecutor", no_work)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_work)
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         args = ["--seeds", "1"] if command == "ablate" else []

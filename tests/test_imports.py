@@ -1,6 +1,7 @@
 """Each module imports on its own: the package root imports nothing, so an
-import cycle between modules cannot hide behind the order it once set.  And
-no module logs or reads the environment."""
+import cycle between modules cannot hide behind the order it once set.  The
+CLI loads no process pool until ``ablate`` starts one.  And no module logs or
+reads the environment."""
 
 import ast
 import os
@@ -18,6 +19,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(pdalab.__path__))
 def test_every_module_imports_alone_in_a_fresh_interpreter():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     script = {"": "import sys, pdalab; print(sorted(m for m in sys.modules if 'pdalab' in m))",
+              "pool": "import sys, pdalab.cli; print(sorted(m for m in sys.modules if "
+                      "m.split('.')[0] in ('multiprocessing', 'concurrent')))",
               **{m: f"import pdalab.{m}" for m in MODULES}}
     procs = {m: subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -26,6 +29,7 @@ def test_every_module_imports_alone_in_a_fresh_interpreter():
     assert {"cli", "config", "tensor"} <= set(MODULES)  # discovery found the package
     assert {m: err for m, (_, err, code) in results.items() if code} == {}
     assert results[""][0] == "['pdalab']\n"  # the root alone pulls in no module
+    assert results["pool"][0] == "[]\n"  # only ablate, which starts a pool, loads one
 
 
 def test_no_module_logs_or_reads_the_environment():

@@ -121,7 +121,7 @@ def test_an_out_writes_its_whole_set_or_is_one_error_line(inputs, tmp_path_facto
     real_runs, real_load = pdalab.cli.run_experiments, pdalab.cli._load_data
     with pytest.MonkeyPatch.context() as mp:
         # ablate trains in this process, where the patches below see its runs
-        mp.setattr(pdalab.cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+        mp.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
         mp.setattr(pdalab.cli, "run_experiments", lambda *a: runs.append(a) or real_runs(*a))
         mp.setattr(pdalab.cli, "_load_data", lambda *a: runs.append(a) or real_load(*a))
         capsys.readouterr()
