@@ -217,7 +217,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle = load_model(args.model)
-    metadata, target_path = Path(args.data) / "metadata.json", Path(args.data) / "target.csv"
+    metadata, target_path = (Path(args.data, DATASET_FILES[r]) for r in ("metadata", "target"))
     target, oracle, k = load_target_data(target_path, metadata)
     if bundle.num_classes != k:
         raise ValueError(f"{args.model}: num_classes {bundle.num_classes} disagrees "
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model snapshot on a dataset")
     p.add_argument("--model", required=True, help="path to model.json")
     p.add_argument("--data", required=True,
-                   help="directory with target.csv and metadata.json")
+                   help="directory with {target} and {metadata}".format_map(DATASET_FILES))
     p.add_argument("--out", help="write the confusion matrix CSV here")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -346,14 +346,14 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
         w = class_transferable_probability(preds_t)
         accuracy = bounds = (None,) * n
         if oracle is not None:
-            hits = preds_t.argmax(axis=-1) == oracle.target_labels
-            accuracy = np.mean(hits, axis=-1).tolist()
+            accuracy = np.mean(preds_t.argmax(axis=-1) == oracle.target_labels, axis=-1).tolist()
             if full_audit:
                 f_s, preds_s = features_and_preds(x_src)
-                bounds = [check_bound(p_t, oracle, p_s, y_src, fs, ft, rng, epoch)
-                          for p_t, p_s, fs, ft, rng in zip(preds_t, preds_s, f_s, f_t, div_rngs)]
+                bounds = [check_bound(p_t, oracle, p_s, y_src, fs, ft, rng, epoch, w_i)
+                          for p_t, p_s, fs, ft, rng, w_i
+                          in zip(preds_t, preds_s, f_s, f_t, div_rngs, w)]
             else:
-                intermediate_terms(preds_t, oracle, epoch)
+                intermediate_terms(preds_t, oracle, epoch, w)
         records = [MetricsRecord(epoch=epoch, target_accuracy=accuracy[i],
                                  class_weights=w[i].tolist(), losses=losses[i], bound=bounds[i])
                    for i in range(n)]

@@ -9,6 +9,7 @@ from pdalab.bound import (
     PROXY_RIDGE,
     _fit_logistic,
     check_bound,
+    class_weight_error,
     delta_bar,
     estimate_hdh_divergence,
     in_classes,
@@ -235,6 +236,7 @@ class TestInequality:
         assert np.allclose(w_true, [0.5, 0.5, 0.0])
         assert np.allclose(preds.mean(axis=0), [0.4, 0.3, 0.3])
         assert w_estimation_error(preds, oracle) == pytest.approx(0.6)
+        assert class_weight_error(np.array([0.4, 0.3, 0.3]), oracle) == pytest.approx(0.6)
         assert delta_bar(preds) == pytest.approx(0.45)
         assert type1_error(preds, oracle.shared_classes) == pytest.approx(0.5)
         assert shared_error(preds, oracle.target_labels, oracle.shared_classes) == 0.0
@@ -344,6 +346,12 @@ class TestCheckBound:
                               "rhs_intermediate"}
         assert terms == {name: getattr(rep, name) for name in terms}
 
+    def test_given_weights_give_the_report_of_the_preds_alone(self):
+        oracle, tp, sp, sl, sf, tf = self._inputs(5)
+        given = check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(6), 2,
+                            class_transferable_probability(tp))
+        assert given == check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(6), 2)
+
     def test_a_source_label_outside_the_shared_classes_raises(self):
         oracle, tp, sp, sl, sf, tf = self._inputs(3)
         sl = sl.copy()
@@ -400,6 +408,8 @@ class TestStackedTerms:
             "restricted_argmax": lambda p: restricted_argmax(p, shared),
             "shared_error": lambda p: shared_error(p, labels, shared),
             "w_estimation_error": lambda p: w_estimation_error(p, oracle),
+            "class_weight_error": lambda p: class_weight_error(
+                class_transferable_probability(p), oracle),
             "class_transferable_probability": class_transferable_probability,
         }
         for name, term in terms.items():
@@ -407,8 +417,13 @@ class TestStackedTerms:
             assert stacked.shape[0] == slices, name
             assert stacked.tobytes() == np.array([term(p) for p in preds]).tobytes(), name
         each = [intermediate_terms(p, oracle) for p in preds]
-        for name, values in intermediate_terms(preds, oracle).items():
-            assert values.tobytes() == np.array([t[name] for t in each]).tobytes(), name
+        weights = class_transferable_probability(preds)
+        for stacked in (intermediate_terms(preds, oracle),
+                        intermediate_terms(preds, oracle, 0, weights)):
+            for name, values in stacked.items():
+                assert values.tobytes() == np.array([t[name] for t in each]).tobytes(), name
+        assert class_weight_error(weights, oracle).tobytes() == \
+            w_estimation_error(preds, oracle).tobytes()
 
     def test_the_report_holds_python_floats(self):
         preds, oracle = _stacked_inputs(1, 5, 7)

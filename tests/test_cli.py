@@ -518,11 +518,11 @@ class TestAblateAudit:
             raise AssertionError("ablate fitted the divergence proxy")
 
         forwards, audits = [], []
-        extract, w_error = pdalab.trainer.extract_features, pdalab.bound.w_estimation_error
+        extract, w_error = pdalab.trainer.extract_features, pdalab.bound.class_weight_error
         monkeypatch.setattr(pdalab.bound, "estimate_hdh_divergence", no_proxy)
         monkeypatch.setattr(pdalab.trainer, "extract_features",
                             lambda bundle, x: forwards.append(len(x)) or extract(bundle, x))
-        monkeypatch.setattr(pdalab.bound, "w_estimation_error",
+        monkeypatch.setattr(pdalab.bound, "class_weight_error",
                             lambda *a: audits.append(None) or w_error(*a))
         assert _ablate_one([cfg]) == [full.records[-1].target_accuracy]
         # Epoch 0 and four trained epochs: target rows only, each audited.
@@ -608,6 +608,16 @@ class TestEval:
                      "--data", str(target_only)]) == 0
         assert capsys.readouterr().out == with_source
         assert "confusion matrix" in with_source
+
+    def test_eval_reads_the_files_generate_data_writes(self, tmp_path, capsys, monkeypatch):
+        from pdalab.data import DATASET_FILES
+
+        for role in DATASET_FILES:
+            monkeypatch.setitem(DATASET_FILES, role, f"renamed_{DATASET_FILES[role]}")
+        run, data = _trained(tmp_path)
+        assert sorted(p.name for p in data.iterdir()) == sorted(DATASET_FILES.values())
+        assert main(["eval", "--model", str(run / "model.json"), "--data", str(data)]) == 0
+        assert "target accuracy" in capsys.readouterr().out
 
     @pytest.mark.parametrize("snapshot", [[], {"schema": "1.0"},
                                           {"schema": "1.0", "model": {}}],
@@ -1136,6 +1146,30 @@ class TestOutIsADirectory:
         assert capsys.readouterr() == ("", f"error: {directory}: Is a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "d", "data", "run"]
         assert not any(directory.iterdir())
+
+
+class TestOutIsASymlink:
+    """A file output path that is a symlink is replaced by a regular file, as
+    the writer renames over it; the link's target is left as it was."""
+
+    @pytest.mark.parametrize("aim", ["dangling", "file"])
+    def test_eval_writes_the_path_and_leaves_the_target(self, tmp_path, capsys, aim):
+        run, data = _trained(tmp_path)
+        argv = ["eval", "--model", str(run / "model.json"), "--data", str(data), "--out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        if aim == "file":
+            target.write_text("kept\n")
+        link.symlink_to(target)
+        capsys.readouterr()
+        assert main(argv + [str(link)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {link}\n")
+        assert link.is_file() and not link.is_symlink()
+        assert link.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        if aim == "file":
+            assert target.read_text() == "kept\n"
+        else:
+            assert not target.exists()
 
 
 def _trained(tmp_path):

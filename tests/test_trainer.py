@@ -802,6 +802,26 @@ class TestStackedAudit:
                     np.float64(accuracy).tobytes()
 
 
+    @pytest.mark.parametrize("full_audit", [True, False], ids=["full_audit", "assert_only"])
+    def test_the_audit_reuses_the_snapshot_weights(self, monkeypatch, full_audit):
+        """Each snapshot computes the class weights once: the bound's error term
+        takes the records' weights rather than a second column mean."""
+        import pdalab.bound
+
+        def recomputed(*args):
+            raise AssertionError("the audit recomputed the class weights")
+
+        source, target, oracle = tiny_problem(seed=15)
+        arch, rows = ArchSpec(in_dim=2, num_classes=5), _network_rows(())[0][2:]
+        expected = [result.records for result in run_experiments(
+            source, target, oracle, arch, rows, small_sched(), 0, full_audit)]
+        monkeypatch.setattr(pdalab.bound, "class_transferable_probability", recomputed)
+        for flags_seq in (rows, rows[:1]):
+            results = run_experiments(source, target, oracle, arch, flags_seq, small_sched(),
+                                      0, full_audit)
+            assert [result.records for result in results] == expected[:len(flags_seq)]
+
+
 class TestStackedRunsAt31Classes:
     """Over 31 classes, a sum over the class axis crosses numpy's 8-element
     pairwise block; each slice still equals its solo run."""
