@@ -34,12 +34,12 @@ class LossBreakdown:
     objective: float
 
 
-def supervised_loss(preds: Tensor, labels, class_weights, on=None) -> Tensor:
+def supervised_loss(preds: Tensor, labels, class_weights) -> Tensor:
     """Mean over the batch of w_y * cross_entropy(pred, y), per slice of a stack."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("supervised loss over an empty batch")
-    return T.cross_entropy_mean(preds, labels, class_weights, on)
+    return T.cross_entropy_mean(preds, labels, class_weights)
 
 
 def assign_pseudo_labels(preds) -> np.ndarray:
@@ -47,19 +47,19 @@ def assign_pseudo_labels(preds) -> np.ndarray:
     return as_pred_matrix(preds).argmax(axis=-1)
 
 
-def self_training_loss(preds: Tensor, pseudo_hard, class_weights, on=None) -> Tensor:
+def self_training_loss(preds: Tensor, pseudo_hard, class_weights) -> Tensor:
     """Mean of w_pseudo * cross_entropy(pred, pseudo)."""
-    return supervised_loss(preds, pseudo_hard, class_weights, on)
+    return supervised_loss(preds, pseudo_hard, class_weights)
 
 
 def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
-                     use_class_sel: bool, use_entropy_w, on=None) -> Tensor:
+                     use_class_sel: bool, use_entropy_w) -> Tensor:
     """Sum over heads of the weighted binary cross-entropy to the domain tag.
 
     ``domain_logits[i, k]`` is head k's source logit for sample i;
     ``class_preds[i, k]`` is the (detached) instance weight assigning
     sample i to head k's alignment task.  Over a stack, the class weights
-    are per slice, and ``use_entropy_w`` and ``on`` may be a bool per slice.
+    are per slice, and ``use_entropy_w`` may be a bool per slice.
     """
     y_hat = np.asarray(class_preds, dtype=np.float64)
     d = np.asarray(domains, dtype=np.float64)
@@ -79,7 +79,7 @@ def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
     elif use_entropy_w is not False:  # a slice without it is weighted by exactly 1.0
         ent = np.where(np.asarray(use_entropy_w)[..., None], entropy_weights(y_hat), 1.0)
         weight = weight * ent[..., None]
-    return T.weighted_bce(domain_logits, d, weight, on)
+    return T.weighted_bce(domain_logits, d, weight)
 
 
 def compose_objective(l_sup: Tensor, l_self: Tensor, l_adv: Tensor | None,

@@ -326,20 +326,7 @@ def softmax_rows(logits: Tensor) -> Tensor:
     return _record("softmax_rows", (logits,), p, bw)
 
 
-def _per_slice(op: str, inputs: tuple[Tensor, ...], out, bw, on) -> Tensor:
-    """A loss node with a value per slice; ``on``, a bool per slice (None or True
-    for all), gives the slices it leaves out an exact 0.0 and zero gradients."""
-    if on is None or on is True:
-        return _record(op, inputs, np.asarray(out), bw)
-
-    def selected(g):
-        return [(t, np.where(on.reshape(on.shape + (1,) * (pg.ndim - 1)), pg, 0.0))
-                for t, pg in bw(g)]
-
-    return _record(op, inputs, np.where(on, out, 0.0), selected)
-
-
-def cross_entropy_mean(pred: Tensor, labels, class_weights, on=None) -> Tensor:
+def cross_entropy_mean(pred: Tensor, labels, class_weights) -> Tensor:
     """Mean over rows of ``class_weights[y] * -log pred[y]`` for simplex rows and
     one class label per row; ``pred`` is floored at ``LOG_FLOOR`` before the log.
     Over a stack, labels and class weights are shared or per slice."""
@@ -367,10 +354,10 @@ def cross_entropy_mean(pred: Tensor, labels, class_weights, on=None) -> Tensor:
         return [(pred, gp)]
 
     out = np.add.reduce(-np.log(picked) * weights, -1) / m
-    return _per_slice("cross_entropy_mean", (pred,), out, bw, on)
+    return _record("cross_entropy_mean", (pred,), np.asarray(out), bw)
 
 
-def weighted_bce(logits: Tensor, targets, weights, on=None) -> Tensor:
+def weighted_bce(logits: Tensor, targets, weights) -> Tensor:
     """``sum(weights * (softplus(z) - d z)) / m`` over [m, k] ``logits`` z, the binary
     cross-entropy of sigmoid(z) to targets d (one label per row spans the row), as
     ``max(z, 0) - d z + log1p(exp(-|z|))``: no overflow, no floor, and the first two
@@ -400,21 +387,23 @@ def weighted_bce(logits: Tensor, targets, weights, on=None) -> Tensor:
     weighted -= d * z
     weighted += np.log1p(e)
     weighted *= weights
-    return _per_slice("weighted_bce", (logits,), np.add.reduce(weighted, (-2, -1)) * s, bw, on)
+    out = np.add.reduce(weighted, (-2, -1)) * s
+    return _record("weighted_bce", (logits,), np.asarray(out), bw)
 
 
-def entropy_mean(pred: Tensor, scale: float, on=None) -> Tensor:
-    """``scale`` times the mean Shannon entropy (natural log) of simplex rows."""
+def entropy_mean(pred: Tensor, scale) -> Tensor:
+    """``scale`` times the mean Shannon entropy (natural log) of simplex rows;
+    over a stack, ``scale`` may be one per slice."""
     if pred.data.ndim not in (2, 3) or pred.shape[-2] == 0:
         raise ValueError("entropy_mean requires a nonempty 2-d tensor or a stack")
-    p, m, s = pred.data, pred.shape[-2], float(scale)
+    p, m, s = pred.data, pred.shape[-2], scale
     log_p = np.log(np.maximum(p, LOG_FLOOR))
 
     def bw(g):
-        return [(pred, -(g[..., None, None] * s / m) * (log_p + (p > LOG_FLOOR)))]
+        return [(pred, -((g * s)[..., None, None] / m) * (log_p + (p > LOG_FLOOR)))]
 
     out = np.add.reduce(-np.add.reduce(p * log_p, -1), -1) / m * s
-    return _per_slice("entropy_mean", (pred,), out, bw, on)
+    return _record("entropy_mean", (pred,), np.asarray(out), bw)
 
 
 def grad_reverse(x: Tensor, lam: float) -> Tensor:

@@ -214,7 +214,9 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     so the estimate cannot influence any gradient.  Returns the per-step
     loss breakdowns and the updated global step count.  A stacked bundle takes
     all these per slice, and every slice the same batches; a term no slice uses
-    is not built, and a slice without a term gets exact zeros from it.
+    is not built, and a slice without a term weighs it by 0.0, as class selection
+    off weighs every class by 1.0: it reads exactly 0.0 (a sum of signed-zero
+    products is +0.0), and its gradients of ±0.0 leave every parameter as it was.
     """
     each = [flags] if isinstance(flags, VariantFlags) else list(flags)
 
@@ -225,6 +227,9 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
         lambda f: f.class_sel, lambda f: f.self_training and pseudo is not None,
         lambda f: f.adversary != "none", lambda f: f.instance_sel, lambda f: f.entropy_min))
     w_eff = np.where(np.expand_dims(class_on, -1), class_weights, 1.0)
+    w_self, w_adv = (w_eff if isinstance(on, bool) else np.where(on[:, None], w_eff, 0.0)
+                     for on in (self_on, adv_on))
+    ent_coef = ENTROPY_MIN_COEF * ent_on  # 0.0 in a slice without the regularizer
     b = sched.batch_size
     domains = np.concatenate([np.ones(b), np.zeros(b)])
     heads = bundle.discriminator.num_heads
@@ -249,7 +254,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
 
             l_sup = supervised_loss(preds_src, y_src, w_eff)
             l_self = no_self if self_on is False else \
-                self_training_loss(preds_tgt, pseudo[..., tgt_idx], w_eff, self_on)
+                self_training_loss(preds_tgt, pseudo[..., tgt_idx], w_self)
 
             l_adv = None
             if adv_on is not False:
@@ -257,13 +262,13 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
                 # Detached: instance weights are constants, and never written to.
                 inst = preds.data if inst_on is True else fixed_inst if inst_on is False \
                     else np.where(inst_on[:, None, None], preds.data, fixed_inst)
-                l_adv = adversarial_loss(domain_logits, inst, domains, w_eff,
-                                         use_class_sel=class_on is not False,
-                                         use_entropy_w=ent_on, on=adv_on)
+                l_adv = adversarial_loss(domain_logits, inst, domains, w_adv,
+                                         use_class_sel=class_on is not False or adv_on is not True,
+                                         use_entropy_w=ent_on)
 
             regs = ()
             if ent_on is not False:
-                regs = (T.entropy_mean(preds_tgt, ENTROPY_MIN_COEF, ent_on),)
+                regs = (T.entropy_mean(preds_tgt, ent_coef),)
 
             breakdown, total = compose_objective(l_sup, l_self, l_adv, regs)
             backward(total)
