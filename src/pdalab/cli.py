@@ -69,7 +69,10 @@ def _load_data(cfg: RunConfig):
     if isinstance(cfg.data, SyntheticSpec):
         spec = cfg.data if cfg.data.seed is not None \
             else replace(cfg.data, seed=substream_seed(cfg.seed, "datagen"))
-        source, target, oracle = generate_toy(spec)
+        try:
+            source, target, oracle = generate_toy(spec)
+        except (ValueError, MemoryError) as exc:
+            raise ValueError(f"data.synthetic: {exc}") from None
         k, resolved = spec.num_source_classes, spec
     else:
         source, target, oracle, k = load_experiment_data(cfg.data.source, cfg.data.target,
@@ -300,7 +303,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BoundViolationError, FloatingPointError, OSError) as exc:
+    except (ValueError, BoundViolationError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

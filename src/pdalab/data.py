@@ -120,6 +120,7 @@ def _rotation_matrix(dim: int, angle: float) -> np.ndarray:
     return rot
 
 
+@np.errstate(all="ignore")  # a feature gone non-finite is an error below, unwarned
 def generate_toy(spec: SyntheticSpec) -> tuple[Dataset, Dataset, OracleContext]:
     """Source dataset, unlabeled target dataset, and the oracle context."""
     if spec.seed is None:  # default_rng(None) would draw fresh entropy
@@ -139,6 +140,8 @@ def generate_toy(spec: SyntheticSpec) -> tuple[Dataset, Dataset, OracleContext]:
     tgt_x = np.vstack([tgt_means[c] + spec.cluster_std * rng.standard_normal((n, spec.dim))
                        for c in spec.shared_classes])
     tgt_labels = np.repeat(np.asarray(spec.shared_classes), n)
+    if not (np.isfinite(src_x).all() and np.isfinite(tgt_x).all()):
+        raise ValueError("non-finite feature value (cluster_std or a mean too large)")
 
     return Dataset(src_x, src_y), Dataset(tgt_x), OracleContext(spec.shared_classes, tgt_labels)
 

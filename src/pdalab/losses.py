@@ -36,9 +36,6 @@ class LossBreakdown:
 
 def supervised_loss(preds: Tensor, labels, class_weights) -> Tensor:
     """Mean over the batch of w_y * cross_entropy(pred, y), per slice of a stack."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("supervised loss over an empty batch")
     return T.cross_entropy_mean(preds, labels, class_weights)
 
 

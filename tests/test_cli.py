@@ -1114,6 +1114,47 @@ class TestOverflow:
                                "non-finite values produced by 'linear'")
 
 
+class TestSyntheticSpecTheGeneratorCannotMake:
+    """A synthetic spec whose features overflow, or whose size no array can
+    take, is one error line naming the section, with no warning text (pytest
+    turns a RuntimeWarning into an error) and nothing written."""
+
+    @pytest.mark.parametrize("command", ["generate-data", "train"])
+    @pytest.mark.parametrize("synthetic, message", [
+        ({"cluster_std": 1.0e+308}, "non-finite feature value (cluster_std or a mean too large)"),
+        ({"samples_per_class": 10**30}, "Maximum allowed dimension exceeded"),
+    ], ids=["cluster_std_overflows", "samples_per_class_beyond_any_shape"])
+    def test_names_the_section(self, tmp_path, capfd, command, synthetic, message):
+        cfg = write_config(tmp_path / "c.yaml", data={"synthetic": {**_SYNTHETIC, **synthetic}})
+        capfd.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        _assert_one_error_line(tmp_path, err, f"data.synthetic: {message}")
+
+
+class TestSizeBeyondMemory:
+    """A size numpy cannot allocate is one error line, not a traceback.  Arrays
+    of 10**17 rows or columns need exabytes, beyond any address space, so
+    nothing is allocated whatever the host's overcommit policy."""
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("train", {"arch": {"hidden": [10**17]}}),
+        ("ablate", {"arch": {"hidden": [10**17]}}),
+        ("generate-data", {"data": {"synthetic": {"samples_per_class": 10**17, "seed": 1}}}),
+    ], ids=["train_hidden", "ablate_hidden", "generate_data_samples_per_class"])
+    def test_one_error_line(self, tmp_path, capfd, command, overrides):
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        args = ["--seeds", "1", "--workers", "1"] if command == "ablate" else []
+        capfd.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Unable to allocate" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestOutIsAFile:
     @pytest.mark.parametrize("command", ["generate-data", "train", "ablate"])
     def test_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):

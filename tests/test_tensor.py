@@ -522,6 +522,28 @@ class TestFusedNodesMatchChains:
         assert all(np.array_equal(g, 1.0) for g in grads)
 
 
+class TestPerSliceEntropyScale:
+    """``entropy_mean`` over a stack takes one scale per slice."""
+
+    def test_each_slice_is_its_2d_node_and_a_zero_scale_reads_zero(self):
+        rng = np.random.default_rng(18)
+        p = rng.dirichlet(np.ones(3), size=(3, 4))
+        p[:, 1] = [1.0, 0.0, 0.0]  # zero entries stay out of the gradient's mask
+        scales = np.array([0.1, 0.0, 0.1])
+        reset_tape()
+        pt = Tensor(p, requires_grad=True)
+        loss = entropy_mean(pt, scales)
+        (grad,) = _tape_grads(loss, pt)
+        for i, scale in enumerate(scales.tolist()):
+            reset_tape()
+            alone_in = Tensor(p[i], requires_grad=True)
+            alone = entropy_mean(alone_in, scale)
+            (alone_grad,) = _tape_grads(alone, alone_in)
+            assert bits_equal(loss.data[i], alone.data)
+            assert bits_equal(grad[i], alone_grad)
+        assert bits_equal(loss.data[1], 0.0)  # +0.0, not -0.0
+
+
 class TestInPlaceKernelsMatchChains:
     """The in-place kernels are bit-equal to the numpy chains they replaced,
     signed zeros included."""

@@ -6,8 +6,9 @@ SRC_DIR (default: the ``src`` directory of this checkout) is put first on
 PYTHONPATH, and every command runs as ``python -m pdalab.cli`` in a fresh
 temporary directory, one at a time, with one BLAS thread:
 
-- ``train`` (seed 3) for source_only, dann, san, san_pp and
-  instance_class_self_private, each with ``disc_hidden`` [] and [16]:
+- ``train`` (seed 3) for source_only, dann, san, san_pp and every ablation
+  row (instance, instance_class, instance_class_entropy and
+  instance_class_self_private), each with ``disc_hidden`` [] and [16]:
   ``metrics.jsonl``, ``model.json``, ``confusion.csv``,
   ``effective_config.yaml`` and stdout;
 - ``ablate --seeds 1|2|5 --workers 1|2|3`` with ``disc_hidden`` [] and [16]:
@@ -16,12 +17,12 @@ temporary directory, one at a time, with one BLAS thread:
 - ``generate-data`` (its three files and stdout), ``train`` on its CSVs,
   ``eval --out`` and ``bound-trace``, to stdout and with ``--out``.
 
-That is 100 files.  ``run_log.txt`` holds wall-clock times and is left out.
+That is 130 files.  ``run_log.txt`` holds wall-clock times and is left out.
 Each line is ``<sha256>  <name>``, hashed after every occurrence of the
 temporary directory is replaced by ``<out>``, so two trees compare with
 ``diff`` of their outputs.  With ``--against``, the set runs for both
 trees, one after the other, and only the names whose digests differ are
-printed, with exit code 1; if none differ, one ``100 identical`` line is
+printed, with exit code 1; if none differ, one ``130 identical`` line is
 printed and the exit code is 0.  A command that fails stops the script with
 its stderr and exit code 1.
 """
@@ -36,7 +37,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-TRAIN_VARIANTS = ("source_only", "dann", "san", "san_pp", "instance_class_self_private")
+TRAIN_VARIANTS = ("source_only", "dann", "san", "san_pp", "instance", "instance_class",
+                  "instance_class_entropy", "instance_class_self_private")
 DISC_HIDDEN = ("[]", "[16]")
 TRAIN_FILES = ("metrics.jsonl", "model.json", "confusion.csv", "effective_config.yaml")
 
