@@ -216,7 +216,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     all these per slice, and every slice the same batches; a term no slice uses
     is not built, and a slice without a term weighs it by 0.0, as class selection
     off weighs every class by 1.0: it reads exactly 0.0 (a sum of signed-zero
-    products is +0.0), and its gradients of ±0.0 leave every parameter as it was.
+    products is +0.0), and its gradients, ±0.0, change no parameter's bits.
     """
     each = [flags] if isinstance(flags, VariantFlags) else list(flags)
 
