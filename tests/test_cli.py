@@ -1521,3 +1521,21 @@ def test_malformed_input_is_one_error_line_naming_the_file(tmp_path, capfd, setu
     out, err = capfd.readouterr()
     assert out == ""
     _assert_one_error_line(tmp_path, err, expected)
+
+
+class TestAblateStd:
+    def test_std_accuracy_is_the_population_std(self, tmp_path, monkeypatch):
+        """Over seeds 0, 1 and 2 reading accuracies 0.0, 0.25 and 0.5, each row's
+        std is sqrt(0.125 / 3), the population std, not the sample std 0.25."""
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr("pdalab.cli._ablate_one",
+                            lambda jobs: [0.25 * job.seed for job in jobs])
+        out = tmp_path / "o"
+        assert main(["ablate", "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--seeds", "3", "--out", str(out)]) == 0
+        rows = (out / "ablation.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(ABLATION_VARIANTS)
+        for row in rows:
+            _, seeds, mean_acc, std_acc = row.split(",")
+            assert (int(seeds), float(mean_acc)) == (3, 0.25)
+            assert float(std_acc) == pytest.approx(np.sqrt(0.125 / 3), rel=1e-12)

@@ -229,3 +229,40 @@ class TestBatchIterator:
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             list(batch_iterator(0, 5, 2, np.random.default_rng(0)))
+
+
+class TestBatchOrders:
+    """Each epoch the larger domain is one shuffled pass, whose last batch wraps
+    around to the pass's own first rows, and the smaller domain is whole fresh
+    shuffles cut to length.  With at least 20 rows a side, a shuffle is never
+    the identity for these seeds."""
+
+    @staticmethod
+    def _epochs(n_source, n_target, b, seed, count=2):
+        rng = np.random.default_rng(seed)
+        return [tuple(np.concatenate(side) for side in zip(*batch_iterator(n_source, n_target,
+                                                                            b, rng)))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_source, n_target, b", [(53, 20, 10), (20, 41, 10),
+                                                       (30, 30, 8), (64, 21, 16)])
+    def test_each_epoch_shuffles_both_domains_afresh(self, n_source, n_target, b, seed):
+        big_side = 0 if n_source >= n_target else 1
+        n_big, n_small = max(n_source, n_target), min(n_source, n_target)
+        epochs = self._epochs(n_source, n_target, b, seed)
+        for orders in epochs:
+            big, small = orders[big_side], orders[1 - big_side]
+            assert len(big) == len(small) == steps_per_epoch(n_source, n_target, b) * b
+            head = big[:n_big]
+            assert sorted(head.tolist()) == list(range(n_big))
+            assert not np.array_equal(head, np.arange(n_big))
+            assert np.array_equal(big[n_big:], head[:len(big) - n_big])
+            for lo in range(0, len(small), n_small):
+                part = small[lo:lo + n_small]
+                assert len(set(part.tolist())) == len(part)
+                assert part.min() >= 0 and part.max() < n_small
+                if len(part) == n_small:
+                    assert not np.array_equal(part, np.arange(n_small))
+        for side in (0, 1):
+            assert not np.array_equal(epochs[0][side], epochs[1][side])

@@ -842,3 +842,39 @@ class TestStackedRunsAt31Classes:
                 solo = run_experiment(source, target, oracle, arch, flags, sched, 3, full_audit)
                 assert metrics_text(result.records) == metrics_text(solo.records)
                 assert model_text(result.bundle) == model_text(solo.bundle)
+
+
+class TestEntropyRegularizer:
+    """Under ``san``, the target-entropy regularizer of each step is 0.1 times
+    the mean entropy of exactly the target rows of that step's predictions."""
+
+    def test_takes_the_target_rows_at_scale_one_tenth(self, monkeypatch):
+        import pdalab.trainer
+
+        source, target, _ = tiny_problem(seed=4)
+        arch = ArchSpec(in_dim=2, num_classes=5)
+        sched = small_sched()
+        bundle = init_bundle(arch, substream(7, "init"), num_heads=5, shared_trunk=False)
+        opt = MomentumSGD(bundle.parameters(), sched.momentum)
+        steps = steps_per_epoch(len(source), len(target), sched.batch_size)
+        preds, calls = [], []
+        g_forward, entropy_mean = pdalab.trainer.g_forward, T.entropy_mean
+
+        def recording_g(classifier, f):
+            out = g_forward(classifier, f)
+            preds.append(out.data.copy())
+            return out
+
+        def recording_entropy(pred, scale):
+            calls.append((pred.data.copy(), scale))
+            return entropy_mean(pred, scale)
+
+        monkeypatch.setattr(pdalab.trainer, "g_forward", recording_g)
+        monkeypatch.setattr(T, "entropy_mean", recording_entropy)
+        train_epoch(bundle, opt, source, target, np.ones(5), None, PRESETS["san"], sched,
+                    0, steps, substream(7, "data"))
+        b = sched.batch_size
+        assert len(calls) == len(preds) == steps
+        for step_preds, (pred, scale) in zip(preds, calls):
+            assert np.array_equal(pred, step_preds[b:2 * b])
+            assert scale == 0.1
