@@ -303,24 +303,14 @@ def batch_iterator(n_source: int, n_target: int, batch_size: int,
         raise ValueError("both domains must be nonempty")
     if batch_size < 1 or batch_size > min(n_source, n_target):
         raise ValueError("batch_size must be in [1, min(len(source), len(target))]")
-    n_big = max(n_source, n_target)
-    steps = steps_per_epoch(n_source, n_target, batch_size)
+    n_big, n_small = max(n_source, n_target), min(n_source, n_target)
+    total = steps_per_epoch(n_source, n_target, batch_size) * batch_size
+    big_order = np.resize(rng.permutation(n_big), total)  # wraps around to stay full
+    small_order = np.concatenate([rng.permutation(n_small)
+                                  for _ in range(math.ceil(total / n_small))])[:total]
     source_is_big = n_source >= n_target
-
-    big_order = rng.permutation(n_big)
-    pad = steps * batch_size - n_big
-    if pad:
-        big_order = np.concatenate([big_order, big_order[:pad]])
-
-    n_small = min(n_source, n_target)
-    chunks = []
-    while sum(len(c) for c in chunks) < steps * batch_size:
-        chunks.append(rng.permutation(n_small))
-    small_order = np.concatenate(chunks)[: steps * batch_size]
-
-    for s in range(steps):
-        lo, hi = s * batch_size, (s + 1) * batch_size
-        big, small = big_order[lo:hi], small_order[lo:hi]
+    for lo in range(0, total, batch_size):
+        big, small = big_order[lo:lo + batch_size], small_order[lo:lo + batch_size]
         yield (big, small) if source_is_big else (small, big)
 
 

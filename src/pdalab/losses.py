@@ -79,19 +79,22 @@ def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
     return T.weighted_bce(domain_logits, d, weight)
 
 
-def compose_objective(l_sup: Tensor, l_self: Tensor, l_adv: Tensor | None,
-                      regularizers: tuple[Tensor, ...] = ()) -> tuple[LossBreakdown, Tensor]:
+def compose_objective(l_sup: Tensor, l_self: Tensor | None, l_adv: Tensor | None,
+                      l_ent: Tensor | None = None) -> tuple[LossBreakdown, Tensor]:
     """Reported breakdown plus the tensor a single descent step minimizes;
     for terms with one value per slice, a list of breakdowns, one per slice.
+    An absent term is None: it reads 0.0 in each slice and is left out of the
+    total.  The entropy regularizer ``l_ent`` enters the total only.
 
     The adversarial term enters the minimized total with a plus sign;
     gradient reversal inside the discriminator forward makes that one
     step descend for the discriminator and ascend for the extractor.
     """
-    sup, self_ = l_sup.data.tolist(), l_self.data.tolist()
-    adv = np.zeros(l_sup.data.shape).tolist() if l_adv is None else l_adv.data.tolist()
-    terms = (l_sup, l_self) + (() if l_adv is None else (l_adv,)) + tuple(regularizers)
+    sup = l_sup.data.tolist()
+    zero = 0.0 if l_sup.data.ndim == 0 else [0.0] * len(sup)
+    self_ = zero if l_self is None else l_self.data.tolist()
+    adv = zero if l_adv is None else l_adv.data.tolist()
+    total = T.add(*[t for t in (l_sup, l_self, l_adv, l_ent) if t is not None])
     if l_sup.data.ndim == 0:
-        return LossBreakdown(sup, self_, adv, sup + self_ - adv), T.add(*terms)
-    return [LossBreakdown(s, st, a, s + st - a) for s, st, a in zip(sup, self_, adv)], \
-        T.add(*terms)
+        return LossBreakdown(sup, self_, adv, sup + self_ - adv), total
+    return [LossBreakdown(s, st, a, s + st - a) for s, st, a in zip(sup, self_, adv)], total

@@ -241,8 +241,6 @@ def f_forward(features: MLP, x) -> Tensor:
 
 def g_forward(classifier: MLP, f: Tensor) -> Tensor:
     """Class predictions on the simplex (softmax over the class logits)."""
-    if f.shape[-1] != classifier.in_dim:
-        raise ValueError(f"feature width {f.shape[-1]} != classifier width {classifier.in_dim}")
     return softmax_rows(classifier.forward(f))
 
 

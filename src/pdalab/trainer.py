@@ -214,7 +214,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     so the estimate cannot influence any gradient.  Returns the per-step
     loss breakdowns and the updated global step count.  A stacked bundle takes
     all these per slice, and every slice the same batches; a term no slice uses
-    is not built, and a slice without a term weighs it by 0.0, as class selection
+    is None, and a slice without a term weighs it by 0.0, as class selection
     off weighs every class by 1.0: it reads exactly 0.0 (a sum of signed-zero
     products is +0.0), and its gradients, ±0.0, change no parameter's bits.
     """
@@ -234,7 +234,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     domains = np.concatenate([np.ones(b), np.zeros(b)])
     heads = bundle.discriminator.num_heads
     fixed_inst = np.full((2 * b, heads), 1.0 / heads)
-    breakdowns, no_self = [], Tensor(np.zeros(bundle.classifier.layers[0][0].shape[:-2]))
+    breakdowns = []
     try:
         for src_idx, tgt_idx in batch_iterator(len(source), len(target),
                                                sched.batch_size, rng):
@@ -253,7 +253,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             preds_tgt = slice_rows(preds, b, 2 * b)
 
             l_sup = supervised_loss(preds_src, y_src, w_eff)
-            l_self = no_self if self_on is False else \
+            l_self = None if self_on is False else \
                 self_training_loss(preds_tgt, pseudo[..., tgt_idx], w_self)
 
             l_adv = None
@@ -266,11 +266,8 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
                                          use_class_sel=class_on is not False or adv_on is not True,
                                          use_entropy_w=ent_on)
 
-            regs = ()
-            if ent_on is not False:
-                regs = (T.entropy_mean(preds_tgt, ent_coef),)
-
-            breakdown, total = compose_objective(l_sup, l_self, l_adv, regs)
+            l_ent = None if ent_on is False else T.entropy_mean(preds_tgt, ent_coef)
+            breakdown, total = compose_objective(l_sup, l_self, l_adv, l_ent)
             backward(total)
             opt.step(lr)
             steps_done += 1
