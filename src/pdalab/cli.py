@@ -87,10 +87,13 @@ def _load_data(cfg: RunConfig):
 
 def _train(cfg: RunConfig, source, target, oracle, k: int, flags, audit: bool):
     """``run_experiments`` of ``flags`` on loaded data, with the full audit if ``audit``;
-    unusable data or a non-finite value is an error naming the data."""
+    unusable data or a non-finite value is an error naming the data, and a
+    network too large to build one naming ``arch``."""
     arch = cfg.arch.to_arch(source.dim, k)
     try:
         return run_experiments(source, target, oracle, arch, flags, cfg.schedule, cfg.seed, audit)
+    except MemoryError as exc:
+        raise MemoryError(f"arch: {exc}") from None
     except (ValueError, FloatingPointError) as exc:
         data = "data.synthetic" if isinstance(cfg.data, SyntheticSpec) \
             else f"{cfg.data.source}, {cfg.data.target}"

@@ -129,6 +129,8 @@ def generate_toy(spec: SyntheticSpec) -> tuple[Dataset, Dataset, OracleContext]:
     means = spec.resolved_means()
     n = spec.samples_per_class
     k = spec.num_source_classes
+    if len(means) != k:  # np.arange(k) is empty for some k near 2**63
+        raise ValueError(f"cannot lay out {k} class means")
 
     src_x = np.vstack([means[c] + spec.cluster_std * rng.standard_normal((n, spec.dim))
                        for c in range(k)])

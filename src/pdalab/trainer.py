@@ -123,6 +123,10 @@ class Schedule:
             raise ValueError("epoch counts must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        try:  # lr_at's largest denominator, at progress 1
+            (1.0 + self.alpha) ** self.beta
+        except OverflowError:
+            raise ValueError("(1 + alpha) ** beta overflows a float") from None
 
 
 def lr_at(p: float, sched: Schedule) -> float:
@@ -311,6 +315,7 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
     audit, a domain too small for the proxy's train/test split is a
     ValueError before any training step.  A value gone non-finite is a
     FloatingPointError naming the epoch and step, or the epoch's snapshot.
+    A network too large to build is a MemoryError.
     """
     if source.y is None:
         raise ValueError("run_experiment needs a labeled source dataset")
@@ -323,9 +328,12 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
 
     k = arch.num_classes
     num_heads = 1 if flags_seq[0].adversary == "single" else k
-    bundle = map_bundle(init_bundle(arch, substream(seed, "init"), num_heads=num_heads,
-                                    shared_trunk=flags_seq[0].shared_trunk),
-                        lambda a: np.stack([a] * n)[lead])
+    try:  # numpy's "array is too big" is a network no memory holds
+        bundle = map_bundle(init_bundle(arch, substream(seed, "init"), num_heads=num_heads,
+                                        shared_trunk=flags_seq[0].shared_trunk),
+                            lambda a: np.stack([a] * n)[lead])
+    except ValueError as exc:
+        raise MemoryError(exc) from None
     opt = MomentumSGD(bundle.parameters(), sched.momentum)
     total_steps = steps_per_epoch(len(source), len(target), sched.batch_size) \
         * sched.total_epochs

@@ -1539,3 +1539,71 @@ class TestAblateStd:
             _, seeds, mean_acc, std_acc = row.split(",")
             assert (int(seeds), float(mean_acc)) == (3, 0.25)
             assert float(std_acc) == pytest.approx(np.sqrt(0.125 / 3), rel=1e-12)
+
+
+def _run_in_process(command, cfg, tmp_path):
+    """``command`` on ``cfg`` with ``--out``; ``ablate`` through the in-process pool."""
+    args = ["--seeds", "1", "--workers", "1"] if command == "ablate" else []
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args])
+
+
+class TestScheduleThatOverflows:
+    """A schedule whose learning-rate denominator (1 + alpha) ** beta overflows
+    a float is rejected as the config loads, before any data work."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("beta", [297, 1000])
+    def test_is_one_config_error_line(self, tmp_path, capfd, monkeypatch, command, beta):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began")
+        monkeypatch.setattr("pdalab.cli._load_data", no_work)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_work)
+        cfg = write_config(tmp_path / "c.yaml", schedule={**_SCHEDULE, "beta": beta})
+        capfd.readouterr()
+        assert _run_in_process(command, cfg, tmp_path) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        _assert_one_error_line(tmp_path, err, f"{cfg}: schedule: (1 + alpha) ** beta "
+                                              "overflows a float")
+
+    def test_largest_beta_that_fits_still_trains(self):
+        from pdalab.trainer import Schedule, lr_at
+        sched = Schedule(beta=296)
+        assert 0.0 < lr_at(1.0, sched) < lr_at(0.0, sched)
+
+
+class TestClassCountTheGeneratorCannotLayOut:
+    """For class counts near 2**63, ``np.arange`` lays out no class means; the
+    generator says so, and the line names ``data.synthetic``."""
+
+    @pytest.mark.parametrize("command", ["generate-data", "train", "ablate"])
+    @pytest.mark.parametrize("k", [2**63 - 1, 2**63])
+    def test_names_the_section(self, tmp_path, capfd, monkeypatch, command, k):
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+        cfg = write_config(tmp_path / "c.yaml",
+                           data={"synthetic": {**_SYNTHETIC, "num_source_classes": k}})
+        capfd.readouterr()
+        assert _run_in_process(command, cfg, tmp_path) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        _assert_one_error_line(tmp_path, err, f"data.synthetic: cannot lay out {k} class means")
+
+
+class TestNetworkTooLargeToBuild:
+    """A network no memory holds is one line naming ``arch``, not the data,
+    whether numpy finds the size too big for an array or fails to allocate
+    it.  These sizes need exabytes, so nothing is allocated."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("key", ["hidden", "disc_hidden"])
+    @pytest.mark.parametrize("width", [10**17, 10**18])
+    def test_names_arch(self, tmp_path, capfd, monkeypatch, command, key, width):
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+        cfg = write_config(tmp_path / "c.yaml", arch={key: [width]})
+        capfd.readouterr()
+        assert _run_in_process(command, cfg, tmp_path) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: arch: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "data.synthetic" not in err
+        assert not (tmp_path / "o").exists()
