@@ -1541,8 +1541,8 @@ class TestAblateStd:
             assert float(std_acc) == pytest.approx(np.sqrt(0.125 / 3), rel=1e-12)
 
 
-def _run_in_process(command, cfg, tmp_path):
-    """``command`` on ``cfg`` with ``--out``; ``ablate`` through the in-process pool."""
+def _run_with_out(command, cfg, tmp_path):
+    """``command`` on ``cfg`` with ``--out``; ``ablate`` over one seed and one worker."""
     args = ["--seeds", "1", "--workers", "1"] if command == "ablate" else []
     return main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args])
 
@@ -1560,7 +1560,7 @@ class TestScheduleThatOverflows:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_work)
         cfg = write_config(tmp_path / "c.yaml", schedule={**_SCHEDULE, "beta": beta})
         capfd.readouterr()
-        assert _run_in_process(command, cfg, tmp_path) == 1
+        assert _run_with_out(command, cfg, tmp_path) == 1
         out, err = capfd.readouterr()
         assert out == ""
         _assert_one_error_line(tmp_path, err, f"{cfg}: schedule: (1 + alpha) ** beta "
@@ -1583,7 +1583,7 @@ class TestClassCountTheGeneratorCannotLayOut:
         cfg = write_config(tmp_path / "c.yaml",
                            data={"synthetic": {**_SYNTHETIC, "num_source_classes": k}})
         capfd.readouterr()
-        assert _run_in_process(command, cfg, tmp_path) == 1
+        assert _run_with_out(command, cfg, tmp_path) == 1
         out, err = capfd.readouterr()
         assert out == ""
         _assert_one_error_line(tmp_path, err, f"data.synthetic: cannot lay out {k} class means")
@@ -1601,7 +1601,7 @@ class TestNetworkTooLargeToBuild:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
         cfg = write_config(tmp_path / "c.yaml", arch={key: [width]})
         capfd.readouterr()
-        assert _run_in_process(command, cfg, tmp_path) == 1
+        assert _run_with_out(command, cfg, tmp_path) == 1
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("error: arch: ") and err.count("\n") == 1
