@@ -4,13 +4,13 @@ Three terms: class-weighted supervised loss on source labels,
 class-weighted self-training loss on target pseudo-labels, and the
 per-head adversarial alignment loss.  The reported objective is
 ``l_sup + l_self - l_adv``; a single descent pass on
-``l_sup + l_self + l_adv`` realizes the min-max because discriminator
-inputs pass through gradient reversal.
+``l_sup + l_self + l_adv`` realizes the min-max: the discriminator's first
+layer reverses its input gradient.  Terms read half a batch by row range.
 
 Instance and entropy weights in the adversarial term are constants
 (detached class predictions): every gradient the feature extractor
-receives from the adversarial term must route through the reversal
-node, otherwise the descent/ascent sign contract breaks.
+receives from the adversarial term must pass that reversing layer,
+otherwise the descent/ascent sign contract breaks.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ class LossBreakdown:
     objective: float
 
 
-def supervised_loss(preds: Tensor, labels, class_weights) -> Tensor:
-    """Mean over the batch of w_y * cross_entropy(pred, y), per slice of a stack."""
-    return T.cross_entropy_mean(preds, labels, class_weights)
+def supervised_loss(preds: Tensor, labels, class_weights, rows=slice(None)) -> Tensor:
+    """Mean of w_y * cross_entropy(pred, y) over the ``rows`` of ``preds``, per slice."""
+    return T.cross_entropy_mean(preds, labels, class_weights, rows)
 
 
 def assign_pseudo_labels(preds) -> np.ndarray:
@@ -44,9 +44,9 @@ def assign_pseudo_labels(preds) -> np.ndarray:
     return as_pred_matrix(preds).argmax(axis=-1)
 
 
-def self_training_loss(preds: Tensor, pseudo_hard, class_weights) -> Tensor:
-    """Mean of w_pseudo * cross_entropy(pred, pseudo)."""
-    return supervised_loss(preds, pseudo_hard, class_weights)
+def self_training_loss(preds: Tensor, pseudo_hard, class_weights, rows=slice(None)) -> Tensor:
+    """Mean of w_pseudo * cross_entropy(pred, pseudo) over the ``rows`` of ``preds``."""
+    return supervised_loss(preds, pseudo_hard, class_weights, rows)
 
 
 def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,

@@ -20,7 +20,6 @@ from .metrics import from_plain, load_json, same_major, to_plain
 from .tensor import (
     ACTIVATIONS,
     Tensor,
-    grad_reverse,
     linear,
     softmax_rows,
     stack_to_cols,
@@ -118,13 +117,13 @@ class MultiTaskDiscriminator:
     def forward(self, features: Tensor, lam: float) -> Tensor:
         """Per-head source-domain logits, shape [m, num_heads] or [S, m, num_heads].
 
-        Features pass through gradient reversal scaled by ``lam`` before
-        the trunk, so one descent step trains the discriminator while
-        pushing the feature extractor the opposite way.
+        The first layer (the trunk's, else the heads') reverses the gradient of
+        the features, scaled by ``lam``: one descent step trains the discriminator
+        and pushes the feature extractor the opposite way.
         """
-        h = self._trunk.forward(grad_reverse(features, lam))
-        for w, b, act in self.layers:
-            h = linear(h, w, b, act)
+        h, reverse = features, lam
+        for w, b, act in self._trunk.layers + self.layers:
+            h, reverse = linear(h, w, b, act, reverse), None
         return stack_to_cols(h)
 
     def parameters(self) -> list[Tensor]:

@@ -10,9 +10,9 @@ per node: the loss and the leaf gradients, with a walk of the tape to
 name the node that first went non-finite.  Off the tape each primitive
 checks its own output.
 
-``grad_reverse`` turns one descent pass into a min-max step: identity
-forward, ``-lam`` scaling backward.  Every node takes an optional leading
-slice axis: S programs at once, each slice bit-equal to its program alone.
+``linear``'s ``reverse`` (gradient reversal) turns one descent pass into a min-max
+step; a loss reads half a batch through ``rows``.  Every node takes an optional
+leading slice axis: S programs at once, each slice bit-equal to its program alone.
 """
 
 from __future__ import annotations
@@ -178,13 +178,19 @@ def backward(loss: Tensor) -> None:
                     touched.append(parent)
                 else:
                     parent._pending = parent._pending + pg
-        # Whatever remains belongs to leaves (parameters and inputs).  Every
-        # gradient reaches some leaf, so one sum shows a non-finite one.
+        # What remains is the leaves' (parameters and inputs).  Every gradient reaches
+        # one, so one sum shows a non-finite one, before any lands in a leaf's gradient;
         leaves = [t for t in touched if t._pending is not None]
-        _check_sweep(np.add.reduce(np.concatenate([t._pending.ravel() for t in leaves])), nodes,
-                     grads=True)
-        for t in leaves:
-            t.grad = t._pending if t.grad is None else t.grad + t._pending
+        flat = leaves[0].grad.base if leaves[0].grad is not None else None
+        if flat is None or [t for t in leaves if t.grad is None or t.grad.base is not flat]:
+            _check_sweep(np.add.reduce(np.concatenate([t._pending.ravel() for t in leaves])),
+                         nodes, grads=True)
+            for t in leaves:
+                t.grad = t._pending if t.grad is None else t.grad + t._pending
+        else:  # or after, if all view one flat buffer (an optimizer's): added in place
+            for t in leaves:
+                t.grad += t._pending
+            _check_sweep(np.add.reduce(flat), nodes, grads=True)
     finally:
         for t in touched:
             t._pending = None
@@ -212,14 +218,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a_data @ b_data, bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> Tensor:
     """One layer, ``x @ w + b`` and then relu if ``act`` is ``"relu"``.
 
     ``w`` is a [d, h] weight with a [h] bias, or a stack: [K, d, h] heads, [S, d, h]
     slices or [S, K, d, h].  The input has w's leading axes, or all but the last,
     whose slices then share it: [m, d] for [K, d, h] or [S, d, h], [S, m, d] for
     [S, K, d, h].  Each slice is its own product, bit-equal to its 2-d layer.
+    With ``reverse`` lam, x's gradient is -lam times its head sum: grad_reverse's bits.
     """
+    if reverse is not None and not np.isfinite(reverse):
+        raise ValueError("grad_reverse requires a finite lambda")
     x_data, w_data, b_data = x.data, w.data, b.data
     xb = x_data.ndim - 2  # leading axes of x; w has these, or one more
     if xb < 0 or w_data.ndim > 4 or w_data.ndim - xb not in (2, 3) \
@@ -233,8 +242,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
     x_data = x_data[:, None] if shared and xb else x_data
     out = x_data @ w_data
     out += b_data[..., None, :]
-    # The one eager check on the tape: relu zeroes -inf and nan, so the loss would
-    # not show them (without relu they reach it, and the sweep names this node).
+    # The one eager check on the tape: relu turns -inf into 0.0, so the loss would
+    # not show it (without relu it reaches the loss, and the sweep names this node).
     _ensure_finite(out, "linear")
     relu = act == "relu"
     if relu:  # np.where(out > 0, out, 0.0) to the bit, in place: + 0.0
@@ -249,21 +258,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none") -> Tensor:
             w_t, one = w_data.swapaxes(-1, -2), w_data.shape[-1] == 1
             # Over an inner dimension of 1 a product is one multiplication; + 0.0
             # gives the 0.0 that matmul's zero-started sum gives for -0.0.
-            if not shared or not xb:
+            if not shared or one and not xb:
                 gx = g * w_t if one else g @ w_t
                 if shared:  # heads reading one input add from the last down: the tape's order
                     gx = np.add.reduce(gx[::-1], 0)
                 if one:
                     gx += 0.0
-            else:  # a stack adds each head over its slices: no [S, K, m, h] temporary
-                gh, wh = g.swapaxes(0, 1), w_t.swapaxes(0, 1)
+            else:  # the same sum head by head (over its slices): no [S, K, m, d] temporary
+                gh, wh = (g.swapaxes(0, 1), w_t.swapaxes(0, 1)) if xb else (g, w_t)
                 prod = np.multiply if one else np.matmul
                 gx = prod(gh[-1], wh[-1])
                 gx += 0.0  # a zero-started sum
                 term = np.empty_like(gx)
                 for k in range(len(gh) - 2, -1, -1):
                     gx += prod(gh[k], wh[k], out=term)
-            grads.append((x, gx))
+            grads.append((x, gx if reverse is None else -reverse * gx))
         return grads
 
     return _record("linear", (x, w, b), out, bw, checked=True)
@@ -326,13 +335,14 @@ def softmax_rows(logits: Tensor) -> Tensor:
     return _record("softmax_rows", (logits,), p, bw)
 
 
-def cross_entropy_mean(pred: Tensor, labels, class_weights) -> Tensor:
+def cross_entropy_mean(pred: Tensor, labels, class_weights, rows=slice(None)) -> Tensor:
     """Mean over rows of ``class_weights[y] * -log pred[y]`` for simplex rows and
     one class label per row; ``pred`` is floored at ``LOG_FLOOR`` before the log.
-    Over a stack, labels and class weights are shared or per slice."""
+    Over a stack, labels and class weights are shared or per slice; ``rows`` picks rows."""
     if pred.data.ndim not in (2, 3) or pred.shape[-2] == 0:
         raise ValueError("cross_entropy_mean requires a nonempty 2-d tensor or a stack")
-    lead, (m, k) = pred.shape[:-2], pred.shape[-2:]
+    p, idx = pred.data, np.arange(pred.shape[-2])[rows]
+    lead, m, k = p.shape[:-2], len(idx), p.shape[-1]
     labels = np.ascontiguousarray(labels)  # a row's sum runs in one order per layout
     if labels.shape not in ((m,), lead + (m,)):
         raise ValueError("one label per prediction row required")
@@ -340,9 +350,7 @@ def cross_entropy_mean(pred: Tensor, labels, class_weights) -> Tensor:
         raise ValueError("labels must be integers")
     if np.minimum.reduce(labels, None) < 0 or np.maximum.reduce(labels, None) >= k:
         raise ValueError(f"label index out of range [0, {k})")
-    p = pred.data
-    rows = np.arange(m)
-    cells = (rows, labels) if not lead else (np.arange(lead[0])[:, None], rows, labels)
+    cells = (idx, labels) if not lead else (np.arange(lead[0])[:, None], idx, labels)
     p_y = p[cells]
     picked = np.maximum(p_y, LOG_FLOOR)
     cw = np.asarray(class_weights, dtype=np.float64)
@@ -391,18 +399,20 @@ def weighted_bce(logits: Tensor, targets, weights) -> Tensor:
     return _record("weighted_bce", (logits,), np.asarray(out), bw)
 
 
-def entropy_mean(pred: Tensor, scale) -> Tensor:
-    """``scale`` times the mean Shannon entropy (natural log) of simplex rows;
-    over a stack, ``scale`` may be one per slice."""
+def entropy_mean(pred: Tensor, scale, rows=slice(None)) -> Tensor:
+    """``scale`` times the mean Shannon entropy (natural log) of simplex rows, those
+    in the ``rows`` range; over a stack, ``scale`` may be one per slice."""
     if pred.data.ndim not in (2, 3) or pred.shape[-2] == 0:
         raise ValueError("entropy_mean requires a nonempty 2-d tensor or a stack")
-    p, m, s = pred.data, pred.shape[-2], scale
+    p, s = pred.data[..., rows, :], scale
     log_p = np.log(np.maximum(p, LOG_FLOOR))
 
     def bw(g):
-        return [(pred, -((g * s)[..., None, None] / m) * (log_p + (p > LOG_FLOOR)))]
+        gp = np.zeros(pred.data.shape)
+        gp[..., rows, :] = -((g * s)[..., None, None] / p.shape[-2]) * (log_p + (p > LOG_FLOOR))
+        return [(pred, gp)]
 
-    out = np.add.reduce(-np.add.reduce(p * log_p, -1), -1) / m * s
+    out = np.add.reduce(-np.add.reduce(p * log_p, -1), -1) / p.shape[-2] * s
     return _record("entropy_mean", (pred,), np.asarray(out), bw)
 
 
@@ -438,6 +448,6 @@ def stack_to_cols(a: Tensor) -> Tensor:
         raise ValueError(f"stack_to_cols requires a [K, m, 1] stack, got {a.shape}")
 
     def bw(g):
-        return [(a, g.swapaxes(-1, -2).copy()[..., None])]
+        return [(a, g.swapaxes(-1, -2)[..., None].copy())]  # owned: a leaf may add into it
 
     return _record("stack_to_cols", (a,), a.data[..., 0].swapaxes(-1, -2).copy(), bw)

@@ -31,7 +31,7 @@ from .nets import (ArchConfig, ArchSpec, ModelBundle, d_forward, f_forward, g_fo
                    init_bundle, map_bundle)
 from .rngstreams import substream
 from .selection import class_transferable_probability
-from .tensor import Tensor, backward, no_grad, reset_tape, slice_rows
+from .tensor import Tensor, backward, no_grad, reset_tape
 
 ADVERSARY_MODES = ("none", "single", "multi")
 ENTROPY_MIN_COEF = 0.1  # weight of the target-entropy regularizer (conference variant)
@@ -146,34 +146,36 @@ def adv_ramp(p: float) -> float:
 class MomentumSGD:
     """Momentum SGD over a fixed parameter list; velocities persist.
 
-    The parameters become views of one flat buffer, so a step is one
-    elementwise update of the whole model: v <- momentum*v + g, then
-    theta <- theta - lr*v.  A parameter without a gradient counts as a
-    zero gradient: one that never gets a gradient never moves.
+    The parameters become views of one flat buffer, their gradients views of
+    ``flat_grad``, so a step is one elementwise update of the whole model:
+    v <- momentum*v + g, then theta <- theta - lr*v.  A gradient set by hand is
+    copied in; None is zero: a parameter that never gets a gradient never moves.
     """
 
     def __init__(self, params: list[Tensor], momentum: float):
         self.params = params
         self.momentum = momentum
         self.flat = np.concatenate([p.data.ravel() for p in params])
+        self.flat_grad, self.velocity = np.zeros_like(self.flat), np.zeros_like(self.flat)
         offset = 0
         for p in params:
-            p.data = self.flat[offset:offset + p.data.size].reshape(p.shape)
+            p.data, p.grad = (a[offset:offset + p.data.size].reshape(p.shape)
+                              for a in (self.flat, self.flat_grad))
             offset += p.data.size
-        self.velocity = np.zeros_like(self.flat)
-        self._zeros = [np.zeros(p.data.size) for p in params]
+        self._views = [(p, p.grad) for p in params]
 
     def step(self, lr: float) -> None:
-        grad = np.concatenate([z if p.grad is None else p.grad.ravel()
-                               for p, z in zip(self.params, self._zeros)])
-        if grad.shape != self.flat.shape:
-            raise ValueError("gradient sizes disagree with the parameters")
+        for p, view in self._views:
+            if p.grad is not view:  # a wrong size is reshape's ValueError
+                view[...] = 0.0 if p.grad is None else np.reshape(p.grad, view.shape)
         self.velocity *= self.momentum
-        self.velocity += grad
+        self.velocity += self.flat_grad
         self.flat -= lr * self.velocity
 
     def zero_grad(self) -> None:
-        T.zero_grad(self.params)
+        self.flat_grad.fill(0.0)
+        for p, view in self._views:
+            p.grad = view
 
 
 def predict(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
@@ -235,6 +237,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
                      for on in (self_on, adv_on))
     ent_coef = ENTROPY_MIN_COEF * ent_on  # 0.0 in a slice without the regularizer
     b = sched.batch_size
+    src, tgt = slice(0, b), slice(b, 2 * b)  # the rows of each domain's half of a batch
     domains = np.concatenate([np.ones(b), np.zeros(b)])
     heads = bundle.discriminator.num_heads
     fixed_inst = np.full((2 * b, heads), 1.0 / heads)
@@ -253,12 +256,10 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             opt.zero_grad()
             f = f_forward(bundle.features, Tensor(x_all))
             preds = g_forward(bundle.classifier, f)
-            preds_src = slice_rows(preds, 0, b)
-            preds_tgt = slice_rows(preds, b, 2 * b)
 
-            l_sup = supervised_loss(preds_src, y_src, w_eff)
+            l_sup = supervised_loss(preds, y_src, w_eff, src)
             l_self = None if self_on is False else \
-                self_training_loss(preds_tgt, pseudo[..., tgt_idx], w_self)
+                self_training_loss(preds, pseudo[..., tgt_idx], w_self, tgt)
 
             l_adv = None
             if adv_on is not False:
@@ -270,7 +271,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
                                          use_class_sel=class_on is not False or adv_on is not True,
                                          use_entropy_w=ent_on)
 
-            l_ent = None if ent_on is False else T.entropy_mean(preds_tgt, ent_coef)
+            l_ent = None if ent_on is False else T.entropy_mean(preds, ent_coef, tgt)
             breakdown, total = compose_objective(l_sup, l_self, l_adv, l_ent)
             backward(total)
             opt.step(lr)

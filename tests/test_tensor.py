@@ -633,6 +633,113 @@ class TestInPlaceKernelsMatchChains:
         assert bits_equal(grad, want)
 
 
+
+def _negative_zeros(a) -> bool:
+    return bool((np.signbit(a) & (a == 0.0)).any())
+
+
+class TestFoldedNodesMatchChains:
+    """The training step reads the two halves of a batch through row ranges and
+    applies gradient reversal inside the discriminator's first layer.  Each folded
+    form is bit-equal to the chain of nodes it replaced, signed zeros included."""
+
+    @pytest.mark.parametrize("terms", [("sup",), ("sup", "ent"), ("sup", "self"),
+                                       ("sup", "self", "ent")])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_row_range_losses_match_slice_rows_and_the_losses(self, lead, terms):
+        rng = np.random.default_rng(21)
+        b, k = 4, 3
+        p = rng.dirichlet(np.ones(k), size=lead + (2 * b,))
+        p[..., 1, :] = [1.0, 1e-14, 0.0]  # entries below the floor
+        y, pseudo = np.array([0, 1, 2, 0]), rng.integers(0, k, size=lead + (b,))
+        w_src = rng.uniform(0.5, 2.0, size=lead + (k,))
+        w_src[..., 0] = 0.0  # a class weighed by zero: -0.0 gradients
+        w_tgt = np.where(rng.random(lead + (k,)) < 0.5, 0.0, 1.0)
+        scale = 0.1 if not lead else np.array([0.1, 0.0])
+
+        def chain():
+            pt = Tensor(p, requires_grad=True)
+            src, tgt = slice_rows(pt, 0, b), slice_rows(pt, b, 2 * b)
+            losses = [cross_entropy_mean(src, y, w_src)]
+            if "self" in terms:
+                losses.append(cross_entropy_mean(tgt, pseudo, w_tgt))
+            if "ent" in terms:
+                losses.append(entropy_mean(tgt, scale))
+            return pt, losses, src
+
+        def folded():
+            pt = Tensor(p, requires_grad=True)
+            losses = [cross_entropy_mean(pt, y, w_src, slice(0, b))]
+            if "self" in terms:
+                losses.append(cross_entropy_mean(pt, pseudo, w_tgt, slice(b, 2 * b)))
+            if "ent" in terms:
+                losses.append(entropy_mean(pt, scale, slice(b, 2 * b)))
+            return pt, losses, None
+
+        results = []
+        for build in (chain, folded):
+            reset_tape()
+            pt, losses, src = build()
+            backward(T.add(*losses))
+            results.append(([t.data for t in losses], pt.grad, src))
+        (want_losses, want, src), (got_losses, got, _) = results
+        assert _negative_zeros(src.grad)  # the slice's own gradient holds -0.0
+        assert all(bits_equal(g, w) for g, w in zip(got_losses, want_losses))
+        assert bits_equal(got, want)
+        assert _negative_zeros(got) == (terms == ("sup",))  # + 0.0 over the other half
+
+    @pytest.mark.parametrize("w_shape, x_shape", [
+        ((3, 2), (4, 3)), ((2, 3, 2), (4, 3)), ((2, 3, 1), (4, 3)), ((1, 3, 1), (4, 3)),
+        ((2, 3, 2), (2, 4, 3)), ((2, 2, 3, 2), (2, 4, 3)), ((2, 2, 3, 1), (2, 4, 3)),
+    ])
+    @pytest.mark.parametrize("act", ["relu", "none"])
+    @pytest.mark.parametrize("lam", [0.0, 0.37])
+    def test_reversal_inside_linear_matches_grad_reverse_and_linear(self, w_shape, x_shape,
+                                                                    act, lam):
+        rng = np.random.default_rng(22)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        w[..., 0, :] = 0.0  # zero products of both signs
+        b = rng.normal(size=w_shape[:-2] + w_shape[-1:])
+        wc = rng.normal(size=x_shape[:-2] + (3, 2))
+        up = rng.normal(size=w_shape[:-2] + x_shape[-2:-1] + w_shape[-1:])
+        up_c = rng.normal(size=x_shape[:-1] + (2,))
+
+        def run(folded):
+            reset_tape()
+            xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+            # The features' other reader, the classifier, is on the tape first.
+            cls = linear(xt, Tensor(wc), Tensor(np.zeros(wc.shape[:-2] + (2,))))
+            out = linear(xt, wt, bt, act, reverse=lam) if folded else \
+                linear(grad_reverse(xt, lam), wt, bt, act)
+            backward(T.add(mean(T.mul(cls, Tensor(up_c))), mean(T.mul(out, Tensor(up)))))
+            return [out.data, xt.grad, wt.grad, bt.grad]
+
+        assert all(bits_equal(got, want) for got, want in zip(run(True), run(False)))
+
+    def test_reversal_inside_linear_requires_a_finite_lambda(self):
+        x, w, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((3, 1))), \
+            Tensor(np.zeros(1))
+        with pytest.raises(ValueError, match="^grad_reverse requires a finite lambda$"):
+            linear(x, w, b, reverse=float("inf"))
+
+    @pytest.mark.parametrize("heads", [1, 5, 9])  # 9 crosses numpy's pairwise block of 8
+    @pytest.mark.parametrize("width", [2, 16])
+    def test_heads_summed_one_by_one_match_the_batched_product_and_reversed_sum(self, heads,
+                                                                                 width):
+        rng = np.random.default_rng(23)
+        x, w = rng.normal(size=(6, 4)), rng.normal(size=(heads, 4, width))
+        w[..., 0, :] = 0.0
+        w *= 10.0 ** rng.integers(-6, 7, size=(heads, 1, 1))  # order matters
+        g = rng.normal(size=(heads, 6, width))
+        g[:, :2] = -0.0
+        g[:, 2, :1] = 0.0
+        reset_tape()
+        xt = Tensor(x, requires_grad=True)
+        linear(xt, Tensor(w, requires_grad=True), Tensor(np.zeros((heads, width))))
+        (gx,) = [gr for t, gr in T._tape.nodes[-1].backward_fn(g) if t is xt]
+        want = np.add.reduce((g @ w.swapaxes(-1, -2))[::-1], 0)
+        assert bits_equal(gx, want)
+
 def _gradcheck_primitive(name, build, sampler, trials=120, tol=1e-4, seed=1234):
     """FD check of a single primitive over many random inputs.
 

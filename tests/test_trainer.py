@@ -428,6 +428,7 @@ def test_a_warm_private_trunk_run_faults_less_than_once_per_step():
     assert faults < steps, (faults, steps)
 
 
+
 class TestEvaluate:
     def test_perfect_predictor(self):
         source, target, oracle = tiny_problem(seed=4)
@@ -592,26 +593,20 @@ class TestRunExperiment:
         assert len(walls) == 2 and min(walls) >= 0.05
 
 
-_TRUNK_AND_SUP = ["linear", "linear", "linear", "softmax_rows", "slice_rows", "slice_rows",
-                  "cross_entropy_mean"]
+_TRUNK_AND_SUP = ["linear", "linear", "linear", "softmax_rows", "cross_entropy_mean"]
 # The tape at a run's first backward, past warm-up, under the default arch.
 _SOLO_TAPES = {
     "source_only": _TRUNK_AND_SUP + ["add"],
-    "instance": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols", "weighted_bce",
-                                  "add"],
-    "instance_class": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols",
-                                        "weighted_bce", "add"],
-    "instance_class_entropy": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols",
-                                                "weighted_bce", "entropy_mean", "add"],
-    "instance_class_self_private": _TRUNK_AND_SUP + ["cross_entropy_mean", "grad_reverse",
-                                                     "linear", "stack_to_cols",
-                                                     "weighted_bce", "add"],
-    "san_pp": _TRUNK_AND_SUP + ["cross_entropy_mean", "grad_reverse", "linear",
-                                "stack_to_cols", "weighted_bce", "add"],
-    "dann": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols", "weighted_bce",
-                              "add"],
-    "san": _TRUNK_AND_SUP + ["grad_reverse", "linear", "stack_to_cols", "weighted_bce",
-                             "entropy_mean", "add"],
+    "instance": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce", "add"],
+    "instance_class": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce", "add"],
+    "instance_class_entropy": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce",
+                                                "entropy_mean", "add"],
+    "instance_class_self_private": _TRUNK_AND_SUP + ["cross_entropy_mean", "linear",
+                                                     "stack_to_cols", "weighted_bce", "add"],
+    "san_pp": _TRUNK_AND_SUP + ["cross_entropy_mean", "linear", "stack_to_cols",
+                                "weighted_bce", "add"],
+    "dann": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce", "add"],
+    "san": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce", "entropy_mean", "add"],
 }
 
 
@@ -634,8 +629,8 @@ class TestSoloTape:
                        NAMED_VARIANTS[variant], small_sched(total_epochs=1, warmup_epochs=0),
                        0, full_audit=False)
         expected = list(_SOLO_TAPES[variant])
-        if disc_hidden and "grad_reverse" in expected:  # one trunk layer
-            expected.insert(expected.index("grad_reverse") + 1, "linear")
+        if disc_hidden and "stack_to_cols" in expected:  # one trunk layer before the heads'
+            expected.insert(expected.index("stack_to_cols") - 1, "linear")
         assert tapes[0] == expected
 
 
@@ -865,9 +860,9 @@ class TestEntropyRegularizer:
             preds.append(out.data.copy())
             return out
 
-        def recording_entropy(pred, scale):
-            calls.append((pred.data.copy(), scale))
-            return entropy_mean(pred, scale)
+        def recording_entropy(pred, scale, rows):
+            calls.append((pred.data[..., rows, :].copy(), scale))
+            return entropy_mean(pred, scale, rows)
 
         monkeypatch.setattr(pdalab.trainer, "g_forward", recording_g)
         monkeypatch.setattr(T, "entropy_mean", recording_entropy)
