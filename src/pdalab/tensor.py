@@ -280,7 +280,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> 
 
 def add(*terms: Tensor) -> Tensor:
     """Elementwise sum of same-shaped tensors, left to right, in one node."""
-    if any(t.shape != terms[0].shape for t in terms):
+    if len({t.data.shape for t in terms}) != 1:
         raise ValueError(f"add shapes differ: {[t.shape for t in terms]}")
     out = terms[0].data
     for t in terms[1:]:

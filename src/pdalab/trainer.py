@@ -336,6 +336,7 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
     except ValueError as exc:
         raise MemoryError(exc) from None
     opt = MomentumSGD(bundle.parameters(), sched.momentum)
+    slices = [map_bundle(bundle, lambda a: a[i]) for i in range(n)] if n > 1 else [bundle]
     total_steps = steps_per_epoch(len(source), len(target), sched.batch_size) \
         * sched.total_epochs
     if oracle is not None and full_audit:  # only these source rows reach the report
@@ -344,11 +345,11 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
         proxy_test_rows(len(x_src), "source rows in the shared classes")
         proxy_test_rows(len(target), "target rows")
 
-    def features_and_preds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f = extract_features(bundle, x)
+    def features_and_preds(x: np.ndarray) -> tuple[list, np.ndarray]:
+        """A forward per slice: [S, m, h] arrays freed each epoch make the heap shrink."""
+        f = [extract_features(s, x) for s in slices]
         with no_grad():
-            preds = g_forward(bundle.classifier, Tensor(f)).data
-        return f.reshape(n, *f.shape[-2:]), preds.reshape(n, *preds.shape[-2:])
+            return f, np.stack([g_forward(s.classifier, Tensor(fs)).data for s, fs in zip(slices, f)])
 
     def snapshot(epoch: int, losses=(None,) * n) -> tuple[list, np.ndarray, np.ndarray]:
         """Each run's record for the epoch, plus the target predictions and

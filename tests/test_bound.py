@@ -130,6 +130,26 @@ def _ridge_gradient(x, y, w, b):
     return x1.T @ (p - y) + PROXY_RIDGE * len(x) * theta
 
 
+class TestProxyRidgeValue:
+    def test_fit_equals_a_direct_newton_solve_with_ridge_five_hundredths(self):
+        """The proxy's ridge is 0.05 per row: on a tiny case its fit equals a plain
+        Newton solve of sum_i logloss + (0.05 * n / 2) * |(w, b)|^2, with 0.05
+        written out here rather than read from the module."""
+        x = np.array([[0.3, -1.2], [1.5, 0.4], [-0.7, 0.9], [2.1, -0.3], [-1.8, -0.6],
+                      [0.2, 1.7]])
+        y = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        n = len(x)
+        x1 = np.hstack([x, np.ones((n, 1))])
+        theta = np.zeros(3)
+        for _ in range(100):
+            p = 1.0 / (1.0 + np.exp(-(x1 @ theta)))
+            grad = x1.T @ (p - y) + 0.05 * n * theta
+            hess = x1.T @ (x1 * (p * (1.0 - p))[:, None]) + 0.05 * n * np.eye(3)
+            theta = theta - np.linalg.solve(hess, grad)
+        w, b = _fit_logistic(x, y)
+        assert np.allclose(np.append(w, b), theta, rtol=0, atol=1e-12)
+
+
 def _count_newton_steps(monkeypatch):
     calls = []
     solve = np.linalg.solve

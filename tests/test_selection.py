@@ -94,6 +94,14 @@ class TestEntropyWeight:
         assert entropy_weight(np.eye(k)[0]) == pytest.approx(2.0)
         assert entropy_weight(np.full(k, 1.0 / k)) == pytest.approx(uniform_value)
 
+    def test_entries_below_a_thousandth_count_at_their_own_log(self):
+        """1 + exp(-H) with H = -sum p log p over the row's positive entries: an entry
+        of 1e-4 adds -1e-4 * log(1e-4) to H, at no floor but the smallest float's."""
+        rows = np.array([[1.0 - 3e-4, 2e-4, 1e-4], [0.5, 0.5 - 4e-4, 4e-4],
+                         [0.9, 0.1 - 1e-6, 1e-6], [1.0, 0.0, 0.0]])
+        want = [1.0 + math.exp(sum(v * math.log(v) for v in row if v > 0.0)) for row in rows]
+        assert entropy_weights(rows) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_batch_matches_rowwise(self):
         rng = np.random.default_rng(4)
         preds = rng.dirichlet(np.ones(3), size=20)

@@ -428,6 +428,42 @@ def test_a_warm_private_trunk_run_faults_less_than_once_per_step():
     assert faults < steps, (faults, steps)
 
 
+_WARM_CHUNK_FAULTS = """
+import resource
+from pdalab.data import SyntheticSpec, generate_toy
+from pdalab.nets import ArchSpec
+from pdalab.trainer import ABLATION_VARIANTS, Schedule, run_experiments
+
+spec = SyntheticSpec(seed=11)
+source, target, oracle = generate_toy(spec)
+arch = ArchSpec(in_dim=source.dim, num_classes=spec.num_source_classes)
+rows = [ABLATION_VARIANTS[name] for name in ("source_only", "instance", "instance_class")]
+sched = Schedule(total_epochs=60)
+for _ in range(2):
+    run_experiments(source, target, oracle, arch, rows, sched, 5, full_audit=False)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiments(source, target, oracle, arch, rows, sched, 5, full_audit=False)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, sched.total_epochs)
+"""
+
+
+def test_a_warm_three_slice_chunk_faults_less_than_once_per_epoch():
+    """The default grid's three-slice chunk, as ``ablate`` trains it, reuses the
+    heap its last run freed: once warm, a 60-epoch run, snapshots included, takes
+    fewer minor page faults than epochs.  In a fresh interpreter, as above."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pdalab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(pdalab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _WARM_CHUNK_FAULTS], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    faults, epochs = map(int, out.split())
+    assert faults < epochs, (faults, epochs)
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):
