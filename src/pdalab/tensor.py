@@ -162,7 +162,7 @@ def backward(loss: Tensor) -> None:
 
     nodes = _tape.nodes[: loss._tape_pos[1] + 1]
     _check_sweep(loss.data.item() if loss.data.size == 1 else loss.data.sum(), nodes, grads=False)
-    loss._pending, touched = np.ones_like(loss.data), [loss]  # in first-touch order
+    loss._pending, touched = np.ones(loss.data.shape), [loss]  # in first-touch order
     try:
         for node in reversed(nodes):
             out_t, g = node.output, node.output._pending
@@ -242,11 +242,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> 
     x_data = x_data[:, None] if shared and xb else x_data
     out = x_data @ w_data
     out += b_data[..., None, :]
-    # The one eager check on the tape: relu turns -inf into 0.0, so the loss would
-    # not show it (without relu it reaches the loss, and the sweep names this node).
-    _ensure_finite(out, "linear")
     relu = act == "relu"
     if relu:  # np.where(out > 0, out, 0.0) to the bit, in place: + 0.0
+        # The one eager check on the tape: relu turns -inf into 0.0, so the loss would
+        # not show it (without relu it reaches the loss, and the sweep names this node).
+        _ensure_finite(out, "linear")
         out += 0.0  # turns -0.0 into 0.0, so np.maximum meets no tie of signed zeros
         np.maximum(out, 0.0, out=out)
 
@@ -275,7 +275,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> 
             grads.append((x, gx if reverse is None else -reverse * gx))
         return grads
 
-    return _record("linear", (x, w, b), out, bw, checked=True)
+    return _record("linear", (x, w, b), out, bw, checked=relu)
 
 
 def add(*terms: Tensor) -> Tensor:
