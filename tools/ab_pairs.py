@@ -4,10 +4,10 @@
         --pairs N --out BENCH_<label>.json [--seconds T]
 
 Both revisions are exported with ``git archive`` into a temporary directory,
-so the working tree is neither read nor changed.  Each pair runs each tree's
-own ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once, in
-its own process, one process at a time; the base goes first in even pairs and
-the change first in odd ones.  Beside the end-to-end metrics the run prints,
+at paths of equal length, so the working tree is neither read nor changed.
+Each pair runs each tree's own ``perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once, in its own process, one process at a time; the
+base goes first in even pairs and the change first in odd ones.  Beside the end-to-end metrics the run prints,
 every run records the child's CPU seconds (user plus system) and minor page
 faults, from ``getrusage(RUSAGE_CHILDREN)`` around it, pool workers and set-up
 probes included, and its wall seconds.
@@ -104,7 +104,8 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     higher = {m["name"] for m in bench["end_to_end"] if m.get("better") == "higher"}
     with tempfile.TemporaryDirectory(prefix="pdalab-ab-") as tmp:
-        trees = {side: Path(tmp) / side for side in ("base", "change")}
+        # Paths of one length: a warm run's minor faults move with the path's length.
+        trees = {side: Path(tmp) / name for side, name in (("base", "a"), ("change", "b"))}
         commits = {side: export(getattr(args, side), trees[side]) for side in trees}
         runs = []
         for i in range(args.pairs):
