@@ -4,7 +4,7 @@
         --pairs N --out BENCH_<label>.json [--seconds T]
 
 Both revisions are exported with ``git archive`` into a temporary directory,
-at paths of equal length, so the working tree is neither read nor changed.
+at paths one character apart, so the working tree is neither read nor changed.
 Each pair runs each tree's own ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once, in its own process, one process at a time; the
 base goes first in even pairs and the change first in odd ones.  Beside the end-to-end metrics the run prints,
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     higher = {m["name"] for m in bench["end_to_end"] if m.get("better") == "higher"}
     with tempfile.TemporaryDirectory(prefix="pdalab-ab-") as tmp:
-        # Paths of one length: a warm run's minor faults move with the path's length.
+        # Paths one character apart: a run's minor-fault count moves with its path.
         trees = {side: Path(tmp) / name for side, name in (("base", "a"), ("change", "b"))}
         commits = {side: export(getattr(args, side), trees[side]) for side in trees}
         runs = []
