@@ -178,19 +178,13 @@ def backward(loss: Tensor) -> None:
                     touched.append(parent)
                 else:
                     parent._pending = parent._pending + pg
-        # What remains is the leaves' (parameters and inputs).  Every gradient reaches
-        # one, so one sum shows a non-finite one, before any lands in a leaf's gradient;
+        # Whatever remains belongs to leaves (parameters and inputs).  Every
+        # gradient reaches some leaf, so one sum shows a non-finite one.
         leaves = [t for t in touched if t._pending is not None]
-        flat = leaves[0].grad.base if leaves[0].grad is not None else None
-        if flat is None or [t for t in leaves if t.grad is None or t.grad.base is not flat]:
-            _check_sweep(np.add.reduce(np.concatenate([t._pending.ravel() for t in leaves])),
-                         nodes, grads=True)
-            for t in leaves:
-                t.grad = t._pending if t.grad is None else t.grad + t._pending
-        else:  # or after, if all view one flat buffer (an optimizer's): added in place
-            for t in leaves:
-                t.grad += t._pending
-            _check_sweep(np.add.reduce(flat), nodes, grads=True)
+        _check_sweep(np.add.reduce(np.concatenate([t._pending.ravel() for t in leaves])), nodes,
+                     grads=True)
+        for t in leaves:
+            t.grad = t._pending if t.grad is None else t.grad + t._pending
     finally:
         for t in touched:
             t._pending = None
@@ -242,11 +236,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> 
     x_data = x_data[:, None] if shared and xb else x_data
     out = x_data @ w_data
     out += b_data[..., None, :]
+    # The one eager check on the tape: relu turns -inf into 0.0, and a softmax gives
+    # a -inf logit probability 0.0 beside a finite one, so the loss would not show it.
+    _ensure_finite(out, "linear")
     relu = act == "relu"
     if relu:  # np.where(out > 0, out, 0.0) to the bit, in place: + 0.0
-        # The one eager check on the tape: relu turns -inf into 0.0, so the loss would
-        # not show it (without relu it reaches the loss, and the sweep names this node).
-        _ensure_finite(out, "linear")
         out += 0.0  # turns -0.0 into 0.0, so np.maximum meets no tie of signed zeros
         np.maximum(out, 0.0, out=out)
 
@@ -258,13 +252,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> 
             w_t, one = w_data.swapaxes(-1, -2), w_data.shape[-1] == 1
             # Over an inner dimension of 1 a product is one multiplication; + 0.0
             # gives the 0.0 that matmul's zero-started sum gives for -0.0.
-            if not shared or one and not xb:
+            if not shared:
                 gx = g * w_t if one else g @ w_t
-                if shared:  # heads reading one input add from the last down: the tape's order
-                    gx = np.add.reduce(gx[::-1], 0)
                 if one:
                     gx += 0.0
-            else:  # the same sum head by head (over its slices): no [S, K, m, d] temporary
+            else:  # heads reading one input add from the last down, the tape's order,
+                # one head (over its slices) at a time: no [S, K, m, d] temporary
                 gh, wh = (g.swapaxes(0, 1), w_t.swapaxes(0, 1)) if xb else (g, w_t)
                 prod = np.multiply if one else np.matmul
                 gx = prod(gh[-1], wh[-1])
@@ -275,7 +268,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> 
             grads.append((x, gx if reverse is None else -reverse * gx))
         return grads
 
-    return _record("linear", (x, w, b), out, bw, checked=relu)
+    return _record("linear", (x, w, b), out, bw, checked=True)
 
 
 def add(*terms: Tensor) -> Tensor:
@@ -448,6 +441,6 @@ def stack_to_cols(a: Tensor) -> Tensor:
         raise ValueError(f"stack_to_cols requires a [K, m, 1] stack, got {a.shape}")
 
     def bw(g):
-        return [(a, g.swapaxes(-1, -2)[..., None].copy())]  # owned: a leaf may add into it
+        return [(a, g.swapaxes(-1, -2).copy()[..., None])]
 
     return _record("stack_to_cols", (a,), a.data[..., 0].swapaxes(-1, -2).copy(), bw)

@@ -146,36 +146,34 @@ def adv_ramp(p: float) -> float:
 class MomentumSGD:
     """Momentum SGD over a fixed parameter list; velocities persist.
 
-    The parameters become views of one flat buffer, their gradients views of
-    ``flat_grad``, so a step is one elementwise update of the whole model:
-    v <- momentum*v + g, then theta <- theta - lr*v.  A gradient set by hand is
-    copied in; None is zero: a parameter that never gets a gradient never moves.
+    The parameters become views of one flat buffer, so a step is one
+    elementwise update of the whole model: v <- momentum*v + g, then
+    theta <- theta - lr*v.  A parameter without a gradient counts as a
+    zero gradient: one that never gets a gradient never moves.
     """
 
     def __init__(self, params: list[Tensor], momentum: float):
         self.params = params
         self.momentum = momentum
         self.flat = np.concatenate([p.data.ravel() for p in params])
-        self.flat_grad, self.velocity = np.zeros_like(self.flat), np.zeros_like(self.flat)
         offset = 0
         for p in params:
-            p.data, p.grad = (a[offset:offset + p.data.size].reshape(p.shape)
-                              for a in (self.flat, self.flat_grad))
+            p.data = self.flat[offset:offset + p.data.size].reshape(p.shape)
             offset += p.data.size
-        self._views = [(p, p.grad) for p in params]
+        self.velocity = np.zeros_like(self.flat)
+        self._zeros = [np.zeros(p.data.size) for p in params]
 
     def step(self, lr: float) -> None:
-        for p, view in self._views:
-            if p.grad is not view:  # a wrong size is reshape's ValueError
-                view[...] = 0.0 if p.grad is None else np.reshape(p.grad, view.shape)
+        grad = np.concatenate([z if p.grad is None else p.grad.ravel()
+                               for p, z in zip(self.params, self._zeros)])
+        if grad.shape != self.flat.shape:
+            raise ValueError("gradient sizes disagree with the parameters")
         self.velocity *= self.momentum
-        self.velocity += self.flat_grad
+        self.velocity += grad
         self.flat -= lr * self.velocity
 
     def zero_grad(self) -> None:
-        self.flat_grad.fill(0.0)
-        for p, view in self._views:
-            p.grad = view
+        T.zero_grad(self.params)
 
 
 def predict(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:

@@ -358,6 +358,15 @@ class TestFiniteGuard:
                 pytest.raises(FloatingPointError, match="linear"):
             linear(x, w, Tensor([0.0]), "relu")
 
+    def test_a_minus_inf_logit_beside_a_finite_one_names_linear_on_the_tape(self):
+        # Without relu too: softmax gives the -inf logit probability 0.0, so the
+        # loss and every gradient after it stay finite.
+        x = Tensor([[1e200, 1e200]])
+        w = Tensor([[-1e200, 1e-200], [-1e200, 1e-200]], requires_grad=True)
+        reset_tape()
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="'linear'"):
+            cross_entropy_mean(softmax_rows(linear(x, w, Tensor([0.0, 0.0]))), [1], [1.0, 1.0])
+
     def test_on_tape_overflow_is_named_at_backward(self):
         reset_tape()
         x = Tensor([[1e200]], requires_grad=True)

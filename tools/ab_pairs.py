@@ -1,13 +1,14 @@
 """Time two revisions of pdalab against each other in alternating pairs of runs.
 
     python tools/ab_pairs.py --base REV --change REV --workload W --seed S \\
-        --pairs N --out BENCH_<label>.json [--seconds T]
+        --pairs N --out BENCH_<label>.json
 
 Both revisions are exported with ``git archive`` into a temporary directory,
 at paths one character apart, so the working tree is neither read nor changed.
 Each pair runs each tree's own ``perfbench/run.py --workload W --seed S
---seconds T --trace 0`` once, in its own process, one process at a time; the
-base goes first in even pairs and the change first in odd ones.  Beside the end-to-end metrics the run prints,
+--seconds T --trace 0`` once, with T the ``run_seconds`` of ``BENCHMARK.json``,
+in its own process, one process at a time; the base goes first in even pairs
+and the change first in odd ones.  Beside the end-to-end metrics the run prints,
 every run records the child's CPU seconds (user plus system) and minor page
 faults, from ``getrusage(RUSAGE_CHILDREN)`` around it, pool workers and set-up
 probes included, and its wall seconds.
@@ -68,10 +69,10 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, args) -> dict:
+def run_once(tree: Path, args, seconds) -> dict:
     """One ``perfbench/run.py`` process in ``tree``: its metrics and its costs."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -94,14 +95,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="perfbench/run.py --seconds for every run (default: 30)")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
     higher = {m["name"] for m in bench["end_to_end"] if m.get("better") == "higher"}
     with tempfile.TemporaryDirectory(prefix="pdalab-ab-") as tmp:
         # Paths one character apart: a run's minor-fault count moves with its path.
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                runs.append({"pair": i, "tree": side, **run_once(trees[side], args)})
+                runs.append({"pair": i, "tree": side, **run_once(trees[side], args, seconds)})
                 print(f"pair {i} {side}: experiment_s "
                       f"{runs[-1]['metrics'].get('experiment_s', float('nan')):.4f} "
                       f"cpu_s {runs[-1]['metrics']['cpu_s']:.3f}", file=sys.stderr)
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
         "change": {"rev": args.change, "commit": commits["change"]},
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "metrics_measured_here": list(RUN_METRICS),
         "failed_calls": {side: sum(r["failed"] for r in by_side[side]) for side in trees},
         "summary": summary, "runs": runs}, indent=1) + "\n", encoding="utf-8")
