@@ -162,7 +162,7 @@ def backward(loss: Tensor) -> None:
 
     nodes = _tape.nodes[: loss._tape_pos[1] + 1]
     _check_sweep(loss.data.item() if loss.data.size == 1 else loss.data.sum(), nodes, grads=False)
-    loss._pending, touched = np.ones(loss.data.shape), [loss]  # in first-touch order
+    loss._pending, touched = np.ones_like(loss.data), [loss]  # in first-touch order
     try:
         for node in reversed(nodes):
             out_t, g = node.output, node.output._pending
