@@ -55,8 +55,8 @@ def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
 
     ``domain_logits[i, k]`` is head k's source logit for sample i;
     ``class_preds[i, k]`` is the (detached) instance weight assigning
-    sample i to head k's alignment task.  Over a stack, the class weights
-    are per slice, and ``use_entropy_w`` may be a bool per slice.
+    sample i to head k's alignment task.  Over a stack, the class weights are
+    per slice; ``use_entropy_w`` is a bool, or one per slice: one select either way.
     """
     y_hat = np.asarray(class_preds, dtype=np.float64)
     d = np.asarray(domains, dtype=np.float64)
@@ -71,9 +71,7 @@ def adversarial_loss(domain_logits: Tensor, class_preds, domains, class_weights,
         if w.shape[-1:] != (k,):
             raise ValueError("class weight per head required")
         weight = weight * w[..., None, :]
-    if use_entropy_w is True:
-        weight = weight * entropy_weights(y_hat)[..., None]
-    elif use_entropy_w is not False:  # a slice without it is weighted by exactly 1.0
+    if use_entropy_w is not False:  # a slice without it is weighted by exactly 1.0
         ent = np.where(np.asarray(use_entropy_w)[..., None], entropy_weights(y_hat), 1.0)
         weight = weight * ent[..., None]
     return T.weighted_bce(domain_logits, d, weight)

@@ -249,22 +249,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> 
             g = g * (out > 0.0)
         grads = [(b, np.add.reduce(g, -2)), (w, x_data.swapaxes(-1, -2) @ g)]
         if x.requires_grad:
-            w_t, one = w_data.swapaxes(-1, -2), w_data.shape[-1] == 1
-            # Over an inner dimension of 1 a product is one multiplication; + 0.0
-            # gives the 0.0 that matmul's zero-started sum gives for -0.0.
+            w_t = w_data.swapaxes(-1, -2)
             if not shared:
-                gx = g * w_t if one else g @ w_t
-                if one:
-                    gx += 0.0
+                gx = g @ w_t
             else:  # heads reading one input add from the last down, the tape's order,
-                # one head (over its slices) at a time: no [S, K, m, d] temporary
-                gh, wh = (g.swapaxes(0, 1), w_t.swapaxes(0, 1)) if xb else (g, w_t)
-                prod = np.multiply if one else np.matmul
-                gx = prod(gh[-1], wh[-1])
+                # one head (over its slices) at a time: no [S, K, m, d] temporary.
+                # Over an inner dimension of 1 a product is one multiplication, and
+                # + 0.0 gives the 0.0 that matmul's zero-started sum gives for -0.0.
+                prod = np.multiply if w_data.shape[-1] == 1 else np.matmul
+                gx = prod(g[..., -1, :, :], w_t[..., -1, :, :])
                 gx += 0.0  # a zero-started sum
                 term = np.empty_like(gx)
-                for k in range(len(gh) - 2, -1, -1):
-                    gx += prod(gh[k], wh[k], out=term)
+                for k in range(g.shape[-3] - 2, -1, -1):
+                    gx += prod(g[..., k, :, :], w_t[..., k, :, :], out=term)
             grads.append((x, gx if reverse is None else -reverse * gx))
         return grads
 

@@ -231,8 +231,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
         lambda f: f.class_sel, lambda f: f.self_training and pseudo is not None,
         lambda f: f.adversary != "none", lambda f: f.instance_sel, lambda f: f.entropy_min))
     w_eff = np.where(np.expand_dims(class_on, -1), class_weights, 1.0)
-    w_self, w_adv = (w_eff if isinstance(on, bool) else np.where(on[:, None], w_eff, 0.0)
-                     for on in (self_on, adv_on))
+    w_self, w_adv = (np.where(np.asarray(on)[..., None], w_eff, 0.0) for on in (self_on, adv_on))
     ent_coef = ENTROPY_MIN_COEF * ent_on  # 0.0 in a slice without the regularizer
     b = sched.batch_size
     src, tgt = slice(0, b), slice(b, 2 * b)  # the rows of each domain's half of a batch
@@ -397,7 +396,7 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
     return [ExperimentResult(
         records=[epoch[i] for epoch in runs],
         confusion=None if oracle is None else _score(preds_t[i], oracle.target_labels, k)[1],
-        bundle=map_bundle(bundle, lambda a: a[i]) if n > 1 else bundle,
+        bundle=slices[i],
         epoch_seconds=epoch_seconds)
         for i in range(n)]
 
