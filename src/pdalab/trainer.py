@@ -217,10 +217,11 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     class gate replaces the weights with ones when class selection is off,
     so the estimate cannot influence any gradient.  Returns the per-step
     loss breakdowns and the updated global step count.  A stacked bundle takes
-    all these per slice, and every slice the same batches; a term no slice uses
-    is None, and a slice without a term weighs it by 0.0, as class selection
-    off weighs every class by 1.0: it reads exactly 0.0 (a sum of signed-zero
-    products is +0.0), and its gradients, ±0.0, change no parameter's bits.
+    all these per slice, and every slice the same batches.  A term no slice
+    uses is None; each gate of a built term is one select, and a slice without
+    the term weighs it by 0.0, as class selection off weighs every class by
+    1.0: it reads exactly 0.0 (a sum of signed-zero products is +0.0), and its
+    gradients, ±0.0, change no parameter's bits.
     """
     each = [flags] if isinstance(flags, VariantFlags) else list(flags)
 
@@ -238,6 +239,8 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
     domains = np.concatenate([np.ones(b), np.zeros(b)])
     heads = bundle.discriminator.num_heads
     fixed_inst = np.full((2 * b, heads), 1.0 / heads)
+    # With no feature layers a stack reads one view of x per slice: its heads need [S, m, d].
+    lead = () if bundle.features.layers else bundle.classifier.layers[0][0].data.shape[:-2]
     breakdowns = []
     try:
         for src_idx, tgt_idx in batch_iterator(len(source), len(target),
@@ -247,6 +250,7 @@ def train_epoch(bundle: ModelBundle, opt: MomentumSGD, source: Dataset,
             lam = adv_ramp(p)
 
             x_all = np.vstack([source.x[src_idx], target.x[tgt_idx]])
+            x_all = np.broadcast_to(x_all, lead + x_all.shape) if lead else x_all
             y_src = source.y[src_idx]
 
             reset_tape()

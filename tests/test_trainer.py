@@ -795,6 +795,37 @@ class TestStackedFailure:
         assert not (tmp_path / "o").exists()
 
 
+class TestFeaturelessStacks:
+    """With no feature layers a stacked program's features are its input batch;
+    each slice still reads it as its own solo run does."""
+
+    @pytest.mark.parametrize("disc_hidden", [(), (4,)], ids=["no_trunk", "trunk_4"])
+    def test_each_slice_equals_its_solo_run(self, disc_hidden):
+        source, target, oracle = tiny_problem(seed=17)
+        arch = ArchSpec(in_dim=2, num_classes=5, hidden=(), disc_hidden=disc_hidden)
+        sched = small_sched(total_epochs=3, warmup_epochs=1)
+        groups = _network_rows(disc_hidden) + ([[PRESETS["san"], ABLATION_VARIANTS[
+            "instance_class_self_private"]]] if disc_hidden else [])
+        for rows in groups:
+            stacked = run_experiments(source, target, oracle, arch, rows, sched, 2)
+            for flags, result in zip(rows, stacked, strict=True):
+                solo = run_experiment(source, target, oracle, arch, flags, sched, 2)
+                assert metrics_text(result.records) == metrics_text(solo.records)
+                assert model_text(result.bundle) == model_text(solo.bundle)
+
+    def test_ablate_writes_its_table(self, tmp_path, capsys, monkeypatch):
+        from pdalab.cli import main
+        from test_cli import _InProcessPool, write_config
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InProcessPool)
+        cfg = write_config(tmp_path / "c.yaml", arch={"hidden": []})
+        assert main(["ablate", "--config", str(cfg), "--seeds", "1", "--workers", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+        table = (tmp_path / "o" / "ablation.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in table[1:]] == list(ABLATION_VARIANTS)
+        assert capsys.readouterr().err == ""
+
+
 class TestStackedAudit:
     @pytest.mark.parametrize("k", [5, 31])
     def test_one_audit_call_per_epoch_for_all_slices(self, monkeypatch, k):
