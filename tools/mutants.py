@@ -1,26 +1,25 @@
 """Apply each mutant of a fixed list to a copy of pdalab and run Tier-1 against it.
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py
 
 A mutant is one semantic edit of ``src/`` that breaks a rule a docstring, a
 comment or the README states: (name, file, old text, new text).  For each
-mutant in turn (or only those named), ``src/``, ``tests/``, ``tools/`` and
-``pyproject.toml`` are copied into a temporary directory, the old text is
-replaced by the new one, and Tier-1 runs there with ``-x``
-(``python -m pytest -q -x``, with the copy's ``src`` first on PYTHONPATH).
-Two kinds of test are left out of those runs: ``tests/test_mutants.py``,
-which checks this list against the unmutated source, and the page-fault
-guards, whose counts move with the copy's path and environment (a
-same-code copy can fail them).  Before any mutant, the unmutated copy runs
-once and must pass, so that a failure means the mutant.  Each mutant then
-prints ``KILLED`` and the first failing test, or ``SURVIVED`` when all pass;
-the exit code is 1 if any survived.  An old text that does not occur exactly once in
-``src/`` is an error before anything runs.
+mutant in turn, ``src/``, ``tests/``, ``tools/`` and ``pyproject.toml`` are
+copied into a temporary directory, the old text is replaced by the new one,
+and Tier-1 runs there with ``-x`` (``python -m pytest -q -x``, with the
+copy's ``src`` first on PYTHONPATH).  Two kinds of test are left out of
+those runs: ``tests/test_mutants.py``, which checks this list against the
+unmutated source, and the page-fault guards, whose counts move with the
+copy's path and environment (a same-code copy can fail them).  Before any
+mutant, the unmutated copy runs once and must pass, so that a failure means
+the mutant.  Each mutant then prints ``KILLED`` and the first failing test,
+or ``SURVIVED`` when all pass; the exit code is 1 if any survived.  An old
+text that does not occur exactly once in ``src/`` is an error before
+anything runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -125,15 +124,8 @@ def first_failure(edit: tuple[str, str, str] | None = None) -> str | None:
         return failed[0] if failed else f"pytest exit {proc.returncode}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants (default: all)")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
-    unknown = set(args.names) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    for name, file, old, _ in chosen:
+def main() -> int:
+    for name, file, old, _ in MUTANTS:
         if not occurs_once(ROOT / "src", file, old):
             print(f"error: {name}: the old text does not occur exactly once in src/, in {file}",
                   file=sys.stderr)
@@ -143,7 +135,7 @@ def main(argv=None) -> int:
         print(f"error: Tier-1 fails on an unmutated copy: {failure}", file=sys.stderr)
         return 1
     survived = 0
-    for name, file, old, new in chosen:
+    for name, file, old, new in MUTANTS:
         t0 = time.perf_counter()
         failure = first_failure((file, old, new))
         survived += failure is None
