@@ -66,8 +66,10 @@ class MultiTaskDiscriminator:
 
     The K heads, with their private trunks when ``shared_trunk`` is off,
     are stored as ``layers``: per depth one [K, d, h] weight stack and one
-    [K, h] bias stack.  ``trunks`` and ``heads`` are the per-head MLPs
-    the constructor received, built afresh on each read as views of the
+    [K, h] bias stack.  One-layer heads that read one input (a shared trunk,
+    or private trunks with no layers) are one [d, K] layer instead, head k
+    its column k.  ``trunks`` and ``heads`` are the per-head MLPs the
+    constructor received, built afresh on each read as views of the
     stacks' current arrays, so they show the trained values even after an
     optimizer moved the stacks into its own buffer; a shared trunk stays
     the one ordinary MLP.
@@ -89,8 +91,10 @@ class MultiTaskDiscriminator:
         shapes = {tuple((w.shape, act) for w, _, act in chain) for chain in chains}
         if len(shapes) != 1:
             raise ValueError("discriminator heads must share one architecture")
-        self.layers = [(Tensor(np.stack([w.data for w, _, _ in depth]), requires_grad=True),
-                        Tensor(np.stack([b.data for _, b, _ in depth]), requires_grad=True),
+        self._matrix = len(chains[0]) == 1
+        join = (lambda arrays: np.concatenate(arrays, -1)) if self._matrix else np.stack
+        self.layers = [(Tensor(join([w.data for w, _, _ in depth]), requires_grad=True),
+                        Tensor(join([b.data for _, b, _ in depth]), requires_grad=True),
                         depth[0][2])
                        for depth in zip(*chains)]
         self._trunk = trunks[0] if shared_trunk else MLP([])
@@ -98,8 +102,9 @@ class MultiTaskDiscriminator:
         self.shared_trunk = shared_trunk
 
     def _views(self, layers) -> list[MLP]:
-        return [MLP([(Tensor(w.data[k], requires_grad=True),
-                      Tensor(b.data[k], requires_grad=True), act) for w, b, act in layers])
+        cut = (lambda a, k: a[..., k:k + 1]) if self._matrix else (lambda a, k: a[k])
+        return [MLP([(Tensor(cut(w.data, k), requires_grad=True),
+                      Tensor(cut(b.data, k), requires_grad=True), act) for w, b, act in layers])
                 for k in range(self.num_heads)]
 
     @property
@@ -112,7 +117,7 @@ class MultiTaskDiscriminator:
 
     @property
     def num_heads(self) -> int:
-        return self.layers[0][0].shape[-3]
+        return self.layers[-1][0].shape[-1 if self._matrix else -3]
 
     def forward(self, features: Tensor, lam: float) -> Tensor:
         """Per-head source-domain logits, shape [m, num_heads] or [S, m, num_heads].
@@ -124,7 +129,7 @@ class MultiTaskDiscriminator:
         h, reverse = features, lam
         for w, b, act in self._trunk.layers + self.layers:
             h, reverse = linear(h, w, b, act, reverse), None
-        return stack_to_cols(h)
+        return h if self._matrix else stack_to_cols(h)
 
     def parameters(self) -> list[Tensor]:
         return self._trunk.parameters() + [t for w, b, _ in self.layers for t in (w, b)]

@@ -12,6 +12,7 @@ import yaml
 from pdalab.cli import BOUND_TRACE_COLUMNS, main
 from pdalab.config import load_config
 from pdalab.metrics import read_metrics
+from pdalab.nets import load_model, model_text
 from pdalab.trainer import ABLATION_VARIANTS, NAMED_VARIANTS
 
 
@@ -618,6 +619,22 @@ class TestEval:
         assert sorted(p.name for p in data.iterdir()) == sorted(DATASET_FILES.values())
         assert main(["eval", "--model", str(run / "model.json"), "--data", str(data)]) == 0
         assert "target accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("variant", ["san_pp", "san"])
+    def test_a_snapshot_of_per_head_layers_evaluates_as_it_did(self, tmp_path, capsys, variant):
+        """``tests/data/parent_snapshot`` holds a 3-epoch model of ``write_config``'s
+        run (``san_pp`` with a shared trunk, ``san`` with private ones) written
+        while each head was its own [d, 1] layer, and the confusion matrix
+        ``eval`` then wrote for it on the data ``write_config`` generates."""
+        fixture = Path(__file__).parent / "data" / "parent_snapshot"
+        model, data = fixture / f"{variant}_model.json", tmp_path / "data"
+        assert main(["generate-data", "--config", str(write_config(tmp_path / "c.yaml")),
+                     "--out", str(data)]) == 0
+        assert main(["eval", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "conf.csv")]) == 0
+        assert (tmp_path / "conf.csv").read_bytes() == \
+            (fixture / f"{variant}_confusion.csv").read_bytes()
+        assert model_text(load_model(model)) == model.read_text()
 
     @pytest.mark.parametrize("snapshot", [[], {"schema": "1.0"},
                                           {"schema": "1.0", "model": {}}],

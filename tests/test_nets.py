@@ -20,6 +20,7 @@ from pdalab.tensor import (
     backward,
     grad_reverse,
     mean,
+    no_grad,
     reset_tape,
     weighted_bce,
     zero_grad,
@@ -172,12 +173,20 @@ def _per_head_logits(disc, chains, features, lam):
     return [MLP(chain).forward(h) for chain in chains]
 
 
-class TestStackedHeads:
-    """The stacked discriminator is bit-equal to K separate per-head networks."""
+def _assert_close(actual, desired):
+    """Agreement of a [d, K] head matrix with K one-column heads: each logit is
+    one BLAS product over d, not K products of one column."""
+    np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("shared", [True, False])
-    @pytest.mark.parametrize("disc_hidden", [(), (6,)])
-    def test_matches_per_head_reference_bit_for_bit(self, shared, disc_hidden):
+
+class TestStackedHeads:
+    """The stacked discriminator matches K separate per-head networks: bit for bit
+    with private trunks of one or more layers, within rounding where the heads
+    read one input and are one [d, K] matrix."""
+
+    @pytest.mark.parametrize("shared, disc_hidden", [
+        (True, ()), (False, ()), (True, (6,)), (False, (6,)), (False, (1,))])
+    def test_matches_per_head_reference(self, shared, disc_hidden):
         arch = ArchSpec(in_dim=2, num_classes=5, disc_hidden=disc_hidden)
         disc = init_bundle(arch, np.random.default_rng(21), shared_trunk=shared).discriminator
         rng = np.random.default_rng(22)
@@ -202,17 +211,20 @@ class TestStackedHeads:
         cols = _per_head_logits(disc, chains, f_ref, lam)
         backward(add(*[weighted_bce(col, d, c[:, k:k + 1]) for k, col in enumerate(cols)]))
 
+        one_input = shared or not disc_hidden
+        same = _assert_close if one_input else np.testing.assert_array_equal
         for k, col in enumerate(cols):
-            assert np.array_equal(logits.data[:, k], col.data[:, 0])
-        assert np.array_equal(f.grad, f_ref.grad)
+            same(logits.data[:, k], col.data[:, 0])
+        same(f.grad, f_ref.grad)
         if shared:
             for p in disc.trunks[0].parameters():
-                assert np.array_equal(stacked[id(p)], p.grad)
+                same(stacked[id(p)], p.grad)
         for depth, (w, b, _) in enumerate(disc.layers):
             for k in range(disc.num_heads):
                 w_k, b_k, _ = chains[k][depth]
-                assert np.array_equal(stacked[id(w)][k], w_k.grad)
-                assert np.array_equal(stacked[id(b)][k], b_k.grad)
+                head = (lambda a: a[..., k:k + 1]) if one_input else (lambda a: a[k])
+                same(head(stacked[id(w)]), w_k.grad)
+                same(head(stacked[id(b)]), b_k.grad)
 
 
 def _per_head_state(rng, shared, k=3, feat=4, hidden=5):
@@ -238,6 +250,20 @@ def test_per_head_snapshot_round_trips_byte_for_byte(shared):
 
 
 @pytest.mark.parametrize("shared", [True, False])
+def test_per_head_state_loads_to_the_logits_of_its_one_column_heads(shared):
+    state = _per_head_state(np.random.default_rng(6), shared)
+    disc = bundle_from_state(state).discriminator
+    x = np.random.default_rng(7).normal(size=(32, 4))
+    with no_grad():
+        logits = d_forward(disc, Tensor(x), 1.0).data
+        for k, head in enumerate(state["discriminator"]["heads"]):
+            trunk = state["discriminator"]["trunks"][0 if shared else k]
+            net = MLP([(Tensor(np.array(layer["w"])), Tensor(np.array(layer["b"])), layer["act"])
+                       for layer in trunk + head])
+            _assert_close(logits[:, k], net.forward(Tensor(x)).data[:, 0])
+
+
+@pytest.mark.parametrize("shared", [True, False])
 def test_per_head_views_follow_an_optimizer_buffer(shared):
     from pdalab.trainer import MomentumSGD
 
@@ -249,7 +275,9 @@ def test_per_head_views_follow_an_optimizer_buffer(shared):
     opt.step(0.5)
     disc = bundle.discriminator
     for k in range(disc.num_heads):
+        # Shared, the heads are one [d, K] matrix and head k reads its column k.
+        head = (lambda a: a[..., k:k + 1]) if shared else (lambda a: a[k])
         for (w, b, _), (w_k, b_k, _) in zip(disc.layers, _head_chain(disc, k)):
-            assert np.array_equal(w_k.data, w.data[k]) and np.array_equal(b_k.data, b.data[k])
+            assert np.array_equal(w_k.data, head(w.data)) and np.array_equal(b_k.data, head(b.data))
     state = bundle_state(bundle)["discriminator"]["heads"]
-    assert [h[0]["b"] for h in state] == [[v] for v in disc.layers[-1][1].data[:, 0]]
+    assert [h[0]["b"] for h in state] == disc.layers[-1][1].data.reshape(-1, 1).tolist()

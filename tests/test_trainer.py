@@ -630,19 +630,18 @@ class TestRunExperiment:
 
 
 _TRUNK_AND_SUP = ["linear", "linear", "linear", "softmax_rows", "cross_entropy_mean"]
-# The tape at a run's first backward, past warm-up, under the default arch.
+# The tape at a run's first backward, past warm-up, under the default arch: the heads
+# read the features and are one [d, K] layer.
 _SOLO_TAPES = {
     "source_only": _TRUNK_AND_SUP + ["add"],
-    "instance": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce", "add"],
-    "instance_class": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce", "add"],
-    "instance_class_entropy": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce",
-                                                "entropy_mean", "add"],
+    "instance": _TRUNK_AND_SUP + ["linear", "weighted_bce", "add"],
+    "instance_class": _TRUNK_AND_SUP + ["linear", "weighted_bce", "add"],
+    "instance_class_entropy": _TRUNK_AND_SUP + ["linear", "weighted_bce", "entropy_mean", "add"],
     "instance_class_self_private": _TRUNK_AND_SUP + ["cross_entropy_mean", "linear",
-                                                     "stack_to_cols", "weighted_bce", "add"],
-    "san_pp": _TRUNK_AND_SUP + ["cross_entropy_mean", "linear", "stack_to_cols",
-                                "weighted_bce", "add"],
-    "dann": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce", "add"],
-    "san": _TRUNK_AND_SUP + ["linear", "stack_to_cols", "weighted_bce", "entropy_mean", "add"],
+                                                     "weighted_bce", "add"],
+    "san_pp": _TRUNK_AND_SUP + ["cross_entropy_mean", "linear", "weighted_bce", "add"],
+    "dann": _TRUNK_AND_SUP + ["linear", "weighted_bce", "add"],
+    "san": _TRUNK_AND_SUP + ["linear", "weighted_bce", "entropy_mean", "add"],
 }
 
 
@@ -665,8 +664,11 @@ class TestSoloTape:
                        NAMED_VARIANTS[variant], small_sched(total_epochs=1, warmup_epochs=0),
                        0, full_audit=False)
         expected = list(_SOLO_TAPES[variant])
-        if disc_hidden and "stack_to_cols" in expected:  # one trunk layer before the heads'
-            expected.insert(expected.index("stack_to_cols") - 1, "linear")
+        if disc_hidden and "weighted_bce" in expected:  # one trunk layer before the heads';
+            # private trunks with layers keep a [K, m, 1] stack of heads
+            at = expected.index("weighted_bce")
+            expected[at:at] = ["linear"] + ([] if NAMED_VARIANTS[variant].shared_trunk
+                                            else ["stack_to_cols"])
         assert tapes[0] == expected
 
 
