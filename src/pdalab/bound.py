@@ -94,7 +94,11 @@ class BoundReport:
 
 def delta_bar(target_preds):
     """Mean complement of the classifier confidence, E[1 - max_row]."""
-    return np.mean(1.0 - as_pred_matrix(target_preds).max(axis=-1), axis=-1)
+    p = as_pred_matrix(target_preds)
+    top = p[..., 0].copy()  # the row max column by column, as softmax_rows takes it
+    for j in range(1, p.shape[-1]):
+        np.maximum(top, p[..., j], out=top)
+    return np.mean(1.0 - top, axis=-1)
 
 
 def type1_error(target_preds, shared_classes):
@@ -189,21 +193,20 @@ def estimate_hdh_divergence(source_features, target_features,
     n_test_t = proxy_test_rows(xt.shape[0], "target rows")
     ps = rng.permutation(xs.shape[0])
     pt = rng.permutation(xt.shape[0])
-    xs_tr, xs_te = xs[ps[n_test_s:]], xs[ps[:n_test_s]]
-    xt_tr, xt_te = xt[pt[n_test_t:]], xt[pt[:n_test_t]]
 
-    x_tr = np.vstack([xs_tr, xt_tr])
-    y_tr = np.concatenate([np.ones(len(xs_tr)), np.zeros(len(xt_tr))])
+    x_tr = np.concatenate([xs[ps[n_test_s:]], xt[pt[n_test_t:]]])  # source rows, then target
+    y_tr = np.repeat((1.0, 0.0), (len(ps) - n_test_s, len(pt) - n_test_t))
     mu = x_tr.mean(axis=0)
     centered = x_tr - mu
     # The value of x_tr.std(axis=0), from the centered copy made anyway.
     sd = np.maximum(np.sqrt((centered * centered).mean(axis=0)), 1e-8)
-    w, b = _fit_logistic(centered / sd, y_tr)
+    centered /= sd
+    w, b = _fit_logistic(centered, y_tr)
 
-    x_te = np.vstack([xs_te, xt_te])
-    y_te = np.concatenate([np.ones(len(xs_te)), np.zeros(len(xt_te))])
-    pred = ((x_te - mu) / sd) @ w + b >= 0.0
-    eps = float(np.mean(pred != y_te.astype(bool)))
+    x_te = np.concatenate([xs[ps[:n_test_s]], xt[pt[:n_test_t]]])
+    pred = ((x_te - mu) / sd) @ w + b >= 0.0  # True: called source
+    errors = n_test_s - np.count_nonzero(pred[:n_test_s]) + np.count_nonzero(pred[n_test_s:])
+    eps = float(errors / len(pred))
     return max(0.0, 2.0 * (1.0 - 2.0 * eps))
 
 

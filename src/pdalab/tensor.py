@@ -254,14 +254,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str = "none", reverse=None) -> 
                 gx = g @ w_t
             else:  # heads reading one input add from the last down, the tape's order,
                 # one head (over its slices) at a time: no [S, K, m, d] temporary.
-                # Over an inner dimension of 1 a product is one multiplication, and
-                # + 0.0 gives the 0.0 that matmul's zero-started sum gives for -0.0.
-                prod = np.multiply if w_data.shape[-1] == 1 else np.matmul
-                gx = prod(g[..., -1, :, :], w_t[..., -1, :, :])
+                gx = g[..., -1, :, :] @ w_t[..., -1, :, :]
                 gx += 0.0  # a zero-started sum
                 term = np.empty_like(gx)
                 for k in range(g.shape[-3] - 2, -1, -1):
-                    gx += prod(g[..., k, :, :], w_t[..., k, :, :], out=term)
+                    gx += np.matmul(g[..., k, :, :], w_t[..., k, :, :], out=term)
             grads.append((x, gx if reverse is None else -reverse * gx))
         return grads
 

@@ -185,7 +185,8 @@ class TestStackedHeads:
     read one input and are one [d, K] matrix."""
 
     @pytest.mark.parametrize("shared, disc_hidden", [
-        (True, ()), (False, ()), (True, (6,)), (False, (6,)), (False, (1,))])
+        (True, ()), (False, ()), (True, (6,)), (False, (6,)), (False, (1,))],
+        ids=["shared", "private", "shared_6", "private_6", "private_1"])
     def test_matches_per_head_reference(self, shared, disc_hidden):
         arch = ArchSpec(in_dim=2, num_classes=5, disc_hidden=disc_hidden)
         disc = init_bundle(arch, np.random.default_rng(21), shared_trunk=shared).discriminator

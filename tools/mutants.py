@@ -87,6 +87,8 @@ MUTANTS = [
      "T.entropy_mean(preds, ent_coef, tgt)", "T.entropy_mean(preds, ent_coef, src)"),
     ("21_proxy_test_fraction_three_tenths", "bound.py",
      "PROXY_TEST_FRACTION = 0.2", "PROXY_TEST_FRACTION = 0.3"),
+    ("22_head_views_read_the_columns_reversed", "nets.py",
+     "(lambda a, k: a[..., k:k + 1])", "(lambda a, k: a[..., ::-1][..., k:k + 1])"),
 ]
 
 
