@@ -221,19 +221,18 @@ def check_intermediate(w_error_l1, rhs_intermediate, epoch: int) -> None:
                                       f"{w} > {r} (epoch {epoch})")
 
 
-def intermediate_terms(target_preds, oracle: OracleContext, epoch: int = 0, weights=None) -> dict:
+def intermediate_terms(target_preds, oracle: OracleContext, epoch: int = 0) -> dict:
     """The target-side bound terms, after asserting the intermediate inequality.
 
-    Returns ``delta_bar``, ``e_type1``, ``e_tgt_shared``, ``w_error_l1``
-    and ``rhs_intermediate``, keyed by their BoundReport field names, each
-    one value per slice of a stack; :func:`check_intermediate` raises if
-    the inequality fails.  ``weights``, if given, are the preds' class weights.
+    Returns ``delta_bar``, ``e_type1``, ``e_tgt_shared``, ``w_error_l1`` (that
+    of the class weights of ``target_preds``) and ``rhs_intermediate``, keyed by
+    their BoundReport field names, each one value per slice of a stack;
+    :func:`check_intermediate` raises if the inequality fails.
     """
     db = delta_bar(target_preds)
     e1 = type1_error(target_preds, oracle.shared_classes)
     e_tgt = shared_error(target_preds, oracle.target_labels, oracle.shared_classes)
-    w_err = w_estimation_error(target_preds, oracle) if weights is None \
-        else class_weight_error(weights, oracle)
+    w_err = w_estimation_error(target_preds, oracle)
     rhs_i = 2.0 * (db + e1 + e_tgt)
     check_intermediate(w_err, rhs_i, epoch)
     return {"delta_bar": db, "e_type1": e1, "e_tgt_shared": e_tgt,
@@ -242,17 +241,16 @@ def intermediate_terms(target_preds, oracle: OracleContext, epoch: int = 0, weig
 
 def check_bound(target_preds, oracle: OracleContext, source_preds, source_labels,
                 source_features, target_features, rng: np.random.Generator,
-                epoch: int = 0, weights=None) -> BoundReport:
-    """Every bound term: the asserted :func:`intermediate_terms` (given
-    ``weights``, if any) plus the reported source-side error and divergence proxy.
+                epoch: int = 0) -> BoundReport:
+    """Every bound term: the asserted :func:`intermediate_terms` plus the
+    reported source-side error and divergence proxy.
 
     The source-side terms are evaluated on the source rows given, whose
     labels must lie in the shared classes (:func:`shared_error` raises
     otherwise).  The proxy draws its split from ``rng``.  The report holds
     Python floats.
     """
-    terms = {name: float(v) for name, v in
-             intermediate_terms(target_preds, oracle, epoch, weights).items()}
+    terms = {name: float(v) for name, v in intermediate_terms(target_preds, oracle, epoch).items()}
     e_src = float(shared_error(source_preds, source_labels, oracle.shared_classes))
     d_proxy = estimate_hdh_divergence(source_features, target_features, rng)
     rhs_f = 2.0 * (terms["delta_bar"] + terms["e_type1"] + e_src + d_proxy)

@@ -362,11 +362,10 @@ def run_experiments(source: Dataset, target: Dataset, oracle: OracleContext | No
             accuracy = np.mean(preds_t.argmax(axis=-1) == oracle.target_labels, axis=-1).tolist()
             if full_audit:
                 f_s, preds_s = features_and_preds(x_src)
-                bounds = [check_bound(p_t, oracle, p_s, y_src, fs, ft, rng, epoch, w_i)
-                          for p_t, p_s, fs, ft, rng, w_i
-                          in zip(preds_t, preds_s, f_s, f_t, div_rngs, w)]
+                bounds = [check_bound(p_t, oracle, p_s, y_src, fs, ft, rng, epoch)
+                          for p_t, p_s, fs, ft, rng in zip(preds_t, preds_s, f_s, f_t, div_rngs)]
             else:
-                intermediate_terms(preds_t, oracle, epoch, w)
+                intermediate_terms(preds_t, oracle, epoch)
         records = [MetricsRecord(epoch=epoch, target_accuracy=accuracy[i],
                                  class_weights=w[i].tolist(), losses=losses[i], bound=bounds[i])
                    for i in range(n)]

@@ -366,12 +366,6 @@ class TestCheckBound:
                               "rhs_intermediate"}
         assert terms == {name: getattr(rep, name) for name in terms}
 
-    def test_given_weights_give_the_report_of_the_preds_alone(self):
-        oracle, tp, sp, sl, sf, tf = self._inputs(5)
-        given = check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(6), 2,
-                            class_transferable_probability(tp))
-        assert given == check_bound(tp, oracle, sp, sl, sf, tf, np.random.default_rng(6), 2)
-
     def test_a_source_label_outside_the_shared_classes_raises(self):
         oracle, tp, sp, sl, sf, tf = self._inputs(3)
         sl = sl.copy()
@@ -437,13 +431,8 @@ class TestStackedTerms:
             assert stacked.shape[0] == slices, name
             assert stacked.tobytes() == np.array([term(p) for p in preds]).tobytes(), name
         each = [intermediate_terms(p, oracle) for p in preds]
-        weights = class_transferable_probability(preds)
-        for stacked in (intermediate_terms(preds, oracle),
-                        intermediate_terms(preds, oracle, 0, weights)):
-            for name, values in stacked.items():
-                assert values.tobytes() == np.array([t[name] for t in each]).tobytes(), name
-        assert class_weight_error(weights, oracle).tobytes() == \
-            w_estimation_error(preds, oracle).tobytes()
+        for name, values in intermediate_terms(preds, oracle).items():
+            assert values.tobytes() == np.array([t[name] for t in each]).tobytes(), name
 
     def test_the_report_holds_python_floats(self):
         preds, oracle = _stacked_inputs(1, 5, 7)
