@@ -148,13 +148,15 @@ def _fit_logistic(x, y):
     for _ in range(_NEWTON_MAX_ITER):
         z = theta @ design
         e = np.exp(-np.abs(z))  # overflow-safe sigmoid, as in tensor.weighted_bce
-        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        grad = design @ (p - y) + ridge * theta
+        p = np.where(z >= 0, 1.0, e)  # over 1 + e: 1/(1+e) or e/(1+e), one division
+        p /= 1.0 + e
+        grad = design @ (p - y)
+        grad += ridge * theta
         hess = (design * (p * (1.0 - p))) @ design.T
-        hess.flat[::hess.shape[0] + 1] += ridge
+        hess.ravel()[::theta.size + 1] += ridge
         step = np.linalg.solve(hess, grad)
         theta -= step
-        if np.max(np.abs(step)) < _NEWTON_STEP_TOL:
+        if np.abs(step).max() < _NEWTON_STEP_TOL:
             break
     return theta[:-1], theta[-1]
 

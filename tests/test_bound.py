@@ -5,10 +5,12 @@ import pytest
 
 from pdalab.bound import (
     BoundViolationError,
+    INTERMEDIATE_TOL,
     OracleContext,
     PROXY_RIDGE,
     _fit_logistic,
     check_bound,
+    check_intermediate,
     class_weight_error,
     delta_bar,
     estimate_hdh_divergence,
@@ -148,6 +150,16 @@ class TestProxyRidgeValue:
             theta = theta - np.linalg.solve(hess, grad)
         w, b = _fit_logistic(x, y)
         assert np.allclose(np.append(w, b), theta, rtol=0, atol=1e-12)
+
+
+class TestIntermediateTolValue:
+    def test_the_asserted_inequality_allows_one_billionth(self):
+        """The intermediate inequality's slack is 1e-9, written out here rather
+        than read from the module: an excess of 2e-9 fails the check."""
+        assert INTERMEDIATE_TOL == 1e-9
+        check_intermediate(1.0 + 0.5e-9, 1.0, 0)
+        with pytest.raises(BoundViolationError):
+            check_intermediate(1.0 + 2e-9, 1.0, 0)
 
 
 def _count_newton_steps(monkeypatch):

@@ -266,6 +266,52 @@ class TestTrainEpoch:
                               substream(6, "data"))
         assert done == total  # progress reaches exactly 1 at the final step
 
+    def test_step_k_of_n_trains_at_progress_k_over_n(self, monkeypatch):
+        """Step k of an N-step run takes its learning rate and reversal strength
+        at progress k / N, whatever the epoch it falls in."""
+        import pdalab.trainer
+
+        source, target, _ = tiny_problem(seed=3)
+        sched = small_sched(total_epochs=2)
+        seen = {"lr_at": [], "adv_ramp": []}
+        monkeypatch.setattr(pdalab.trainer, "lr_at",
+                            lambda p, s: seen["lr_at"].append(p) or lr_at(p, s))
+        monkeypatch.setattr(pdalab.trainer, "adv_ramp",
+                            lambda p: seen["adv_ramp"].append(p) or adv_ramp(p))
+        run_experiment(source, target, None, ArchSpec(in_dim=2, num_classes=5),
+                       PRESETS["san_pp"], sched, 6)
+        total = steps_per_epoch(len(source), len(target), sched.batch_size) * 2
+        assert seen == {name: [k / total for k in range(total)] for name in seen}
+
+    def test_a_post_warm_up_san_pp_step_weighs_its_source_rows_by_the_class_weights(self):
+        """The step's reported l_sup is supervised_loss of its own source batch
+        under the class weights it is given, at the parameters before the step."""
+        from pdalab.data import batch_iterator
+        from pdalab.losses import supervised_loss
+        from pdalab.nets import f_forward, g_forward
+
+        source, target, _ = tiny_problem(seed=7)
+        sched = small_sched()
+        bundle = init_bundle(ArchSpec(in_dim=2, num_classes=5), substream(7, "init"),
+                             num_heads=5, shared_trunk=True)
+        w = np.array([0.05, 0.1, 0.15, 0.3, 0.4])
+        src_idx, tgt_idx = next(batch_iterator(len(source), len(target), sched.batch_size,
+                                               substream(7, "data")))
+        with T.no_grad():
+            preds = g_forward(bundle.classifier, f_forward(bundle.features, Tensor(
+                np.vstack([source.x[src_idx], target.x[tgt_idx]]))))
+        expected = supervised_loss(preds, source.y[src_idx], w, slice(0, sched.batch_size))
+        assert expected.data != supervised_loss(
+            preds, source.y[src_idx], np.ones(5), slice(0, sched.batch_size)).data
+
+        opt = MomentumSGD(bundle.parameters(), sched.momentum)
+        steps = steps_per_epoch(len(source), len(target), sched.batch_size)
+        breakdowns, _ = train_epoch(bundle, opt, source, target, w,
+                                    assign_pseudo_labels(predict(bundle, target.x)),
+                                    PRESETS["san_pp"], sched, steps, 2 * steps,
+                                    substream(7, "data"))
+        assert breakdowns[0].l_sup == float(expected.data)
+
 
 def _relu_margin(bundle, x):
     """Distance from the relu kink of the nearest pre-activation, in the

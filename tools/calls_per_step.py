@@ -14,9 +14,12 @@ work:
 - ``stacked``: the five distinct default-arch networks of the ablation
   rows, trained as one stacked program.
 
-Each program runs once to warm up and once under cProfile.  Its line is
-``<name>  <calls per step>``: every call the profiler counted during the
-profiled run, over the run's steps, to one decimal.  The count is
+Each program runs once to warm up and once under cProfile, and so does the
+same program with 0 epochs.  Its line is ``<name>  <calls per step>``: the
+calls the profiler counted during the 12-epoch run less those of the 0-epoch
+run, over the 12 epochs' steps, to one decimal.  The bundle build and the
+epoch-0 snapshot cancel, so a change to how a bundle is built leaves the
+count alone; each trained epoch's snapshot stays in.  The count is
 deterministic, so two runs of one tree print identical lines.  With
 ``--against``, the other tree runs next in its own interpreter, and each
 line gains the other tree's count and the difference, this tree's minus
@@ -40,20 +43,25 @@ from pdalab.trainer import ABLATION_VARIANTS, PRESETS, Schedule, network_flags, 
 
 spec = SyntheticSpec(seed=11)
 source, target, _ = generate_toy(spec)
-sched = Schedule(total_epochs=12)
-steps = steps_per_epoch(len(source), len(target), sched.batch_size) * sched.total_epochs
+epochs = 12
+steps = steps_per_epoch(len(source), len(target), Schedule().batch_size) * epochs
 default, disc16 = ArchConfig(), ArchConfig(disc_hidden=(16,))
 grid = list(dict.fromkeys(network_flags(f, default) for f in ABLATION_VARIANTS.values()))
 programs = {"san_pp": (default, [PRESETS["san_pp"]]), "san[16]": (disc16, [PRESETS["san"]]),
             "source_only": (default, [PRESETS["source_only"]]), "stacked": (default, grid)}
-counts = {}
-for name, (arch, flags) in programs.items():
-    spec_arch = arch.to_arch(source.dim, spec.num_source_classes)
-    run = lambda: run_experiments(source, target, None, spec_arch, flags, sched, 0)
+
+def calls(arch, flags, total_epochs):
+    sched = Schedule(total_epochs=total_epochs)
+    run = lambda: run_experiments(source, target, None, arch, flags, sched, 0)
     run()
     profile = cProfile.Profile()
     profile.runcall(run)
-    counts[name] = pstats.Stats(profile).total_calls / steps
+    return pstats.Stats(profile).total_calls
+
+counts = {}
+for name, (arch, flags) in programs.items():
+    spec_arch = arch.to_arch(source.dim, spec.num_source_classes)
+    counts[name] = (calls(spec_arch, flags, epochs) - calls(spec_arch, flags, 0)) / steps
 print(json.dumps(counts))
 """
 

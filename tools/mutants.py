@@ -35,7 +35,7 @@ LEFT_OUT = ("--ignore", "tests/test_mutants.py", "--deselect",
             "--deselect",
             "tests/test_trainer.py::test_a_warm_three_slice_chunk_faults_less_than_once_per_epoch")
 
-# (name, file under src/pdalab, old text, new text), numbered as in ROADMAP item 13.
+# (name, file under src/pdalab, old text, new text), numbered in the order they were added.
 MUTANTS = [
     ("01_constant_adversarial_ramp", "trainer.py",
      "return 2.0 / (1.0 + math.exp(-10.0 * p)) - 1.0", "return 1.0"),
@@ -89,6 +89,13 @@ MUTANTS = [
      "PROXY_TEST_FRACTION = 0.2", "PROXY_TEST_FRACTION = 0.3"),
     ("22_head_views_read_the_columns_reversed", "nets.py",
      "(lambda a, k: a[..., k:k + 1])", "(lambda a, k: a[..., ::-1][..., k:k + 1])"),
+    ("23_schedule_progress_twice_as_fast", "trainer.py",
+     "p = steps_done / total_steps", "p = min(1.0, 2.0 * steps_done / total_steps)"),
+    ("24_intermediate_tol_a_millionth", "bound.py",
+     "INTERMEDIATE_TOL = 1e-9", "INTERMEDIATE_TOL = 1e-6"),
+    ("25_unweighted_supervised_loss", "trainer.py",
+     "supervised_loss(preds, y_src, w_eff, src)",
+     "supervised_loss(preds, y_src, np.ones_like(w_eff), src)"),
 ]
 
 
