@@ -19,8 +19,8 @@ value per slice with the bits of that slice's matrix.
 
 The full right-hand side swaps the target restricted error for the
 source one plus a feature-distribution divergence.  The divergence is
-only estimable (a held-out domain-classifier proxy), so the full bound
-is reported, never asserted.
+only estimable (the held-out error of a ridge least-squares domain
+classifier), so the full bound is reported, never asserted.
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ import numpy as np
 from .selection import as_pred_matrix, class_transferable_probability, true_class_weights
 
 PROXY_TEST_FRACTION = 0.2  # held-out share of each domain's features
-# Per-sample L2 penalty of the proxy domain classifier, bias included.
-# Gradient descent stopped after t steps of rate eta acts roughly like a
-# ridge of 1/(eta*t); the proxy was once 200 steps at rate 0.1, hence 0.05.
-# Penalizing every parameter keeps the Newton system positive definite,
-# even on separable domains or constant feature columns.
+# Per-sample L2 penalty of the proxy domain classifier, bias included: it
+# keeps the normal equations positive definite on constant or duplicate columns.
 PROXY_RIDGE = 0.05
-_NEWTON_MAX_ITER = 50
-_NEWTON_STEP_TOL = 1e-10
 
 INTERMEDIATE_TOL = 1e-9
 
@@ -134,30 +129,16 @@ def class_weight_error(w_hat, oracle: OracleContext):
     return np.abs(true_class_weights(oracle.target_labels, w_hat.shape[-1]) - w_hat).sum(axis=-1)
 
 
-def _fit_logistic(x, y):
-    """Ridge logistic regression solved by Newton's method (IRLS).
+def _fit_least_squares(x, t):
+    """Ridge least-squares linear classifier, from one solve of its normal equations.
 
-    Minimizes sum_i logloss(x_i @ w + b, y_i) + (PROXY_RIDGE * n / 2) * |(w, b)|^2
-    from (w, b) = 0, until no coordinate of the Newton step exceeds
-    _NEWTON_STEP_TOL or _NEWTON_MAX_ITER steps are taken.
+    Minimizes |x @ w + b - t|^2 / 2 + (PROXY_RIDGE * n / 2) * |(w, b)|^2.
     """
     n = x.shape[0]
-    design = np.vstack([x.T, np.ones(n)])  # one row per parameter, bias last
-    ridge = PROXY_RIDGE * n
-    theta = np.zeros(design.shape[0])
-    for _ in range(_NEWTON_MAX_ITER):
-        z = theta @ design
-        e = np.exp(-np.abs(z))  # overflow-safe sigmoid, as in tensor.weighted_bce
-        p = np.where(z >= 0, 1.0, e)  # over 1 + e: 1/(1+e) or e/(1+e), one division
-        p /= 1.0 + e
-        grad = design @ (p - y)
-        grad += ridge * theta
-        hess = (design * (p * (1.0 - p))) @ design.T
-        hess.ravel()[::theta.size + 1] += ridge
-        step = np.linalg.solve(hess, grad)
-        theta -= step
-        if np.abs(step).max() < _NEWTON_STEP_TOL:
-            break
+    x1 = np.hstack([x, np.ones((n, 1))])  # bias last
+    gram = x1.T @ x1
+    gram.ravel()[::gram.shape[0] + 1] += PROXY_RIDGE * n
+    theta = np.linalg.solve(gram, x1.T @ t)
     return theta[:-1], theta[-1]
 
 
@@ -178,12 +159,10 @@ def estimate_hdh_divergence(source_features, target_features,
     """Proxy divergence 2*(1 - 2*eps), floored at 0.
 
     eps is the held-out error of a linear domain classifier fitted on an
-    80/20 split of the standardized frozen features: a converged ridge
-    logistic regression with lambda = PROXY_RIDGE = 0.05 per sample.  A
-    converged fit makes the proxy a function of the data and the split
-    alone, not of an iteration budget; the ridge keeps it from fitting
-    the split's noise, and 0.05 is the regularization the former
-    200-step, rate-0.1 gradient descent applied by stopping early.  The
+    80/20 split of the standardized frozen features: ridge least squares
+    on targets +1 (source) and -1 (target), with lambda = PROXY_RIDGE =
+    0.05 per sample on every parameter, bias included, fitted in one
+    linear solve.  A row is called source where x @ w + b >= 0.  The
     proxy may under-estimate the supremum divergence, so it is reported
     but never asserted against.
     """
@@ -197,13 +176,13 @@ def estimate_hdh_divergence(source_features, target_features,
     pt = rng.permutation(xt.shape[0])
 
     x_tr = np.concatenate([xs[ps[n_test_s:]], xt[pt[n_test_t:]]])  # source rows, then target
-    y_tr = np.repeat((1.0, 0.0), (len(ps) - n_test_s, len(pt) - n_test_t))
+    t_tr = np.repeat((1.0, -1.0), (len(ps) - n_test_s, len(pt) - n_test_t))
     mu = x_tr.mean(axis=0)
     centered = x_tr - mu
     # The value of x_tr.std(axis=0), from the centered copy made anyway.
     sd = np.maximum(np.sqrt((centered * centered).mean(axis=0)), 1e-8)
     centered /= sd
-    w, b = _fit_logistic(centered, y_tr)
+    w, b = _fit_least_squares(centered, t_tr)
 
     x_te = np.concatenate([xs[ps[:n_test_s]], xt[pt[:n_test_t]]])
     pred = ((x_te - mu) / sd) @ w + b >= 0.0  # True: called source

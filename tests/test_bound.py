@@ -8,7 +8,7 @@ from pdalab.bound import (
     INTERMEDIATE_TOL,
     OracleContext,
     PROXY_RIDGE,
-    _fit_logistic,
+    _fit_least_squares,
     check_bound,
     check_intermediate,
     class_weight_error,
@@ -124,31 +124,25 @@ class TestSharedError:
             shared_error(np.eye(3)[[0]], [2], (0, 1))
 
 
-def _ridge_gradient(x, y, w, b):
+def _ridge_gradient(x, t, w, b):
     """Gradient of the proxy's objective, written out plainly."""
     x1 = np.hstack([x, np.ones((len(x), 1))])
     theta = np.append(w, b)
-    p = 1.0 / (1.0 + np.exp(-(x1 @ theta)))
-    return x1.T @ (p - y) + PROXY_RIDGE * len(x) * theta
+    return x1.T @ (x1 @ theta - t) + PROXY_RIDGE * len(x) * theta
 
 
 class TestProxyRidgeValue:
-    def test_fit_equals_a_direct_newton_solve_with_ridge_five_hundredths(self):
+    def test_fit_equals_a_direct_solve_with_ridge_five_hundredths(self):
         """The proxy's ridge is 0.05 per row: on a tiny case its fit equals a plain
-        Newton solve of sum_i logloss + (0.05 * n / 2) * |(w, b)|^2, with 0.05
-        written out here rather than read from the module."""
+        solve of the normal equations of |x1 @ theta - t|^2 / 2 + (0.05 * n / 2) *
+        |theta|^2, with 0.05 written out here rather than read from the module."""
         x = np.array([[0.3, -1.2], [1.5, 0.4], [-0.7, 0.9], [2.1, -0.3], [-1.8, -0.6],
                       [0.2, 1.7]])
-        y = np.array([1.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        t = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
         n = len(x)
         x1 = np.hstack([x, np.ones((n, 1))])
-        theta = np.zeros(3)
-        for _ in range(100):
-            p = 1.0 / (1.0 + np.exp(-(x1 @ theta)))
-            grad = x1.T @ (p - y) + 0.05 * n * theta
-            hess = x1.T @ (x1 * (p * (1.0 - p))[:, None]) + 0.05 * n * np.eye(3)
-            theta = theta - np.linalg.solve(hess, grad)
-        w, b = _fit_logistic(x, y)
+        theta = np.linalg.solve(x1.T @ x1 + 0.05 * n * np.eye(3), x1.T @ t)
+        w, b = _fit_least_squares(x, t)
         assert np.allclose(np.append(w, b), theta, rtol=0, atol=1e-12)
 
 
@@ -162,7 +156,7 @@ class TestIntermediateTolValue:
             check_intermediate(1.0 + 2e-9, 1.0, 0)
 
 
-def _count_newton_steps(monkeypatch):
+def _count_solves(monkeypatch):
     calls = []
     solve = np.linalg.solve
 
@@ -180,13 +174,13 @@ class TestDivergenceProxy:
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(20, 600)), int(rng.integers(1, 17))
         x = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
-        y = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
-        w, b = _fit_logistic(x, y)
-        assert np.abs(_ridge_gradient(x, y, w, b)).max() <= 1e-8 * n
+        t = np.where(rng.random(n) < rng.uniform(0.2, 0.8), 1.0, -1.0)
+        w, b = _fit_least_squares(x, t)
+        assert np.abs(_ridge_gradient(x, t, w, b)).max() <= 1e-8 * n
 
     @pytest.mark.parametrize("case", ["separable", "constant_and_duplicate_columns",
                                       "imbalance_10_to_1"])
-    def test_hard_problems_converge_well_inside_the_cap(self, case, monkeypatch):
+    def test_hard_problems_fit_in_one_solve(self, case, monkeypatch):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(440, 6))
         y = (x[:, 0] > 0).astype(float)
@@ -198,11 +192,12 @@ class TestDivergenceProxy:
         elif case == "imbalance_10_to_1":
             y = np.r_[np.ones(40), np.zeros(400)]
             x[:40] += 0.5
-        steps = _count_newton_steps(monkeypatch)
-        w, b = _fit_logistic(x, y)
-        assert len(steps) <= 15
+        t = 2.0 * y - 1.0
+        solves = _count_solves(monkeypatch)
+        w, b = _fit_least_squares(x, t)
+        assert len(solves) == 1
         assert np.isfinite(w).all() and np.isfinite(b)
-        assert np.abs(_ridge_gradient(x, y, w, b)).max() <= 1e-8 * len(x)
+        assert np.abs(_ridge_gradient(x, t, w, b)).max() <= 1e-8 * len(x)
 
     @pytest.mark.parametrize("case", ["separable", "constant_columns"])
     def test_degenerate_features_give_finite_proxy(self, case):
