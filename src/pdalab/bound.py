@@ -45,13 +45,11 @@ class BoundViolationError(RuntimeError):
 
 def in_classes(labels, classes) -> np.ndarray:
     """Elementwise ``label in classes``, as ``np.isin`` gives it for integer
-    labels, by one lookup in a boolean table indexed by class."""
-    classes = sorted(set(int(c) for c in classes))
-    if not classes or classes[0] < 0:
+    labels, by a binary search of the sorted classes."""
+    classes = np.array(sorted(set(int(c) for c in classes)), dtype=np.int64)
+    if not classes.size or classes[0] < 0:
         raise ValueError("a nonempty set of nonnegative class indices is required")
-    table = np.zeros(classes[-1] + 2, dtype=bool)  # the last entry stands for "outside"
-    table[classes] = True
-    return table[np.minimum(np.maximum(labels, -1), table.size - 1)]
+    return classes[np.minimum(np.searchsorted(classes, labels), classes.size - 1)] == labels
 
 
 @dataclass(frozen=True)

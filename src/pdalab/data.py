@@ -214,6 +214,8 @@ class Metadata:
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         k = self.num_source_classes
+        if k > np.iinfo(np.int64).max:  # as load_csv rejects a label
+            raise ValueError(f"num_source_classes {k} beyond the int64 range")
         if not self.shared_classes or not all(0 <= c < k for c in self.shared_classes):
             raise ValueError(f"shared_classes must be a nonempty list of class indices "
                              f"in [0, {k}), got {list(self.shared_classes)}")

@@ -99,11 +99,10 @@ NAMED_VARIANTS: dict[str, VariantFlags] = {**ABLATION_VARIANTS, **PRESETS}
 class Schedule:
     """Optimization schedule; defaults are calibrated for the toy task.
 
-    ``warmup_epochs`` delays every term that depends on the model's own
-    target predictions (class selection, self-training, the entropy
-    regularizer) until the classifier has converged on source labels;
-    before that point the prediction-derived class weights are noise
-    and feed a self-reinforcing collapse.
+    ``warmup_epochs`` turns off class selection, self-training and the
+    entropy regularizer until the classifier has converged on source labels;
+    before that point the prediction-derived class weights are noise and
+    feed a self-reinforcing collapse.  Instance selection is on from step 1.
     """
 
     eta0: float = 0.02

@@ -683,6 +683,25 @@ class TestEval:
             f"error: {model}: num_classes 5 disagrees with num_source_classes 3 "
             f"of {data_dir / 'metadata.json'}\n")
 
+    @pytest.mark.parametrize("k, message", [
+        (10**17, "{target}:2: label {label} outside the shared classes [{shared}] of {metadata}"),
+        (2**63, "{metadata}: num_source_classes {k} beyond the int64 range"),
+        (2**64, "{metadata}: num_source_classes {k} beyond the int64 range"),
+    ], ids=["1e17", "2**63", "2**64"])
+    def test_a_class_index_beyond_any_table_names_the_metadata(self, tmp_path, capsys,
+                                                               k, message):
+        """A class lookup allocates nothing in the size of the largest class index,
+        and a class count beyond int64 is rejected as a label beyond it is."""
+        model, data_dir = self._model_and_data(tmp_path)
+        metadata, target = data_dir / "metadata.json", data_dir / "target.csv"
+        metadata.write_text(json.dumps({**json.loads(metadata.read_text()),
+                                        "num_source_classes": k, "shared_classes": [k - 1]}))
+        label = target.read_text().splitlines()[1].split(",")[-2]
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err == "error: " + message.format(
+            target=target, label=label, shared=k - 1, metadata=metadata, k=k) + "\n"
+
     def test_input_width_mismatch_names_model_and_metadata(self, tmp_path, capsys):
         def widen(state):
             w = state["features"][0]["w"]

@@ -12,9 +12,9 @@ mutants = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(mutants)
 
 
-def test_the_list_holds_twenty_five_distinct_mutants():
-    assert len(mutants.MUTANTS) == 25
-    assert len({name for name, *_ in mutants.MUTANTS}) == 25
+def test_the_list_holds_twenty_six_distinct_mutants():
+    assert len(mutants.MUTANTS) == 26
+    assert len({name for name, *_ in mutants.MUTANTS}) == 26
     assert all(old != new for _, _, old, new in mutants.MUTANTS)
 
 

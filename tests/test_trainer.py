@@ -283,6 +283,32 @@ class TestTrainEpoch:
         total = steps_per_epoch(len(source), len(target), sched.batch_size) * 2
         assert seen == {name: [k / total for k in range(total)] for name in seen}
 
+    def test_warm_up_keeps_instance_selection_on(self, monkeypatch):
+        """In a warm-up epoch of ``instance``, the adversarial term's instance
+        weights are the batch's own predictions, not 1/K: warm-up turns off class
+        selection, self-training and the entropy regularizer alone."""
+        import pdalab.trainer
+
+        source, target, _ = tiny_problem(seed=3)
+        sched = small_sched(total_epochs=1)
+        g_forward, adversarial_loss = pdalab.trainer.g_forward, pdalab.trainer.adversarial_loss
+        preds, pairs = [], []
+        monkeypatch.setattr(pdalab.trainer, "g_forward",
+                            lambda *args: preds.append(g_forward(*args)) or preds[-1])
+
+        def recording_adversarial_loss(logits, inst, *args, **kwargs):
+            pairs.append((inst, preds[-1].data))
+            return adversarial_loss(logits, inst, *args, **kwargs)
+
+        monkeypatch.setattr(pdalab.trainer, "adversarial_loss", recording_adversarial_loss)
+        run_experiment(source, target, None, ArchSpec(in_dim=2, num_classes=5),
+                       NAMED_VARIANTS["instance"], sched, 6)
+        assert sched.warmup_epochs == sched.total_epochs
+        assert len(pairs) == steps_per_epoch(len(source), len(target), sched.batch_size)
+        for inst, batch_preds in pairs:
+            assert np.array_equal(inst, batch_preds)
+            assert not np.allclose(inst, 1.0 / 5)
+
     def test_a_post_warm_up_san_pp_step_weighs_its_source_rows_by_the_class_weights(self):
         """The step's reported l_sup is supervised_loss of its own source batch
         under the class weights it is given, at the parameters before the step."""

@@ -1,14 +1,16 @@
-"""Print cProfile calls per training step for four fixed pdalab programs.
+"""Print cProfile calls per training step for five fixed pdalab programs.
 
     python tools/calls_per_step.py [SRC_DIR] [--against OTHER_SRC_DIR]
 
 SRC_DIR (default: the ``src`` directory of this checkout) is put first on
 PYTHONPATH, and the programs run in one fresh interpreter with one BLAS
 thread.  Each program is one ``run_experiments`` call of 12 epochs on the
-data of ``SyntheticSpec(seed=11)``, with no oracle, so the audit does no
-work:
+data of ``SyntheticSpec(seed=11)``.  All but ``san_pp_audit`` run with no
+oracle, so their audit does no work:
 
 - ``san_pp``: the full method, solo, default arch;
+- ``san_pp_audit``: the same run with the oracle and the full audit, so each
+  snapshot also checks the bound and fits the divergence proxy;
 - ``san[16]``: the conference variant, solo, ``disc_hidden`` [16];
 - ``source_only``: no adversary, solo, default arch;
 - ``stacked``: the five distinct default-arch networks of the ablation
@@ -42,26 +44,30 @@ from pdalab.nets import ArchConfig
 from pdalab.trainer import ABLATION_VARIANTS, PRESETS, Schedule, network_flags, run_experiments
 
 spec = SyntheticSpec(seed=11)
-source, target, _ = generate_toy(spec)
+source, target, oracle = generate_toy(spec)
 epochs = 12
 steps = steps_per_epoch(len(source), len(target), Schedule().batch_size) * epochs
 default, disc16 = ArchConfig(), ArchConfig(disc_hidden=(16,))
 grid = list(dict.fromkeys(network_flags(f, default) for f in ABLATION_VARIANTS.values()))
-programs = {"san_pp": (default, [PRESETS["san_pp"]]), "san[16]": (disc16, [PRESETS["san"]]),
-            "source_only": (default, [PRESETS["source_only"]]), "stacked": (default, grid)}
+programs = {"san_pp": (default, [PRESETS["san_pp"]], None),
+            "san_pp_audit": (default, [PRESETS["san_pp"]], oracle),
+            "san[16]": (disc16, [PRESETS["san"]], None),
+            "source_only": (default, [PRESETS["source_only"]], None),
+            "stacked": (default, grid, None)}
 
-def calls(arch, flags, total_epochs):
+def calls(arch, flags, truth, total_epochs):
     sched = Schedule(total_epochs=total_epochs)
-    run = lambda: run_experiments(source, target, None, arch, flags, sched, 0)
+    run = lambda: run_experiments(source, target, truth, arch, flags, sched, 0)
     run()
     profile = cProfile.Profile()
     profile.runcall(run)
     return pstats.Stats(profile).total_calls
 
 counts = {}
-for name, (arch, flags) in programs.items():
+for name, (arch, flags, truth) in programs.items():
     spec_arch = arch.to_arch(source.dim, spec.num_source_classes)
-    counts[name] = (calls(spec_arch, flags, epochs) - calls(spec_arch, flags, 0)) / steps
+    counts[name] = (calls(spec_arch, flags, truth, epochs)
+                    - calls(spec_arch, flags, truth, 0)) / steps
 print(json.dumps(counts))
 """
 

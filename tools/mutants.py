@@ -96,6 +96,9 @@ MUTANTS = [
     ("25_unweighted_supervised_loss", "trainer.py",
      "supervised_loss(preds, y_src, w_eff, src)",
      "supervised_loss(preds, y_src, np.ones_like(w_eff), src)"),
+    ("26_instance_selection_off_in_warmup", "trainer.py",
+     "replace(flags, class_sel=False, entropy_min=False)",
+     "replace(flags, class_sel=False, entropy_min=False, instance_sel=False)"),
 ]
 
 
