@@ -49,7 +49,7 @@ def in_classes(labels, classes) -> np.ndarray:
     classes = np.array(sorted(set(int(c) for c in classes)), dtype=np.int64)
     if not classes.size or classes[0] < 0:
         raise ValueError("a nonempty set of nonnegative class indices is required")
-    return classes[np.minimum(np.searchsorted(classes, labels), classes.size - 1)] == labels
+    return classes[np.minimum(classes.searchsorted(labels), classes.size - 1)] == labels
 
 
 @dataclass(frozen=True)
